@@ -3,8 +3,10 @@
 Subcommands: classify | verify | truncate | plot | report.  JSON output uses
 12-significant-digit floats with a "-inf" sentinel and fixed key order, so
 identical inputs produce byte-identical files; wall time goes to stderr only.
-Exit codes: 0 ok, 1 verification failure, 2 config error, 3 theorem-coverage
-error.
+Exit codes: 0 ok, 1 verification failure, 2 config error or bad argument,
+3 theorem-coverage error, 4 numerical failure (Newton inversion, orbit
+integral or fixed-point cross-check did not succeed).  Codes 2 to 4 come with
+a short message on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_COVERAGE = 3
+EXIT_NUMERICAL = 4
 
 
 # -- deterministic JSON -----------------------------------------------------
@@ -361,6 +364,20 @@ def cmd_report(args):
 
 # -- entry point ------------------------------------------------------------
 
+def _at_least(cast, low):
+    """argparse type: a number parsed by cast that is at least low."""
+    def parse(text):
+        try:
+            x = cast(text)
+        except ValueError:
+            x = None
+        if x is None or not x >= low:
+            raise argparse.ArgumentTypeError(
+                f"expected {cast.__name__} >= {low}, got {text!r}")
+        return x
+    return parse
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="bergspec",
@@ -376,7 +393,7 @@ def _build_parser():
     p = sub.add_parser("classify", help="exact spectral regions from the "
                                         "gamma profile")
     common(p)
-    p.add_argument("--t", type=float, nargs="*", default=[1.0])
+    p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
     p.add_argument("--svg", default=None)
     p.add_argument("--viewport", default=None,
                    help="xmin,xmax,ymin,ymax (default -4,4,-3,3)")
@@ -385,7 +402,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="numerical verification at given lambdas")
     common(p)
     p.add_argument("--lambda", dest="lam", nargs="+", required=True)
-    p.add_argument("--t", type=float, nargs="*", default=[1.0])
+    p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
     p.add_argument("--tol-identity", type=float, default=1e-9)
     p.add_argument("--tol-residual", type=float, default=1e-5)
     p.add_argument("--tol-orbit", type=float, default=1e-8)
@@ -394,16 +411,16 @@ def _build_parser():
 
     p = sub.add_parser("truncate", help="Galerkin oracle radius estimate")
     common(p)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--N", type=int, default=60)
-    p.add_argument("--nmax", type=int, default=24)
+    p.add_argument("--t", type=_at_least(float, 0), default=1.0)
+    p.add_argument("--N", type=_at_least(int, 1), default=60)
+    p.add_argument("--nmax", type=_at_least(int, 8), default=24)
     p.set_defaults(func=cmd_truncate)
 
     p = sub.add_parser("plot", help="render a spectral region as SVG")
     common(p)
     p.add_argument("--what", choices=["generator", "essential", "point",
                                       "operator"], default="generator")
-    p.add_argument("--t", type=float, nargs="*", default=[1.0])
+    p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
     p.add_argument("--svg", required=True)
     p.add_argument("--viewport", default=None)
     p.set_defaults(func=cmd_plot)
@@ -412,9 +429,9 @@ def _build_parser():
                                       "file of scenario configs")
     p.add_argument("--suite", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--t", type=float, nargs="*", default=[1.0])
-    p.add_argument("--N", type=int, default=24)
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
+    p.add_argument("--N", type=_at_least(int, 1), default=24)
+    p.add_argument("--nmax", type=_at_least(int, 8), default=8)
     p.set_defaults(func=cmd_report)
     return ap
 
@@ -431,6 +448,9 @@ def main(argv=None):
     except CoverageError as e:
         sys.stderr.write(f"coverage error: {e}\n")
         code = EXIT_COVERAGE
+    except BergspecError as e:
+        sys.stderr.write(f"numerical failure: {type(e).__name__}: {e}\n")
+        code = EXIT_NUMERICAL
     finally:
         sys.stderr.write(
             f"wall time: {time.perf_counter() - started:.3f}s\n")

@@ -1,10 +1,13 @@
 """Analytic expression trees with forward-mode derivative propagation.
 
-A Jet carries the value of an analytic function together with its first
-three derivatives at a point, so one evaluation of an expression tree
-yields h, h', h'', h''' simultaneously.  All arithmetic works elementwise
-on numpy arrays as well as on python complex scalars.  Branch functions
-(log, sqrt, pow) are principal-branch.
+A Jet carries the value of an analytic function together with its
+derivatives up to a requested order (0 to 3) at a point, so one evaluation
+of an expression tree yields h, h', h'', h''' simultaneously, or only the
+value when that is all the caller reads.  Every slot is computed by the same
+truncated Taylor formula at every order, so its value does not depend on
+the order asked for.  All arithmetic works elementwise on numpy arrays as
+well as on python complex scalars.  Branch functions (log, sqrt, pow) are
+principal-branch.
 """
 
 from __future__ import annotations
@@ -17,38 +20,48 @@ __all__ = ["Jet", "AnalyticExpr", "parse_expr", "const", "var", "apply_fn"]
 
 
 class Jet:
-    """Value plus first three derivatives of an analytic function at a point."""
+    """Value plus the first `order` derivatives of an analytic function at a
+    point; the slots above `order` are None.  Binary operations compute to
+    the lower order of their operands."""
 
-    __slots__ = ("f", "d1", "d2", "d3")
+    __slots__ = ("f", "d1", "d2", "d3", "order")
 
-    def __init__(self, f, d1=0.0, d2=0.0, d3=0.0):
+    def __init__(self, f, d1=0.0, d2=0.0, d3=0.0, order=3):
         self.f = f
-        self.d1 = d1
-        self.d2 = d2
-        self.d3 = d3
+        self.d1 = d1 if order > 0 else None
+        self.d2 = d2 if order > 1 else None
+        self.d3 = d3 if order > 2 else None
+        self.order = order
 
     @staticmethod
-    def variable(z):
-        zero = np.zeros_like(np.asarray(z)) if isinstance(z, np.ndarray) else 0.0
-        one = np.ones_like(np.asarray(z)) if isinstance(z, np.ndarray) else 1.0
-        return Jet(z, one, zero, zero)
+    def variable(z, order=3):
+        arr = isinstance(z, np.ndarray)
+        one = (np.ones_like(z) if arr else 1.0) if order > 0 else None
+        zero = (np.zeros_like(z) if arr else 0.0) if order > 1 else None
+        return Jet(z, one, zero, zero, order)
 
     @staticmethod
-    def constant(c, like=None):
+    def constant(c, like=None, order=3):
         if isinstance(like, np.ndarray):
-            zero = np.zeros_like(like)
-            return Jet(np.full_like(like, c), zero, zero, zero)
-        return Jet(c, 0.0, 0.0, 0.0)
+            zero = np.zeros_like(like) if order > 0 else None
+            return Jet(np.full_like(like, c), zero, zero, zero, order)
+        return Jet(c, 0.0, 0.0, 0.0, order)
 
     def __add__(self, o):
         if not isinstance(o, Jet):
-            return Jet(self.f + o, self.d1, self.d2, self.d3)
-        return Jet(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
+            return Jet(self.f + o, self.d1, self.d2, self.d3, self.order)
+        n = min(self.order, o.order)
+        return Jet(self.f + o.f,
+                   self.d1 + o.d1 if n > 0 else None,
+                   self.d2 + o.d2 if n > 1 else None,
+                   self.d3 + o.d3 if n > 2 else None, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.f, -self.d1, -self.d2, -self.d3)
+        n = self.order
+        return Jet(-self.f, -self.d1 if n > 0 else None,
+                   -self.d2 if n > 1 else None, -self.d3 if n > 2 else None, n)
 
     def __sub__(self, o):
         return self + (-o if isinstance(o, Jet) else Jet(-o))
@@ -58,13 +71,19 @@ class Jet:
 
     def __mul__(self, o):
         if not isinstance(o, Jet):
-            return Jet(self.f * o, self.d1 * o, self.d2 * o, self.d3 * o)
+            n = self.order
+            return Jet(self.f * o, self.d1 * o if n > 0 else None,
+                       self.d2 * o if n > 1 else None,
+                       self.d3 * o if n > 2 else None, n)
         f, g = self, o
+        n = min(f.order, g.order)
         return Jet(
             f.f * g.f,
-            f.d1 * g.f + f.f * g.d1,
-            f.d2 * g.f + 2 * f.d1 * g.d1 + f.f * g.d2,
-            f.d3 * g.f + 3 * f.d2 * g.d1 + 3 * f.d1 * g.d2 + f.f * g.d3,
+            f.d1 * g.f + f.f * g.d1 if n > 0 else None,
+            f.d2 * g.f + 2 * f.d1 * g.d1 + f.f * g.d2 if n > 1 else None,
+            f.d3 * g.f + 3 * f.d2 * g.d1 + 3 * f.d1 * g.d2 + f.f * g.d3
+            if n > 2 else None,
+            n,
         )
 
     __rmul__ = __mul__
@@ -73,11 +92,12 @@ class Jet:
         if not isinstance(o, Jet):
             return self * (1.0 / o)
         f, g = self, o
+        n = min(f.order, g.order)
         v0 = f.f / g.f
-        v1 = (f.d1 - v0 * g.d1) / g.f
-        v2 = (f.d2 - 2 * v1 * g.d1 - v0 * g.d2) / g.f
-        v3 = (f.d3 - 3 * v2 * g.d1 - 3 * v1 * g.d2 - v0 * g.d3) / g.f
-        return Jet(v0, v1, v2, v3)
+        v1 = (f.d1 - v0 * g.d1) / g.f if n > 0 else None
+        v2 = (f.d2 - 2 * v1 * g.d1 - v0 * g.d2) / g.f if n > 1 else None
+        v3 = (f.d3 - 3 * v2 * g.d1 - 3 * v1 * g.d2 - v0 * g.d3) / g.f if n > 2 else None
+        return Jet(v0, v1, v2, v3, n)
 
     def __rtruediv__(self, o):
         return Jet(o + 0j) / self
@@ -85,7 +105,8 @@ class Jet:
     def ipow(self, n: int):
         """Integer power by repeated squaring (branch free)."""
         if n == 0:
-            return Jet(np.ones_like(self.f) if isinstance(self.f, np.ndarray) else 1.0 + 0j)
+            one = np.ones_like(self.f) if isinstance(self.f, np.ndarray) else 1.0 + 0j
+            return Jet(one, order=self.order)
         if n < 0:
             return 1.0 / self.ipow(-n)
         result = None
@@ -99,29 +120,33 @@ class Jet:
 
     def exp(self):
         e = np.exp(self.f)
-        f1, f2, f3 = self.d1, self.d2, self.d3
-        return Jet(e, e * f1, e * (f1 * f1 + f2), e * (f1 ** 3 + 3 * f1 * f2 + f3))
+        f1, f2, f3, n = self.d1, self.d2, self.d3, self.order
+        return Jet(e, e * f1 if n > 0 else None,
+                   e * (f1 * f1 + f2) if n > 1 else None,
+                   e * (f1 ** 3 + 3 * f1 * f2 + f3) if n > 2 else None, n)
 
     def log(self):
-        f0, f1, f2, f3 = self.f, self.d1, self.d2, self.d3
+        f0, f1, f2, f3, n = self.f, self.d1, self.d2, self.d3, self.order
         if np.any(np.asarray(f0) == 0):
             raise EvaluationError("log/pow evaluated at a branch point (argument 0)")
-        q1 = f1 / f0
+        q1 = f1 / f0 if n > 0 else None
         return Jet(
             np.log(f0),
             q1,
-            f2 / f0 - q1 * q1,
-            f3 / f0 - 3 * f1 * f2 / (f0 * f0) + 2 * q1 ** 3,
+            f2 / f0 - q1 * q1 if n > 1 else None,
+            f3 / f0 - 3 * f1 * f2 / (f0 * f0) + 2 * q1 ** 3 if n > 2 else None,
+            n,
         )
 
     def sqrt(self):
         if np.any(np.asarray(self.f) == 0):
             raise EvaluationError("sqrt evaluated at a branch point (argument 0)")
+        n = self.order
         s0 = np.sqrt(self.f)
-        s1 = self.d1 / (2 * s0)
-        s2 = (self.d2 - 2 * s1 * s1) / (2 * s0)
-        s3 = (self.d3 - 6 * s1 * s2) / (2 * s0)
-        return Jet(s0, s1, s2, s3)
+        s1 = self.d1 / (2 * s0) if n > 0 else None
+        s2 = (self.d2 - 2 * s1 * s1) / (2 * s0) if n > 1 else None
+        s3 = (self.d3 - 6 * s1 * s2) / (2 * s0) if n > 2 else None
+        return Jet(s0, s1, s2, s3, n)
 
     def cpow(self, w):
         """Principal-branch power with complex exponent."""
@@ -141,7 +166,7 @@ class _Const(_Node):
 
     def jet(self, z_jet):
         like = z_jet.f if isinstance(z_jet.f, np.ndarray) else None
-        return Jet.constant(self.value, like=like)
+        return Jet.constant(self.value, like=like, order=z_jet.order)
 
     def __repr__(self):
         return f"{self.value}"
@@ -219,19 +244,24 @@ class _Fn(_Node):
 
 
 class _Deriv(_Node):
-    """Derivative of a subtree; shifts the jet down one order.
+    """Derivative of a subtree: evaluates the child one order higher and
+    shifts its jet down one slot.
 
-    The third-order slot of the shifted jet is unavailable and set to 0;
-    nothing in the package consumes a third derivative of a _Deriv node.
+    Jets stop at order 3, so at order 3 the third-order slot of the shifted
+    jet is unavailable and set to 0; nothing in the package consumes a third
+    derivative of a _Deriv node.
     """
 
     def __init__(self, child):
         self.child = child
 
     def jet(self, z_jet):
-        j = self.child.jet(z_jet)
-        zero = np.zeros_like(j.f) if isinstance(j.f, np.ndarray) else 0.0
-        return Jet(j.d1, j.d2, j.d3, zero)
+        n = z_jet.order
+        j = self.child.jet(Jet.variable(z_jet.f, min(n + 1, 3)))
+        zero = None
+        if n == 3:
+            zero = np.zeros_like(j.f) if isinstance(j.f, np.ndarray) else 0.0
+        return Jet(j.d1, j.d2, j.d3, zero, n)
 
     def __repr__(self):
         return f"D[{self.child}]"
@@ -244,17 +274,19 @@ class AnalyticExpr:
         self._root = root
         self._text = text
 
-    def jet(self, z) -> Jet:
-        return self._root.jet(Jet.variable(np.asarray(z, dtype=complex) if isinstance(z, (np.ndarray, list)) else complex(z)))
+    def jet(self, z, order=3) -> Jet:
+        """Jet at z carrying the derivatives up to `order`."""
+        z = np.asarray(z, dtype=complex) if isinstance(z, (np.ndarray, list)) else complex(z)
+        return self._root.jet(Jet.variable(z, order))
 
     def __call__(self, z):
-        return self.jet(z).f
+        return self.jet(z, 0).f
 
     def deriv(self, z):
-        return self.jet(z).d1
+        return self.jet(z, 1).d1
 
     def deriv2(self, z):
-        return self.jet(z).d2
+        return self.jet(z, 2).d2
 
     def derivative(self) -> "AnalyticExpr":
         return AnalyticExpr(_Deriv(self._root), text=f"D[{self._text or self._root!r}]")

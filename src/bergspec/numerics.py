@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import EvaluationError, OrbitIntegralError, PetalExitError
-from .scenario import (Scenario, _continuation_invert, eval_h, eval_h_prime,
-                       eval_v, generator_g, quasi_random_grid)
+from .scenario import (Scenario, _continuation_invert, eval_h, eval_h_jet,
+                       eval_h_prime, eval_v, generator_g, quasi_random_grid)
 
 __all__ = [
     "QuadratureGrid",
@@ -93,10 +93,6 @@ class MembershipVerdict:
     fitted_exponent: float
     ring_integrals: tuple
     total: float
-
-    @property
-    def norm_estimate(self):
-        return self.total
 
 
 @dataclass(frozen=True)
@@ -323,8 +319,8 @@ def _adaptive_gl(func, a, b, tol, order=12, max_depth=48):
 
 def _omega_form(s: Scenario, lam, f, z):
     """The resolvent one-form density e^{-lam h} h' v f at z."""
-    return (np.exp(-lam * eval_h(s, z)) * eval_h_prime(s, z)
-            * eval_v(s, z) * _eval_f(f, z))
+    hj = eval_h_jet(s, z, 1)
+    return np.exp(-lam * hj.f) * hj.d1 * eval_v(s, z) * _eval_f(f, z)
 
 
 def _segment_integral(s: Scenario, lam, f, z0, z1, tol):

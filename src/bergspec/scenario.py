@@ -32,9 +32,9 @@ __all__ = [
     "make_builtin",
     "make_parametric",
     "eval_h",
+    "eval_h_jet",
     "eval_h_prime",
     "eval_v",
-    "eval_v_prime",
     "eval_h_inverse",
     "flow",
     "cocycle",
@@ -392,16 +392,19 @@ def _check_in_disk(z, allow_radius=1.0):
         raise EvaluationError("evaluation requested on or outside the unit disk")
 
 
-def eval_h(s: Scenario, z):
+def eval_h_jet(s: Scenario, z, order):
+    """Jet of the conformal map at z with derivatives up to `order`."""
     s._require_evaluable()
     _check_in_disk(z)
-    return s._h(z)
+    return s._h.jet(z, order)
+
+
+def eval_h(s: Scenario, z):
+    return eval_h_jet(s, z, 0).f
 
 
 def eval_h_prime(s: Scenario, z):
-    s._require_evaluable()
-    _check_in_disk(z)
-    return s._h.deriv(z)
+    return eval_h_jet(s, z, 1).d1
 
 
 def eval_v(s: Scenario, z):
@@ -410,21 +413,13 @@ def eval_v(s: Scenario, z):
     return s._v(z)
 
 
-def eval_v_prime(s: Scenario, z):
-    s._require_evaluable()
-    _check_in_disk(z)
-    return s._v.deriv(z)
-
-
 def generator_G(s: Scenario, z):
     return 1.0 / eval_h_prime(s, z)
 
 
 def generator_g(s: Scenario, z):
-    s._require_evaluable()
-    _check_in_disk(z)
-    hj = s._h.jet(z)
-    vj = s._v.jet(z)
+    hj = eval_h_jet(s, z, 1)
+    vj = s._v.jet(z, 1)
     return vj.d1 / (vj.f * hj.d1)
 
 
@@ -445,7 +440,7 @@ def _newton_step_batch(s, z, w_target):
     target = np.asarray(w_target, dtype=complex)
     eps = np.finfo(float).eps
     for _ in range(_NEWTON_BUDGET):
-        hj = s._h.jet(z)
+        hj = s._h.jet(z, 1)
         resid = hj.f - target
         res = np.abs(resid)
         tol = np.maximum(_NEWTON_TOL * np.maximum(1.0, np.abs(target)),
@@ -462,7 +457,7 @@ def _newton_step_batch(s, z, w_target):
             factor = np.where(bad, factor / 2, factor)
             cand = z - factor * step
         z = cand
-    hj = s._h.jet(z)
+    hj = s._h.jet(z, 1)
     res = np.abs(hj.f - target)
     tol = np.maximum(_NEWTON_TOL * np.maximum(1.0, np.abs(target)),
                      50 * eps * (1.0 + np.abs(hj.d1)))
@@ -633,7 +628,7 @@ def alpha_at(s: Scenario, fp: FixedPointDatum, tol=1e-4) -> float:
         z = r * zeta
         phi1 = flow(s, 1.0, z)
         quot.append(-np.log((zeta - phi1) / (zeta - z)))
-        hj = s._h.jet(z)
+        hj = s._h.jet(z, 2)
         gprime.append(hj.d2 / hj.d1 ** 2)  # -G'(z) for G = 1/h'
     a_quot = _radial_extrapolate(quot).real
     a_gp = _radial_extrapolate(gprime).real

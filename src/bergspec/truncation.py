@@ -13,7 +13,7 @@ estimate min_n ||M^n||^(1/n) is the quantity cross-validated against theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class TruncationMatrix:
     N: int
     entries: np.ndarray
     t: float
-    scenario_id: str
     quad: GalerkinQuadrature
     clip_bound: float = 0.0   # recorded tail bound when quadrature was clipped
 
@@ -117,7 +116,7 @@ def build_matrix(s: Scenario, t, N, quad=DEFAULT_QUAD) -> TruncationMatrix:
             M[:, k] += wr * coeff[:N] * r ** (j + 1)
     j = np.arange(N)
     M *= 2.0 * np.sqrt((j[:, None] + 1.0) * (j[None, :] + 1.0))
-    return TruncationMatrix(N, M, t, f"{s.kind}:{s.weights}", quad, clip_bound)
+    return TruncationMatrix(N, M, t, quad, clip_bound)
 
 
 def _operator_2norm(A, iters=50, tol=1e-10):

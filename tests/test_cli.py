@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bergspec import errors, truncation
 from bergspec.cli import main
 
 STRIP_CFG = "p = 2\nmodel = strip_flow\n"
@@ -104,6 +105,43 @@ def test_exit_code_coverage_error(tmp_path, capsys):
     assert main(["classify", "-c", str(cfg), "--json", str(out)]) == 3
     report = json.loads(out.read_text())
     assert "generator_spectrum" in report["coverage_errors"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["truncate", "--nmax", "4"],
+    ["truncate", "--N", "-3"],
+    ["truncate", "--t", "-1"],
+    ["classify", "--t", "-1"],
+    ["report", "--suite", "s.txt", "--out", "o", "--nmax", "7"],
+])
+def test_exit_code_bad_argument(strip_cfg, capsys, argv):
+    if argv[0] != "report":
+        argv = [argv[0], "-c", str(strip_cfg), *argv[1:]]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bergspec")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [
+    errors.InversionError("Newton inversion failed to converge", residual=1.0),
+    errors.ModelInconsistencyError("alpha mismatch"),
+    errors.OrbitIntegralError("tolerance not met"),
+])
+def test_exit_code_numerical_failure(tmp_path, strip_cfg, capsys,
+                                     monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(truncation, "build_matrix", fail)
+    out = tmp_path / "t.json"
+    assert main(["truncate", "-c", str(strip_cfg), "--json", str(out)]) == 4
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == f"numerical failure: {type(error).__name__}: {error}"
+    assert len(lines) == 2 and lines[1].startswith("wall time")
 
 
 def test_wall_time_on_stderr_not_stdout(tmp_path, strip_cfg, capsys):

@@ -1,0 +1,89 @@
+"""Order-aware jets: a jet of order k computes exactly the slots 0..k of the
+order-3 jet, bit for bit, and nothing above them."""
+
+import numpy as np
+import pytest
+
+from bergspec import numerics
+from bergspec.expr import parse_expr
+from bergspec.scenario import (eval_h, eval_h_prime, eval_v, make_builtin,
+                               quasi_random_grid)
+
+SLOTS = ("f", "d1", "d2", "d3")
+C, S, D = 0.4, 0.7, 0.3
+
+
+def _twin(h, hprime, d_factor):
+    # expression-model twins of the built-ins: same h and weight formula
+    v = f"exp({C}*({h})) * pow({hprime}, -{S}) * pow({d_factor}, {D})"
+    return parse_expr(h), parse_expr(v)
+
+
+BUILTINS = {name: make_builtin(name, 2.0, c=C, s=S, d=D)
+            for name in ("strip_flow", "half_strip", "trident")}
+
+EXPRS = {}
+for _name, _s in BUILTINS.items():
+    EXPRS[f"{_name}.h"] = _s._h
+    EXPRS[f"{_name}.v"] = _s._v
+for _name, _texts in {
+        "strip_twin": ("log(1+z) - log(1-z)", "2/(1-z^2)", "1+z"),
+        "trident_twin": ("0.5*log(1+z^2) - log(1+z)", "z/(1+z^2) - 1/(1+z)",
+                         "z - i")}.items():
+    EXPRS[f"{_name}.h"], EXPRS[f"{_name}.v"] = _twin(*_texts)
+
+POINTS = quasi_random_grid(200, 0.95)
+SCALARS = [complex(z) for z in POINTS[::40]]
+
+
+def _same(a, b):
+    return np.array_equal(a, b) and np.shape(a) == np.shape(b)
+
+
+@pytest.mark.parametrize("name", sorted(EXPRS))
+def test_each_order_matches_order_three_bitwise(name):
+    e = EXPRS[name]
+    for z in [POINTS, *SCALARS]:
+        full = e.jet(z)
+        assert full.order == 3
+        for k in range(4):
+            j = e.jet(z, k)
+            assert j.order == k
+            for i, slot in enumerate(SLOTS):
+                if i <= k:
+                    assert _same(getattr(j, slot), getattr(full, slot)), (k, slot)
+                else:
+                    assert getattr(j, slot) is None, (k, slot)
+        assert _same(e(z), full.f)
+        assert _same(e.deriv(z), full.d1)
+        assert _same(e.deriv2(z), full.d2)
+
+
+@pytest.mark.parametrize("name", sorted(EXPRS))
+def test_derivative_expression_is_the_jet_one_order_up(name):
+    e = EXPRS[name]
+    d = e.derivative()
+    for z in [POINTS, SCALARS[0]]:
+        for k in range(3):
+            dj, ej = d.jet(z, k), e.jet(z, k + 1)
+            for i in range(k + 1):
+                assert _same(getattr(dj, SLOTS[i]), getattr(ej, SLOTS[i + 1])), (k, i)
+        # jets stop at order 3: the shifted top slot is unavailable
+        top = d.jet(z, 3)
+        assert _same(top.d2, e.jet(z).d3)
+        assert np.all(top.d3 == 0)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_fused_omega_form_equals_separate_evaluations(name):
+    s = BUILTINS[name]
+    lam = 0.3 - 0.2j
+
+    def f(z):
+        return 1 + z * z
+
+    z = POINTS[:64]
+    fused = numerics._omega_form(s, lam, f, z)
+    separate = (np.exp(-lam * eval_h(s, z)) * eval_h_prime(s, z)
+                * eval_v(s, z) * numerics._eval_f(f, z))
+    assert _same(fused, separate)

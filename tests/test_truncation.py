@@ -93,11 +93,11 @@ def test_p_and_size_validation(strip_unweighted):
 
 def test_gelfand_diagonal_cases():
     quad = GalerkinQuadrature()
-    ident = TruncationMatrix(8, np.eye(8, dtype=complex), 1.0, "test", quad)
+    ident = TruncationMatrix(8, np.eye(8, dtype=complex), 1.0, quad)
     r, seq = gelfand_radius(ident, 10)
     assert r == pytest.approx(1.0)
     assert all(x == pytest.approx(1.0) for x in seq)
-    half = TruncationMatrix(8, 0.5 * np.eye(8, dtype=complex), 1.0, "test", quad)
+    half = TruncationMatrix(8, 0.5 * np.eye(8, dtype=complex), 1.0, quad)
     r, _ = gelfand_radius(half, 10)
     assert r == pytest.approx(0.5)
     with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ def test_gelfand_diagonal_cases():
 def test_gelfand_sequence_full_length():
     quad = GalerkinQuadrature()
     M = TruncationMatrix(4, np.diag([2.0, 1.0, 0.5, 0.25]).astype(complex),
-                         1.0, "test", quad)
+                         1.0, quad)
     r, seq = gelfand_radius(M, 12)
     assert len(seq) == 12
     assert r <= min(seq[:resolution_horizon(M)]) + 1e-15
