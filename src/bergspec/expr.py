@@ -2,21 +2,33 @@
 
 A Jet carries the value of an analytic function together with its
 derivatives up to a requested order (0 to 3) at a point, so one evaluation
-of an expression tree yields h, h', h'', h''' simultaneously, or only the
-value when that is all the caller reads.  Every slot is computed by the same
-truncated Taylor formula at every order, so its value does not depend on
-the order asked for.  All arithmetic works elementwise on numpy arrays as
-well as on python complex scalars.  Branch functions (log, sqrt, pow) are
-principal-branch.
+yields h, h', h'', h''' simultaneously, or only the value when that is all
+the caller reads.  Every slot is computed by the same truncated Taylor
+formula at every order, so its value does not depend on the order asked for.
+All arithmetic works elementwise on numpy arrays as well as on python
+complex scalars.  Branch functions (log, sqrt, pow) are principal-branch.
+
+Expressions are DAGs: the built-in weights reuse the conformal map's own
+subtree, and a derivative node reuses its child.  A `Tape` compiles the DAG
+under one or more roots into a flat post-order schedule in which each node
+appears once, at the highest order any of its readers wants; a lower-order
+reader takes a truncated copy, which is bitwise the lower-order
+computation.  Evaluating at a point is one straight loop over the schedule,
+so a shared subtree is computed once per point however many roots read it.
+Constants are scalar jets, broadcast to the shape of the points only in the
+returned slots.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
 from .errors import EvaluationError, ExprSyntaxError
 
-__all__ = ["Jet", "AnalyticExpr", "parse_expr", "const", "var", "apply_fn"]
+__all__ = ["Jet", "Tape", "AnalyticExpr", "parse_expr", "const", "var", "apply_fn"]
 
 
 class Jet:
@@ -40,12 +52,9 @@ class Jet:
         zero = (np.zeros_like(z) if arr else 0.0) if order > 1 else None
         return Jet(z, one, zero, zero, order)
 
-    @staticmethod
-    def constant(c, like=None, order=3):
-        if isinstance(like, np.ndarray):
-            zero = np.zeros_like(like) if order > 0 else None
-            return Jet(np.full_like(like, c), zero, zero, zero, order)
-        return Jet(c, 0.0, 0.0, 0.0, order)
+    def truncated(self, order):
+        """The same jet without the slots above `order`."""
+        return Jet(self.f, self.d1, self.d2, self.d3, order)
 
     def __add__(self, o):
         if not isinstance(o, Jet):
@@ -154,98 +163,94 @@ class Jet:
 
 
 # --- expression nodes -------------------------------------------------------
+#
+# Nodes only describe the DAG; `Tape` evaluates it.  A node computed at order
+# k reads its children at the orders `wants(k)` and maps their jets to its
+# own with `step(k)`.
 
 class _Node:
-    def jet(self, z_jet: Jet) -> Jet:
-        raise NotImplementedError
+    children = ()
+
+    def wants(self, k):
+        return (k,) * len(self.children)
 
 
 class _Const(_Node):
     def __init__(self, value):
         self.value = complex(value)
 
-    def jet(self, z_jet):
-        like = z_jet.f if isinstance(z_jet.f, np.ndarray) else None
-        return Jet.constant(self.value, like=like, order=z_jet.order)
-
     def __repr__(self):
         return f"{self.value}"
 
 
 class _Var(_Node):
-    def jet(self, z_jet):
-        return z_jet
-
     def __repr__(self):
         return "z"
 
 
+_Z = _Var()  # every tree shares one variable node, so a tape computes it once
+
+_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv}
+
+
 class _Bin(_Node):
     def __init__(self, op, left, right):
-        self.op, self.left, self.right = op, left, right
+        self.op = op
+        self.children = (left, right)
 
-    def jet(self, z_jet):
-        a = self.left.jet(z_jet)
-        b = self.right.jet(z_jet)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
+    def step(self, k):
+        return _BIN_OPS[self.op]
 
     def __repr__(self):
-        return f"({self.left} {self.op} {self.right})"
+        left, right = self.children
+        return f"({left} {self.op} {right})"
 
 
 class _Neg(_Node):
     def __init__(self, child):
-        self.child = child
+        self.children = (child,)
 
-    def jet(self, z_jet):
-        return -self.child.jet(z_jet)
+    def step(self, k):
+        return operator.neg
 
     def __repr__(self):
-        return f"(-{self.child})"
+        return f"(-{self.children[0]})"
 
 
 class _IPow(_Node):
     def __init__(self, base, n):
-        self.base, self.n = base, n
+        self.children = (base,)
+        self.n = n
 
-    def jet(self, z_jet):
-        return self.base.jet(z_jet).ipow(self.n)
+    def step(self, k):
+        return functools.partial(Jet.ipow, n=self.n)
 
     def __repr__(self):
-        return f"({self.base}^{self.n})"
+        return f"({self.children[0]}^{self.n})"
 
 
 class _Fn(_Node):
     def __init__(self, name, args):
-        self.name, self.args = name, args
+        self.name = name
+        self.children = tuple(args)
 
-    def jet(self, z_jet):
-        a = self.args[0].jet(z_jet)
-        if self.name == "exp":
-            return a.exp()
-        if self.name == "log":
-            return a.log()
-        if self.name == "sqrt":
-            return a.sqrt()
-        # pow(base, exponent); constant exponent is the supported form
-        exponent = self.args[1]
-        if isinstance(exponent, _Const):
-            return a.cpow(exponent.value)
-        return a.cpow(exponent.jet(z_jet).f)
+    def wants(self, k):
+        # pow(base, exponent) reads only the value of its exponent
+        return (k, 0) if self.name == "pow" else (k,)
+
+    def step(self, k):
+        if self.name == "pow":
+            return lambda base, exponent: base.cpow(exponent.f)
+        return getattr(Jet, self.name)
 
     def __repr__(self):
-        return f"{self.name}({', '.join(map(repr, self.args))})"
+        return f"{self.name}({', '.join(map(repr, self.children))})"
 
 
 class _Deriv(_Node):
-    """Derivative of a subtree: evaluates the child one order higher and
-    shifts its jet down one slot.
+    """Derivative of a subtree: reads the child one order higher and shifts
+    its jet down one slot.
 
     Jets stop at order 3, so at order 3 the third-order slot of the shifted
     jet is unavailable and set to 0; nothing in the package consumes a third
@@ -253,18 +258,100 @@ class _Deriv(_Node):
     """
 
     def __init__(self, child):
-        self.child = child
+        self.children = (child,)
 
-    def jet(self, z_jet):
-        n = z_jet.order
-        j = self.child.jet(Jet.variable(z_jet.f, min(n + 1, 3)))
-        zero = None
-        if n == 3:
-            zero = np.zeros_like(j.f) if isinstance(j.f, np.ndarray) else 0.0
-        return Jet(j.d1, j.d2, j.d3, zero, n)
+    def wants(self, k):
+        return (min(k + 1, 3),)
+
+    def step(self, k):
+        return lambda j: Jet(j.d1, j.d2, j.d3, 0j, k)
 
     def __repr__(self):
-        return f"D[{self.child}]"
+        return f"D[{self.children[0]}]"
+
+
+def _fill(x, shape):
+    """Slot x with the shape of the evaluation points."""
+    if x is None or getattr(x, "shape", None) == shape:
+        return x
+    return np.full(shape, x, dtype=complex)
+
+
+class Tape:
+    """Flat post-order schedule of the expression DAG under some roots.
+
+    Every node appears once, at the highest order any reader wants; a reader
+    that wants fewer orders takes a truncated copy, whose slots are bitwise
+    those of the lower-order computation.  Constants are fixed jets built at
+    compile time.  A call runs one straight loop over the schedule and
+    returns one jet per root at the order asked for, every slot shaped like
+    z.
+    """
+
+    def __init__(self, exprs, orders):
+        roots = [e._root for e in exprs]
+        post, pos = [], {}   # nodes in post-order; id -> index while compiling
+
+        def visit(node):
+            if id(node) not in pos:
+                for c in node.children:
+                    visit(c)
+                pos[id(node)] = len(post)
+                post.append(node)
+
+        for r in roots:
+            visit(r)
+        need = [0] * len(post)
+        for r, k in zip(roots, orders):
+            need[pos[id(r)]] = max(need[pos[id(r)]], k)
+        for i in reversed(range(len(post))):   # every reader before its inputs
+            for c, w in zip(post[i].children, post[i].wants(need[i])):
+                need[pos[id(c)]] = max(need[pos[id(c)]], w)
+
+        self._static = [None]   # slot 0: the variable; fixed jets elsewhere
+        self._ops = []          # (output slot, step, input slot, second input or None)
+        self._var_order = need[pos[id(_Z)]] if id(_Z) in pos else 0
+        slot = {}               # (node index, order) -> slot
+
+        def new_slot(jet=None):
+            self._static.append(jet)
+            return len(self._static) - 1
+
+        def read(i, k):
+            if (i, k) not in slot:
+                if isinstance(post[i], _Const):
+                    slot[i, k] = new_slot(Jet(post[i].value, 0j, 0j, 0j, k))
+                else:
+                    s = new_slot()
+                    self._ops.append((s, functools.partial(Jet.truncated, order=k),
+                                      slot[i, need[i]], None))
+                    slot[i, k] = s
+            return slot[i, k]
+
+        for i, node in enumerate(post):
+            if node is _Z:
+                slot[i, need[i]] = 0
+            elif not isinstance(node, _Const):
+                ins = [read(pos[id(c)], w)
+                       for c, w in zip(node.children, node.wants(need[i]))]
+                ins.append(None)   # a unary step has no second input
+                s = new_slot()
+                self._ops.append((s, node.step(need[i]), ins[0], ins[1]))
+                slot[i, need[i]] = s
+        self._out = [read(pos[id(r)], k) for r, k in zip(roots, orders)]
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex) if isinstance(z, (np.ndarray, list)) else complex(z)
+        vals = self._static.copy()
+        vals[0] = Jet.variable(z, self._var_order)
+        for out, step, a, b in self._ops:
+            vals[out] = step(vals[a]) if b is None else step(vals[a], vals[b])
+        jets = [vals[i] for i in self._out]
+        if isinstance(z, np.ndarray):
+            shape = z.shape
+            jets = [Jet(*(_fill(x, shape) for x in (j.f, j.d1, j.d2, j.d3)), j.order)
+                    for j in jets]
+        return jets
 
 
 class AnalyticExpr:
@@ -273,11 +360,14 @@ class AnalyticExpr:
     def __init__(self, root: _Node, text: str | None = None):
         self._root = root
         self._text = text
+        self._tapes = {}   # order -> Tape, compiled on first use
 
     def jet(self, z, order=3) -> Jet:
         """Jet at z carrying the derivatives up to `order`."""
-        z = np.asarray(z, dtype=complex) if isinstance(z, (np.ndarray, list)) else complex(z)
-        return self._root.jet(Jet.variable(z, order))
+        tape = self._tapes.get(order)
+        if tape is None:
+            tape = self._tapes[order] = Tape((self,), (order,))
+        return tape(z)[0]
 
     def __call__(self, z):
         return self.jet(z, 0).f
@@ -302,7 +392,7 @@ def const(c) -> AnalyticExpr:
 
 
 def var() -> AnalyticExpr:
-    return AnalyticExpr(_Var())
+    return AnalyticExpr(_Z)
 
 
 def _wrap(x):
@@ -452,7 +542,7 @@ class _Parser:
             self.pos += 1
         name = self.text[start:self.pos]
         if name == "z":
-            return _Var()
+            return _Z
         if name == "i":
             return _Const(1j)
         if name == "pi":

@@ -16,8 +16,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import EvaluationError, OrbitIntegralError, PetalExitError
-from .scenario import (Scenario, _continuation_invert, eval_h, eval_h_jet,
-                       eval_h_prime, eval_v, generator_g, quasi_random_grid)
+from .scenario import (Scenario, _continuation_invert, eval_h, eval_h_prime,
+                       eval_hv_jets, eval_v, generator_g, quasi_random_grid)
 
 __all__ = [
     "QuadratureGrid",
@@ -267,7 +267,8 @@ def eigenfunction(s: Scenario, lam):
     lam = complex(lam)
 
     def F(z):
-        return np.exp(lam * eval_h(s, z)) / eval_v(s, z)
+        hj, vj = eval_hv_jets(s, z, 0, 0)
+        return np.exp(lam * hj.f) / vj.f
 
     return F
 
@@ -319,8 +320,8 @@ def _adaptive_gl(func, a, b, tol, order=12, max_depth=48):
 
 def _omega_form(s: Scenario, lam, f, z):
     """The resolvent one-form density e^{-lam h} h' v f at z."""
-    hj = eval_h_jet(s, z, 1)
-    return np.exp(-lam * hj.f) * hj.d1 * eval_v(s, z) * _eval_f(f, z)
+    hj, vj = eval_hv_jets(s, z, 1, 0)
+    return np.exp(-lam * hj.f) * hj.d1 * vj.f * _eval_f(f, z)
 
 
 def _segment_integral(s: Scenario, lam, f, z0, z1, tol):
@@ -473,7 +474,7 @@ def resolvent_apply(s: Scenario, lam, f, cert: ResolventCertificate, z):
     if abs(z) > 0.999:
         raise EvaluationError("resolvent evaluation rejected for |z| > 0.999")
     seg = _segment_integral(s, lam, f, 0.0, z, cert.tol)
-    return complex(np.exp(lam * eval_h(s, z)) / eval_v(s, z) * (cert.K - seg))
+    return complex(eigenfunction(s, lam)(z) * (cert.K - seg))
 
 
 def _cauchy_derivative(F, z, radius=0.02, nodes=16):
@@ -567,7 +568,7 @@ def coboundary_growth_exponent(s: Scenario, fp, direction="forward",
         raise EvaluationError("orbit collapsed onto the boundary before "
                               "enough growth samples were collected")
     with np.errstate(divide="ignore", over="ignore"):
-        logv = np.log(np.abs(s._v(zs[ok])))
+        logv = np.log(np.abs(eval_v(s, zs[ok])))
     good = np.isfinite(logv)
     x = (ts[ok] if direction == "forward" else -ts[ok])[good]
     if len(x) < 10:

@@ -5,7 +5,8 @@ map conjugating the flow to a unit-speed translation), a weight function,
 and the declared boundary fixed-point data.  Built-in models have closed
 forms; inversion falls back to damped Newton continuation seeded from a
 precomputed grid.  Everything is immutable after construction and safe to
-evaluate concurrently.
+evaluate concurrently; the only state filled in later is the cache of
+compiled evaluation tapes, where a race merely compiles a tape twice.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "make_parametric",
     "eval_h",
     "eval_h_jet",
+    "eval_hv_jets",
     "eval_h_prime",
     "eval_v",
     "eval_h_inverse",
@@ -99,8 +101,7 @@ class Scenario:
         self.kind = kind
         self._h = h
         self._v = v
-        self._hprime = h.derivative() if h is not None else None
-        self._vprime = v.derivative() if v is not None else None
+        self._tapes = {}   # (h order, v order) -> joint Tape, compiled on first use
         self.fixed_points = tuple(fixed_points)
         self.weights = tuple(float(x) for x in weights)
         self._closed_inverse = closed_inverse
@@ -399,6 +400,18 @@ def eval_h_jet(s: Scenario, z, order):
     return s._h.jet(z, order)
 
 
+def eval_hv_jets(s: Scenario, z, h_order, v_order):
+    """Jets of the conformal map and of the weight at z, with derivatives up
+    to h_order and v_order, from one pass over their shared tape."""
+    s._require_evaluable()
+    _check_in_disk(z)
+    key = (h_order, v_order)
+    tape = s._tapes.get(key)
+    if tape is None:
+        tape = s._tapes[key] = ex.Tape((s._h, s._v), key)
+    return tape(z)
+
+
 def eval_h(s: Scenario, z):
     return eval_h_jet(s, z, 0).f
 
@@ -418,8 +431,7 @@ def generator_G(s: Scenario, z):
 
 
 def generator_g(s: Scenario, z):
-    hj = eval_h_jet(s, z, 1)
-    vj = s._v.jet(z, 1)
+    hj, vj = eval_hv_jets(s, z, 1, 1)
     return vj.d1 / (vj.f * hj.d1)
 
 

@@ -119,25 +119,6 @@ def build_matrix(s: Scenario, t, N, quad=DEFAULT_QUAD) -> TruncationMatrix:
     return TruncationMatrix(N, M, t, quad, clip_bound)
 
 
-def _operator_2norm(A, iters=50, tol=1e-10):
-    """Largest singular value by power iteration on A* A, deterministic start."""
-    n = A.shape[0]
-    x = np.ones(n) / math.sqrt(n)
-    B = A.conj().T @ A
-    val = 0.0
-    for _ in range(iters):
-        y = B @ x
-        nv = float(np.linalg.norm(y))
-        if nv == 0.0:
-            return 0.0
-        x = y / nv
-        if abs(nv - val) <= tol * max(1.0, nv):
-            val = nv
-            break
-        val = nv
-    return math.sqrt(val)
-
-
 def resolution_horizon(M: TruncationMatrix):
     """Largest power of the time-t section that still resolves the operator.
 
@@ -164,7 +145,7 @@ def gelfand_radius(M: TruncationMatrix, n_max):
     seq = []
     for n in range(1, n_max + 1):
         P = P @ A
-        seq.append(_operator_2norm(P) ** (1.0 / n))
+        seq.append(np.linalg.norm(P, 2) ** (1.0 / n))
     n_eff = min(n_max, resolution_horizon(M))
     return min(seq[:n_eff]), seq
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bergspec import errors, truncation
@@ -129,6 +130,8 @@ def test_exit_code_bad_argument(strip_cfg, capsys, argv):
     errors.InversionError("Newton inversion failed to converge", residual=1.0),
     errors.ModelInconsistencyError("alpha mismatch"),
     errors.OrbitIntegralError("tolerance not met"),
+    np.linalg.LinAlgError("SVD did not converge"),
+    FloatingPointError("overflow encountered in multiply"),
 ])
 def test_exit_code_numerical_failure(tmp_path, strip_cfg, capsys,
                                      monkeypatch, error):

@@ -1,0 +1,94 @@
+"""Joint evaluation of h and v: one pass over a shared-subtree tape gives
+bitwise the jets of separate passes, and computes each shared node once."""
+
+import numpy as np
+import pytest
+
+from bergspec.expr import Jet, Tape, const, parse_expr
+from bergspec.scenario import eval_hv_jets, make_builtin, quasi_random_grid
+
+SLOTS = ("f", "d1", "d2", "d3")
+C, S, D = 0.4, 0.7, 0.3
+ORDER_PAIRS = [(kh, kv) for kh in range(4) for kv in range(4)]
+
+BUILTINS = {name: make_builtin(name, 2.0, c=C, s=S, d=D)
+            for name in ("strip_flow", "half_strip", "trident")}
+
+# expression-model twins of the built-ins: same h and weight formula
+TWINS = {}
+for _name, (_h, _hprime, _dfac) in {
+        "strip_twin": ("log(1+z) - log(1-z)", "2/(1-z^2)", "1+z"),
+        "trident_twin": ("0.5*log(1+z^2) - log(1+z)", "z/(1+z^2) - 1/(1+z)",
+                         "z - i")}.items():
+    TWINS[_name] = (parse_expr(_h), parse_expr(
+        f"exp({C}*({_h})) * pow({_hprime}, -{S}) * pow({_dfac}, {D})"))
+
+POINTS = quasi_random_grid(200, 0.95)
+SCALARS = [complex(z) for z in POINTS[::50]]
+
+
+def _same(a, b):
+    return np.array_equal(a, b) and np.shape(a) == np.shape(b)
+
+
+def _check_joint(joint, h, v, kh, kv):
+    for z in [POINTS, *SCALARS]:
+        hj, vj = joint(z, kh, kv)
+        for j, ref, k in ((hj, h.jet(z, kh), kh), (vj, v.jet(z, kv), kv)):
+            assert j.order == k
+            for i, slot in enumerate(SLOTS):
+                if i <= k:
+                    assert _same(getattr(j, slot), getattr(ref, slot)), (kh, kv, slot)
+                else:
+                    assert getattr(j, slot) is None, (kh, kv, slot)
+
+
+@pytest.mark.parametrize("kh,kv", ORDER_PAIRS)
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_joint_pass_matches_separate_passes_builtin(name, kh, kv):
+    s = BUILTINS[name]
+    _check_joint(lambda z, a, b: eval_hv_jets(s, z, a, b), s._h, s._v, kh, kv)
+
+
+@pytest.mark.parametrize("kh,kv", ORDER_PAIRS)
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_joint_pass_matches_separate_passes_twin(name, kh, kv):
+    h, v = TWINS[name]
+    _check_joint(lambda z, a, b: Tape((h, v), (a, b))(z), h, v, kh, kv)
+
+
+def test_shared_subtrees_are_evaluated_once(monkeypatch):
+    calls = []
+    log = Jet.log
+
+    def counted(self):
+        calls.append(self.order)
+        return log(self)
+
+    # tapes bind their steps when compiled, so patch before building
+    monkeypatch.setattr(Jet, "log", counted)
+    s = make_builtin("strip_flow", 2.0, c=C, s=S)
+    z = POINTS[:16]
+    # log(1+z) and log(1-z) inside h, once each, plus the log of pow(h', -s)
+    del calls[:]
+    eval_hv_jets(s, z, 1, 0)
+    assert len(calls) == 3
+    del calls[:]
+    s._v(z)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("e", [const(1.0), parse_expr("2*i")])
+def test_constant_trees_take_the_shape_of_z(e):
+    value = e(0.0)
+    for z in (POINTS, POINTS.reshape(20, 10)):
+        for k in range(4):
+            j = e.jet(z, k)
+            for i in range(k + 1):
+                x = getattr(j, SLOTS[i])
+                assert isinstance(x, np.ndarray) and x.shape == z.shape
+                assert np.all(x == (value if i == 0 else 0))
+    for k in range(4):
+        j = e.jet(SCALARS[0], k)
+        for i in range(k + 1):
+            assert np.ndim(getattr(j, SLOTS[i])) == 0
