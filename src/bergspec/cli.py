@@ -306,7 +306,6 @@ def cmd_truncate(args):
         "estimate_over_bound_ratio": (radius / (1.05 * theory)
                                       if theory > 0 else float("inf")),
         "radius_bound_ok": bool(radius <= 1.05 * theory),
-        "clip_bound": M.clip_bound,
         "eigenvalue_max_modulus": abs(cloud[-1]) if cloud else 0.0,
     }
     _dump(report, args.json)

@@ -2,11 +2,13 @@
 
 A scenario bundles the conformal representation of the flow (the univalent
 map conjugating the flow to a unit-speed translation), a weight function,
-and the declared boundary fixed-point data.  Built-in models have closed
-forms; inversion falls back to damped Newton continuation seeded from a
-precomputed grid.  Everything is immutable after construction and safe to
-evaluate concurrently; the only state filled in later is the cache of
-compiled evaluation tapes, where a race merely compiles a tape twice.
+and the declared boundary fixed-point data.  Every built-in model inverts
+its map in closed form and carries petal anchors computed from it;
+`model = expression` inverts by damped Newton continuation along straight
+paths in the image domain, seeded from a precomputed grid.  Everything is
+immutable after construction and safe to evaluate concurrently; the only
+state filled in later is the cache of compiled evaluation tapes, where a
+race merely compiles a tape twice.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ REPELLING = "repelling"
 
 _LOG_SQRT2P1 = math.log(1.0 + math.sqrt(2.0))
 _TRIDENT_SLIT_RE = -0.5 * math.log(2.0)
-_ANCHOR_DEPTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,7 @@ class Scenario:
     """Immutable model: exponent p, conformal map, weight, fixed points."""
 
     def __init__(self, p, kind, h=None, v=None, fixed_points=(), weights=(0.0, 0.0, 0.0),
-                 closed_inverse=None, in_omega=None, petal_anchors=None, params=None,
-                 smoke_test=True):
+                 closed_inverse=None, in_omega=None, petal_anchors=None, params=None):
         if p < 1:
             raise ConfigError(f"p must be >= 1, got {p}")
         _validate_fixed_points(fixed_points) if fixed_points else None
@@ -111,8 +111,8 @@ class Scenario:
         self._seed_w = None
         if h is not None and closed_inverse is None:
             self._build_seed_grid()
-        self._petal_anchors = dict(petal_anchors) if petal_anchors is not None else None
-        if h is not None and smoke_test:
+        self._petal_anchors = dict(petal_anchors or {})
+        if h is not None:
             self._smoke_test()
 
     # -- plumbing ----------------------------------------------------------
@@ -155,8 +155,6 @@ class Scenario:
 
     def petal_anchor(self, fp: FixedPointDatum) -> complex:
         """Base point on the backward orbit into the petal attached to fp."""
-        if self._petal_anchors is None:
-            self._petal_anchors = _compute_petal_anchors(self)
         key = _fp_key(fp.zeta)
         if key not in self._petal_anchors:
             raise EvaluationError(f"no petal anchor available for fixed point {fp.zeta}")
@@ -167,22 +165,14 @@ def _fp_key(zeta):
     return (round(zeta.real, 9), round(zeta.imag, 9))
 
 
-def _compute_petal_anchors(scn: Scenario):
-    reps = scn.repelling_points()
-    if not reps:
-        return {}
-    anchors = {}
-    if scn.kind == "strip_flow":
-        midlines = [0.0]
-    elif scn.kind == "trident":
-        midlines = [math.pi / 4, -math.pi / 4]
-    else:
-        return {}
-    for m in midlines:
-        z = eval_h_inverse(scn, complex(-_ANCHOR_DEPTH, m))
-        fp = min(reps, key=lambda f: abs(complex(z) - f.zeta))
-        anchors[_fp_key(fp.zeta)] = complex(z)
-    return anchors
+def _key_anchors(fixed_points, anchors):
+    """Petal anchors keyed by their nearest repelling fixed point."""
+    reps = [f for f in fixed_points if f.role == REPELLING]
+    keyed = {}
+    for a in anchors:
+        fp = min(reps, key=lambda f: abs(complex(a) - f.zeta))
+        keyed[_fp_key(fp.zeta)] = complex(a)
+    return keyed
 
 
 # -- built-in models --------------------------------------------------------
@@ -207,6 +197,8 @@ def _weight_exprs(h, d_factor, c, s, d):
 
 def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
     z = ex.var()
+    params = None
+    midlines = ()   # heights of the petal anchors, placed at Re w = -8
     if name == "strip_flow":
         if a <= 0:
             raise ConfigError("strip_flow parameter a must be positive")
@@ -226,11 +218,10 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
         def inside(w):
             return np.abs(np.imag(w)) < half_height
 
-        return Scenario(p, "strip_flow", h=h, v=v, fixed_points=fps,
-                        weights=(c, s, d), closed_inverse=inverse, in_omega=inside,
-                        params={"a": a})
+        midlines = (0.0,)
+        params = {"a": a}
 
-    if name == "half_strip":
+    elif name == "half_strip":
         u = (1 - z) / (1 + z)
         h = ex.apply_fn("log", u + ex.apply_fn("sqrt", 1 + u * u)) - _LOG_SQRT2P1
         # no repelling point here: the d factor anchors at the regular
@@ -246,10 +237,7 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
         def inside(w):
             return (np.abs(np.imag(w)) < math.pi / 2) & (np.real(w) > -_LOG_SQRT2P1)
 
-        return Scenario(p, "half_strip", h=h, v=v, fixed_points=fps,
-                        weights=(c, s, d), closed_inverse=inverse, in_omega=inside)
-
-    if name == "trident":
+    elif name == "trident":
         h = ex.apply_fn("log", 1 + z * z) * 0.5 - ex.apply_fn("log", 1 + z)
         v = _weight_exprs(h, lambda z_: z_ - 1j, c, s, d)
         fps = (
@@ -258,15 +246,30 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
             FixedPointDatum(-1j, -2.0, c + 2 * s, role=REPELLING),
         )
 
+        def inverse(w):
+            # W = e^{2w} gives (W-1) z^2 + 2W z + (W-1) = 0, whose roots
+            # multiply to 1: z = (W-1)/q, with q the one of -W +- r of larger
+            # modulus, is the root inside the disk, free of cancellation
+            W = np.exp(2.0 * np.asarray(w, dtype=complex))
+            r = np.sqrt(2.0 * W - 1.0)
+            q = np.where(np.abs(r - W) > np.abs(r + W), r - W, -r - W)
+            zw = (W - 1.0) / q
+            # far along an orbit z rounds onto a boundary fixed point
+            return np.where(np.abs(zw) < 1.0, zw, zw * (1.0 - 2.0 ** -53))
+
         def inside(w):
             w = np.asarray(w, dtype=complex)
             on_slit = (np.abs(np.imag(w)) < 1e-13) & (np.real(w) <= _TRIDENT_SLIT_RE)
             return (np.abs(np.imag(w)) < math.pi / 2) & ~on_slit
 
-        return Scenario(p, "trident", h=h, v=v, fixed_points=fps,
-                        weights=(c, s, d), in_omega=inside)
+        midlines = (math.pi / 4, -math.pi / 4)
 
-    raise ConfigError(f"unknown built-in model {name!r}")
+    else:
+        raise ConfigError(f"unknown built-in model {name!r}")
+    anchors = [inverse(complex(-8.0, m)) for m in midlines]
+    return Scenario(p, name, h=h, v=v, fixed_points=fps, weights=(c, s, d),
+                    closed_inverse=inverse, in_omega=inside,
+                    petal_anchors=_key_anchors(fps, anchors), params=params)
 
 
 def make_parametric(p, fixed_points):
@@ -276,14 +279,9 @@ def make_parametric(p, fixed_points):
 
 def make_expression(p, h_expr, v_expr, fixed_points, petal_anchors=()):
     _validate_fixed_points(fixed_points)
-    anchors = {}
-    if petal_anchors:
-        reps = [f for f in fixed_points if f.role == REPELLING]
-        for a in petal_anchors:
-            fp = min(reps, key=lambda f: abs(complex(a) - f.zeta))
-            anchors[_fp_key(fp.zeta)] = complex(a)
     return Scenario(p, "expression", h=h_expr, v=v_expr,
-                    fixed_points=tuple(fixed_points), petal_anchors=anchors or None)
+                    fixed_points=tuple(fixed_points),
+                    petal_anchors=_key_anchors(fixed_points, petal_anchors))
 
 
 # -- config parsing ---------------------------------------------------------
@@ -509,20 +507,6 @@ def _continuation_invert(s, w, z0, w0):
     return z
 
 
-def _trident_waypoints(s, w_from, w_to):
-    """Route around the slit: move right first if the leg would cross it."""
-    a = complex(w_from)
-    b = complex(w_to)
-    crosses = (a.imag == 0 and b.imag == 0) or (
-        min(a.imag, b.imag) < 0 < max(a.imag, b.imag)
-        and min(a.real, b.real) < _TRIDENT_SLIT_RE + 1.0
-    )
-    if not crosses:
-        return [b]
-    safe_re = max(a.real, b.real, _TRIDENT_SLIT_RE + 1.0)
-    return [complex(safe_re, a.imag), complex(safe_re, b.imag), b]
-
-
 def eval_h_inverse(s: Scenario, w):
     """Invert the conformal map; Newton continuation when no closed form."""
     s._require_evaluable()
@@ -538,23 +522,10 @@ def eval_h_inverse(s: Scenario, w):
     flat = np.atleast_1d(w_arr).ravel()
     out = np.empty(flat.shape, dtype=complex)
     for i, wi in enumerate(flat):
-        d2 = np.abs(s._seed_w - wi)
-        if s.kind == "trident" and abs(wi.imag) > 1e-13 and wi.real < 0:
-            same_side = np.sign(s._seed_w.imag) == np.sign(wi.imag)
-            d2 = np.where(same_side, d2, np.inf)
-        j = int(np.argmin(d2))
-        z = np.array([s._seed_z[j]])
-        w_cur = np.array([s._seed_w[j]])
-        if s.kind == "trident":
-            path = _trident_waypoints(s, complex(w_cur[0]), complex(wi))
-        else:
-            path = [complex(wi)]
-        for wp in path:
-            z = _continuation_invert(s, np.array([wp]), z, w_cur)
-            w_cur = np.array([wp])
-        out[i] = z[0]
-    out = out.reshape(np.atleast_1d(w_arr).shape)
-    return complex(out.ravel()[0]) if scalar else out.reshape(w_arr.shape)
+        j = int(np.argmin(np.abs(s._seed_w - wi)))
+        out[i] = _continuation_invert(s, flat[i:i + 1], s._seed_z[j:j + 1],
+                                      s._seed_w[j:j + 1])[0]
+    return complex(out[0]) if scalar else out.reshape(w_arr.shape)
 
 
 def flow(s: Scenario, t, z):
@@ -571,37 +542,11 @@ def flow(s: Scenario, t, z):
         raise PetalExitError("backward flow leaves the image domain")
     if s._closed_inverse is not None:
         out = s._closed_inverse(w1)
-        return complex(out) if scalar else out
-    cur = np.atleast_1d(z_arr).astype(complex)
-    base = np.atleast_1d(w0)
-    end = base + t
-    if t < 0 and not np.all(s.in_omega(end)):
-        raise PetalExitError("backward flow leaves the image domain")
-    # near the slit tip of the trident h' vanishes (square-root branch
-    # point), so lift the continuation path off the real axis for points
-    # whose horizontal segment passes close to the tip
-    legs = [end]
-    if s.kind == "trident":
-        tip = _TRIDENT_SLIT_RE
-        near = ((np.abs(base.imag) < 0.05)
-                & (np.minimum(base.real, end.real) < tip + 0.05)
-                & (np.maximum(base.real, end.real) > tip - 0.05))
-        if np.any(near):
-            lift = 1j * np.where(near, 0.1 * np.sign(base.imag), 0.0)
-            legs = [base + lift, end + lift, end]
-    prev = base
-    for leg in legs:
-        # walk each leg in short horizontal/vertical steps inside Omega
-        dist = float(np.max(np.abs(leg - prev)))
-        nsteps = max(1, int(math.ceil(dist / 0.25)))
-        for k in range(1, nsteps + 1):
-            target = prev + (leg - prev) * (k / nsteps)
-            if t < 0 and not np.all(s.in_omega(target)):
-                raise PetalExitError("backward flow leaves the image domain")
-            cur = _continuation_invert(s, target, cur,
-                                       prev + (leg - prev) * ((k - 1) / nsteps))
-        prev = leg
-    return complex(cur[0]) if scalar else cur.reshape(z_arr.shape)
+    else:
+        # the horizontal path from w0 to w0 + t stays in the image domain
+        out = _continuation_invert(s, np.atleast_1d(w1), np.atleast_1d(z_arr),
+                                   np.atleast_1d(w0)).reshape(z_arr.shape)
+    return complex(out) if scalar else out
 
 
 def cocycle(s: Scenario, t, z):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, InversionError
+from .errors import EvaluationError
 from .scenario import Scenario, cocycle, flow
 
 __all__ = [
@@ -56,7 +56,6 @@ class TruncationMatrix:
     entries: np.ndarray
     t: float
     quad: GalerkinQuadrature
-    clip_bound: float = 0.0   # recorded tail bound when quadrature was clipped
 
 
 def _radial_nodes(quad: GalerkinQuadrature):
@@ -88,35 +87,23 @@ def build_matrix(s: Scenario, t, N, quad=DEFAULT_QUAD) -> TruncationMatrix:
     circle = np.exp(1j * theta)
 
     M = np.zeros((N, N), dtype=complex)
-    clip_bound = 0.0
-    prev_coeff_mag = 0.0
+    j = np.arange(N)
     for r, wr in zip(radii, rweights):
         z = r * circle
-        try:
-            if t == 0.0:
-                zt = z
-                u = np.ones_like(z)
-            else:
-                zt = flow(s, t, z)
-                u = s._v(zt) / s._v(z)
-        except (InversionError, EvaluationError):
-            if r > 0.999:
-                # clipped tail: bound the dropped contribution by the last
-                # evaluated circle's magnitude times the remaining radial mass
-                clip_bound = max(clip_bound, prev_coeff_mag * (1.0 - r) * 10.0)
-                continue
-            raise
+        if t == 0.0:
+            zt = z
+            u = np.ones_like(z)
+        else:
+            zt = flow(s, t, z)
+            u = s._v(zt) / s._v(z)
         powers = np.ones_like(zt)
         for k in range(N):
             if k > 0:
                 powers = powers * zt
             coeff = np.fft.fft(u * powers) / quad.angular
-            prev_coeff_mag = max(prev_coeff_mag, float(np.max(np.abs(coeff[:N]))))
-            j = np.arange(N)
             M[:, k] += wr * coeff[:N] * r ** (j + 1)
-    j = np.arange(N)
     M *= 2.0 * np.sqrt((j[:, None] + 1.0) * (j[None, :] + 1.0))
-    return TruncationMatrix(N, M, t, quad, clip_bound)
+    return TruncationMatrix(N, M, t, quad)
 
 
 def resolution_horizon(M: TruncationMatrix):

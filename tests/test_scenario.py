@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from bergspec.errors import ConfigError, EvaluationError
+from bergspec.errors import ConfigError, EvaluationError, OutsideOmegaError
+from bergspec.expr import parse_expr
 from bergspec.scenario import (FixedPointDatum, alpha_at, beta_at, cocycle,
                                eval_h, eval_h_inverse, eval_h_prime, eval_v,
                                flow, generator_G, generator_g, make_builtin,
-                               make_parametric, parse_complex, parse_scenario,
-                               quasi_random_grid)
+                               make_expression, make_parametric, parse_complex,
+                               parse_scenario, quasi_random_grid)
+from bergspec.truncation import build_matrix
 
 GRID = quasi_random_grid(100, 0.9)
 
@@ -103,6 +105,62 @@ def test_backward_flow_inverts_forward(trident_weighted):
     z = quasi_random_grid(50, 0.7)
     back = flow(trident_weighted, -0.5, flow(trident_weighted, 0.5, z))
     assert np.max(np.abs(back - z)) < 1e-9
+
+
+# -- closed-form trident inverse --------------------------------------------
+
+def test_trident_inverse_round_trip_to_the_slit_tip(trident_weighted):
+    s = trident_weighted
+    # a cluster around z = 1, the preimage of the slit tip, where h' vanishes
+    theta = np.concatenate([-np.geomspace(0.05, 1e-4, 100), [0.0],
+                            np.geomspace(1e-4, 0.05, 100)])
+    near_tip = (np.linspace(0.99, 0.999, 10)[:, None] * np.exp(1j * theta)).ravel()
+    z = np.concatenate([quasi_random_grid(2000, 0.999), near_tip])
+    assert np.max(np.abs(eval_h_inverse(s, eval_h(s, z)) - z)) < 1e-12
+
+
+def test_trident_inverse_stays_inside_far_along_orbits(trident_weighted):
+    w = np.array([x + 1j * y for x in (300.0, -300.0)
+                  for y in (np.pi / 4, -np.pi / 4, 0.7)])
+    z = eval_h_inverse(trident_weighted, w)
+    assert np.all(np.isfinite(z))
+    assert np.all(np.abs(z) < 1.0)
+
+
+def test_trident_petal_anchors_are_conjugate(trident_weighted):
+    s = trident_weighted
+    up, down = (s.petal_anchor(fp) for fp in s.repelling_points())
+    assert up == down.conjugate()
+
+
+def test_trident_slit_is_outside_omega(trident_weighted):
+    with pytest.raises(OutsideOmegaError):
+        eval_h_inverse(trident_weighted, -1.0)
+
+
+# -- expression twins: Newton continuation against the closed forms ----------
+
+TWINS = [
+    pytest.param("strip_flow", dict(c=0.4, s=0.7), "log(1+z) - log(1-z)",
+                 "exp(0.4*(log(1+z) - log(1-z))) * pow(2/(1-z^2), -0.7)", 12,
+                 id="strip_flow"),
+    pytest.param("trident", dict(d=0.5), "0.5*log(1+z^2) - log(1+z)",
+                 "pow(z - i, 0.5)", None, id="trident"),
+]
+
+
+@pytest.mark.parametrize("name,w,h_text,v_text,N", TWINS)
+def test_expression_twin_matches_builtin(name, w, h_text, v_text, N):
+    ref = make_builtin(name, 2.0, **w)
+    twin = make_expression(2.0, parse_expr(h_text), parse_expr(v_text),
+                           ref.fixed_points)
+    z = quasi_random_grid(200, 0.9)
+    w_pts = eval_h(ref, z)
+    assert np.max(np.abs(eval_h_inverse(twin, w_pts) - eval_h_inverse(ref, w_pts))) < 1e-10
+    assert np.max(np.abs(flow(twin, 0.8, z) - flow(ref, 0.8, z))) < 1e-10
+    if N is not None:
+        diff = build_matrix(twin, 1.0, N).entries - build_matrix(ref, 1.0, N).entries
+        assert np.max(np.abs(diff)) < 1e-10
 
 
 # -- declared invariants vs numerical extraction ----------------------------

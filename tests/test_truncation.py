@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bergspec.errors import EvaluationError
+from bergspec import truncation
+from bergspec.errors import EvaluationError, InversionError
 from bergspec.regions import gammas_from, operator_radius
 from bergspec.scenario import make_builtin
 from bergspec.truncation import (GalerkinQuadrature, TruncationMatrix,
@@ -89,6 +90,21 @@ def test_p_and_size_validation(strip_unweighted):
         build_matrix(strip_unweighted, 1.0, 500)
     with pytest.raises(ValueError):
         GalerkinQuadrature(angular=1000)
+
+
+@pytest.mark.parametrize("error", [InversionError, EvaluationError])
+def test_flow_failure_surfaces_at_every_radius(strip_unweighted, monkeypatch, error):
+    # a failure on the outermost circles is not clipped away
+    real_flow = truncation.flow
+
+    def flow(s, t, z):
+        if np.max(np.abs(z)) > 0.999:
+            raise error("injected")
+        return real_flow(s, t, z)
+
+    monkeypatch.setattr(truncation, "flow", flow)
+    with pytest.raises(error):
+        build_matrix(strip_unweighted, 1.0, 4)
 
 
 def test_gelfand_diagonal_cases():
