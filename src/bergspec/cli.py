@@ -24,7 +24,7 @@ import numpy as np
 from . import numerics, regions, truncation
 from .errors import (BergspecError, ConfigError, CoverageError,
                      EvaluationError, OrbitIntegralError)
-from .regions import gammas_from
+from .regions import fixed_point_gamma, gammas_from
 from .scenario import parse_complex, parse_scenario
 from .svgplot import Viewport, render_svg
 
@@ -222,12 +222,7 @@ def cmd_verify(args):
         F = numerics.eigenfunction(s, lam)
         verdict = numerics.ap_norm_rings(s, F)
         expect = _membership_expectation(g, lam.real)
-        ok = (expect is None and True) or verdict.status in (expect,
-                                                             "inconclusive")
-        if expect == "convergent" and verdict.status == "divergent":
-            ok = False
-        if expect == "divergent" and verdict.status == "convergent":
-            ok = False
+        ok = expect is None or verdict.status in (expect, "inconclusive")
         failed |= not ok
         entry["checks"].append({
             "check": "eigenfunction_membership", "verdict": verdict.status,
@@ -247,10 +242,9 @@ def cmd_verify(args):
             anchor = s.dw_point()
         else:
             cands = [fp for fp in s.repelling_points()
-                     if numerics._anchor_gamma(s, fp)
-                     > lam.real + numerics._TAIL_EPS]
+                     if fixed_point_gamma(fp, s.p) > lam.real + numerics._TAIL_EPS]
             if cands:
-                anchor = max(cands, key=lambda fp: numerics._anchor_gamma(s, fp))
+                anchor = max(cands, key=lambda fp: fixed_point_gamma(fp, s.p))
         if anchor is not None:
             try:
                 cert = numerics.orbit_integral_K(s, lam, one, anchor,

@@ -8,7 +8,6 @@ deterministic for fixed tolerances and grid sizes.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import EvaluationError, OrbitIntegralError, PetalExitError
+from .regions import fixed_point_gamma
 from .scenario import (Scenario, _continuation_invert, eval_h, eval_h_prime,
                        eval_hv_jets, eval_v, generator_g, quasi_random_grid)
 
@@ -350,8 +350,8 @@ class _OrbitEvaluator:
         self.base = complex(base)
         self.w0 = complex(eval_h(s, base))
         self.closed = s._closed_inverse is not None
-        self.ts = [0.0]
-        self.zs = [self.base]
+        self.ts = np.zeros(1)
+        self.zs = np.array([self.base])
 
     def _check_domain(self, w):
         if self.sign < 0 and not np.all(self.s.in_omega(w)):
@@ -363,28 +363,17 @@ class _OrbitEvaluator:
         self._check_domain(w_t)
         if self.closed:
             return np.asarray(self.s._closed_inverse(w_t), dtype=complex)
-        out = np.empty(t_arr.shape, dtype=complex)
-        for idx, t in np.ndenumerate(t_arr):
-            j = bisect.bisect_left(self.ts, t)
-            if j > 0 and (j == len(self.ts)
-                          or t - self.ts[j - 1] <= self.ts[j] - t):
-                j -= 1
-            w_near = self.w0 + self.sign * self.ts[j]
-            z = _continuation_invert(self.s,
-                                     np.array([self.w0 + self.sign * t]),
-                                     np.array([self.zs[j]]),
-                                     np.array([w_near]))
-            out[idx] = z[0]
-            k = bisect.bisect_left(self.ts, t)
-            self.ts.insert(k, float(t))
-            self.zs.insert(k, complex(z[0]))
-        return out
-
-
-def _anchor_gamma(s: Scenario, fp):
-    if fp.beta_re == float("-inf"):
-        return float("-inf")
-    return 2.0 * fp.alpha / s.p + fp.beta_re
+        t = t_arr.ravel()
+        # each t starts from its nearest cached time, the earlier one on a tie
+        hi = np.minimum(np.searchsorted(self.ts, t), self.ts.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        near = np.where(t - self.ts[lo] <= self.ts[hi] - t, lo, hi)
+        z = _continuation_invert(self.s, w_t.ravel(), self.zs[near],
+                                 self.w0 + self.sign * self.ts[near])
+        ts = np.concatenate([self.ts, t])
+        order = np.argsort(ts, kind="stable")
+        self.ts, self.zs = ts[order], np.concatenate([self.zs, z])[order]
+        return z.reshape(t_arr.shape)
 
 
 def orbit_integral_K(s: Scenario, lam, f, anchor, base=None, tol=1e-9,
@@ -394,7 +383,7 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, base=None, tol=1e-9,
     the (forward or backward) orbit of `base`, truncated with an analytic
     tail bound."""
     lam = complex(lam)
-    gamma = _anchor_gamma(s, anchor)
+    gamma = fixed_point_gamma(anchor, s.p)
     forward = anchor.role == "denjoy_wolff"
     if forward:
         if base is None:
@@ -513,7 +502,7 @@ def nonsurjectivity_witness(s: Scenario, lam, f, tol=1e-9, step=0.5):
     reps = s.repelling_points()
     if len(reps) < 2:
         raise OrbitIntegralError("witness needs at least two repelling points")
-    gammas = sorted(_anchor_gamma(s, fp) for fp in reps)
+    gammas = sorted(fixed_point_gamma(fp, s.p) for fp in reps)
     gamma2 = gammas[0]
     if not lam.real < gamma2:
         raise OrbitIntegralError(

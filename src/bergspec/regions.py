@@ -18,6 +18,7 @@ __all__ = [
     "GammaProfile",
     "Component",
     "SpectralRegion",
+    "fixed_point_gamma",
     "gammas_from",
     "generator_spectrum",
     "essential_spectrum",
@@ -72,19 +73,19 @@ class GammaProfile:
                             tuple(g + c for g in self.gammas))
 
 
-def gammas_from(fixed_points, p) -> GammaProfile:
+def fixed_point_gamma(fp, p) -> float:
     """Combine flow and weight exponents: gamma = 2*alpha/p + Re(beta)."""
+    return 2.0 * fp.alpha / p + fp.beta_re   # -inf when beta_re is -inf
+
+
+def gammas_from(fixed_points, p) -> GammaProfile:
+    """The gamma of every fixed point, Denjoy-Wolff point first."""
     dw = [f for f in fixed_points if f.role == "denjoy_wolff"]
     if len(dw) != 1:
         raise ValueError("need exactly one Denjoy-Wolff datum")
-
-    def gamma(f):
-        if f.beta_re == NEG_INF:
-            return NEG_INF
-        return 2.0 * f.alpha / p + f.beta_re
-
-    reps = [gamma(f) for f in fixed_points if f.role == "repelling"]
-    return GammaProfile(p, gamma(dw[0]), tuple(reps))
+    reps = [fixed_point_gamma(f, p) for f in fixed_points
+            if f.role == "repelling"]
+    return GammaProfile(p, fixed_point_gamma(dw[0], p), tuple(reps))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ map conjugating the flow to a unit-speed translation), a weight function,
 and the declared boundary fixed-point data.  Every built-in model inverts
 its map in closed form and carries petal anchors computed from it;
 `model = expression` inverts by damped Newton continuation along straight
-paths in the image domain, seeded from a precomputed grid.  Everything is
+paths in the image domain, seeded from a precomputed grid; every point
+converges, and retries a failing leg in quarters, on its own.  Everything is
 immutable after construction and safe to evaluate concurrently; the only
 state filled in later is the cache of compiled evaluation tapes, where a
 race merely compiles a tape twice.
@@ -177,6 +178,14 @@ def _key_anchors(fixed_points, anchors):
 
 # -- built-in models --------------------------------------------------------
 
+def _clamp_re(u, bound=700.0):
+    """u with Re u clamped to [-bound, bound]: far out the closed-form inverses
+    in e^u have rounded onto their boundary limits, and e^{+-700} is finite."""
+    u = np.array(u, dtype=complex)
+    np.clip(u.real, -bound, bound, out=u.real)
+    return u
+
+
 def _weight_exprs(h, d_factor, c, s, d):
     z = ex.var()
     v = None
@@ -210,7 +219,7 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
         )
 
         def inverse(w):
-            e = np.exp(a * np.asarray(w, dtype=complex))
+            e = np.exp(_clamp_re(a * np.asarray(w, dtype=complex)))
             return (e - 1) / (e + 1)
 
         half_height = math.pi / (2 * a)
@@ -231,7 +240,7 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
         fps = (FixedPointDatum(-1.0 + 0j, 1.0, c - s, role=DENJOY_WOLFF),)
 
         def inverse(w):
-            sh = np.sinh(np.asarray(w, dtype=complex) + _LOG_SQRT2P1)
+            sh = np.sinh(_clamp_re(np.asarray(w, dtype=complex) + _LOG_SQRT2P1))
             return (1 - sh) / (1 + sh)
 
         def inside(w):
@@ -250,7 +259,7 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
             # W = e^{2w} gives (W-1) z^2 + 2W z + (W-1) = 0, whose roots
             # multiply to 1: z = (W-1)/q, with q the one of -W +- r of larger
             # modulus, is the root inside the disk, free of cancellation
-            W = np.exp(2.0 * np.asarray(w, dtype=complex))
+            W = np.exp(_clamp_re(2.0 * np.asarray(w, dtype=complex)))
             r = np.sqrt(2.0 * W - 1.0)
             q = np.where(np.abs(r - W) > np.abs(r + W), r - W, -r - W)
             zw = (W - 1.0) / q
@@ -435,76 +444,83 @@ def generator_g(s: Scenario, z):
 
 # -- inversion and flow -----------------------------------------------------
 
-_NEWTON_BUDGET = 50
+_NEWTON_BUDGET = 8          # corrector iterations per leg
 _NEWTON_TOL = 1e-13
+_LEG = 0.25                 # longest leg of a continuation path, in w
+# times a failing leg may be quartered: the truncate of an expression trident
+# needs 11 where a flow starts 1e-11 from the critical value at the slit tip
+_LEG_DEPTH = 16
+_LEG_UNITS = 4 ** _LEG_DEPTH    # finest legs in one longest leg
 
 
-def _newton_step_batch(s, z, w_target):
-    """Damped Newton toward h(z) = w_target, elementwise on arrays.
+def _converged(hj, target):
+    """Condition-aware acceptance: near boundary fixed points the map value
+    loses digits to cancellation while the preimage itself stays accurate,
+    so the residual floor scales with |h'|."""
+    tol = np.maximum(_NEWTON_TOL * np.maximum(1.0, np.abs(target)),
+                     50 * np.finfo(float).eps * (1.0 + np.abs(hj.d1)))
+    return np.abs(hj.f - target) < tol
 
-    The acceptance tolerance is condition-aware: near boundary fixed points
-    the map value loses digits to cancellation while the preimage itself
-    stays accurate, so the residual floor scales with |h'|.
-    """
-    z = np.array(z, dtype=complex, copy=True)
-    target = np.asarray(w_target, dtype=complex)
-    eps = np.finfo(float).eps
-    for _ in range(_NEWTON_BUDGET):
-        hj = s._h.jet(z, 1)
-        resid = hj.f - target
-        res = np.abs(resid)
-        tol = np.maximum(_NEWTON_TOL * np.maximum(1.0, np.abs(target)),
-                         50 * eps * (1.0 + np.abs(hj.d1)))
-        if np.all(res < tol):
-            return z, True
-        step = resid / hj.d1
-        factor = np.ones(z.shape)
-        cand = z - step
+
+def _newton_step_batch(s, z, target):
+    """Damped Newton toward h(z) = target on 1-D complex arrays.  A point
+    stops once it has converged, after the step its converged jet already
+    gives.  Returns z and the converged mask."""
+    z = np.array(z, dtype=complex)
+    done = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
+    for _ in range(_NEWTON_BUDGET + 1):
+        zl = z[live]
+        hj = s._h.jet(zl, 1)
+        ok = _converged(hj, target[live])
+        done[live[ok]] = True
+        step = (hj.f - target[live]) / hj.d1
+        factor = np.ones(zl.shape)
+        cand = zl - step
         for _ in range(40):
             bad = np.abs(cand) >= 1.0
             if not np.any(bad):
                 break
             factor = np.where(bad, factor / 2, factor)
-            cand = z - factor * step
-        z = cand
-    hj = s._h.jet(z, 1)
-    res = np.abs(hj.f - target)
-    tol = np.maximum(_NEWTON_TOL * np.maximum(1.0, np.abs(target)),
-                     50 * eps * (1.0 + np.abs(hj.d1)))
-    return z, bool(np.all(res < tol))
+            cand = zl - factor * step
+        z[live] = cand
+        live = live[~ok]
+        if not live.size:
+            break
+    return z, done
 
 
 def _continuation_invert(s, w, z0, w0):
-    """Follow a straight path in the image domain from w0 to w."""
-    w = np.asarray(w, dtype=complex)
-    w0 = np.asarray(w0, dtype=complex)
-    z = np.array(z0, dtype=complex, copy=True)
-    dist = float(np.max(np.abs(w - w0)))
-    nsteps = max(1, int(math.ceil(dist / 0.25)))
-    for k in range(1, nsteps + 1):
-        target = w0 + (w - w0) * (k / nsteps)
-        z_prev = np.array(z, copy=True)
-        z, ok = _newton_step_batch(s, z, target)
-        if not ok:
-            # retry the failing leg with a finer subdivision
-            sub = w0 + (w - w0) * ((k - 1) / nsteps)
-            fine = 8
-            for _ in range(3):
-                ok = True
-                zz = np.array(z_prev, copy=True)
-                for m in range(1, fine + 1):
-                    tgt = sub + (target - sub) * (m / fine)
-                    zz, ok = _newton_step_batch(s, zz, tgt)
-                    if not ok:
-                        break
-                if ok:
-                    z = zz
-                    break
-                fine *= 4
-            if not ok:
-                res = float(np.max(np.abs(np.asarray(s._h(z)) - target)))
-                raise InversionError("Newton inversion failed to converge", residual=res)
-    return z
+    """Follow straight paths in the image domain from w0 to w, one per point,
+    in legs of its own length: equal legs of at most _LEG, except that a leg
+    whose corrector fails is retried from its start in quarters, down to
+    _LEG / 4**_LEG_DEPTH, and after the quarters the longer legs resume."""
+    shape = np.shape(w)
+    w, w0, z = (np.array(a, dtype=complex).ravel() for a in (w, w0, z0))
+    # progress along each path counts finest legs, so every leg end is exact
+    end = _LEG_UNITS * np.ceil(np.abs(w - w0) / _LEG).clip(1).astype(np.int64)
+    pos = np.zeros(w.shape, dtype=np.int64)
+    depth = np.zeros(w.shape, dtype=np.int64)
+    live = np.arange(w.size)
+    while live.size:
+        leg = _LEG_UNITS >> 2 * depth
+        nxt = pos[live] + leg[live]
+        target = w0[live] + (w[live] - w0[live]) * (nxt / end[live])
+        zl, ok = _newton_step_batch(s, z[live], target)
+        good, bad = live[ok], live[~ok]
+        z[good], pos[good] = zl[ok], nxt[ok]
+        # a point that has finished the quarters of a failed leg goes back up
+        up = good
+        while (up := up[(depth[up] > 0) & (pos[up] % (4 * leg[up]) == 0)]).size:
+            depth[up] -= 1
+            leg[up] *= 4
+        depth[bad] += 1
+        lost = depth[live] > _LEG_DEPTH
+        if lost.any():
+            res = float(np.max(np.abs(s._h(zl[lost]) - target[lost])))
+            raise InversionError("Newton inversion failed to converge", residual=res)
+        live = live[pos[live] < end[live]]
+    return z.reshape(shape)
 
 
 def eval_h_inverse(s: Scenario, w):
@@ -517,15 +533,14 @@ def eval_h_inverse(s: Scenario, w):
         raise OutsideOmegaError("target point outside the image domain")
     if s._closed_inverse is not None:
         z = s._closed_inverse(w_arr)
-        return complex(z) if scalar else z
-
-    flat = np.atleast_1d(w_arr).ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for i, wi in enumerate(flat):
-        j = int(np.argmin(np.abs(s._seed_w - wi)))
-        out[i] = _continuation_invert(s, flat[i:i + 1], s._seed_z[j:j + 1],
-                                      s._seed_w[j:j + 1])[0]
-    return complex(out[0]) if scalar else out.reshape(w_arr.shape)
+    else:
+        # start from the nearest seed, found 8 targets at a time: a table of
+        # distances to all 4,096 seeds for 32 targets raised peak memory 3 MB
+        flat = w_arr.ravel()
+        j = np.concatenate([np.argmin(np.abs(s._seed_w - part[:, None]), axis=1)
+                            for part in np.split(flat, range(8, flat.size, 8))])
+        z = _continuation_invert(s, w_arr, s._seed_z[j], s._seed_w[j])
+    return complex(z) if scalar else z
 
 
 def flow(s: Scenario, t, z):
@@ -544,8 +559,7 @@ def flow(s: Scenario, t, z):
         out = s._closed_inverse(w1)
     else:
         # the horizontal path from w0 to w0 + t stays in the image domain
-        out = _continuation_invert(s, np.atleast_1d(w1), np.atleast_1d(z_arr),
-                                   np.atleast_1d(w0)).reshape(z_arr.shape)
+        out = _continuation_invert(s, w1, z_arr, w0)
     return complex(out) if scalar else out
 
 

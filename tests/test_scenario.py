@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from bergspec.errors import ConfigError, EvaluationError, OutsideOmegaError
+from bergspec import scenario
+from bergspec.errors import (ConfigError, EvaluationError, InversionError,
+                             OutsideOmegaError)
 from bergspec.expr import parse_expr
 from bergspec.scenario import (FixedPointDatum, alpha_at, beta_at, cocycle,
                                eval_h, eval_h_inverse, eval_h_prime, eval_v,
@@ -127,6 +129,17 @@ def test_trident_inverse_stays_inside_far_along_orbits(trident_weighted):
     assert np.all(np.abs(z) < 1.0)
 
 
+@pytest.mark.parametrize("name,w,limit", [
+    ("strip_flow", 1000 + 0.3j, 1.0), ("strip_flow", -1000 + 0.3j, -1.0),
+    ("half_strip", 1000 + 0.3j, -1.0), ("trident", 1000 + 0.5j, -1.0),
+    ("trident", -1000 + 0.5j, -1j), ("trident", -1000 - 0.5j, 1j)])
+def test_closed_inverse_tends_to_the_boundary_limit(name, w, limit):
+    s = make_builtin(name, 2.0)
+    z = eval_h_inverse(s, w)
+    assert abs(z) <= 1.0 and abs(z - limit) < 1e-15
+    assert np.isfinite(flow(s, 1000.0, 0.3 + 0.2j))
+
+
 def test_trident_petal_anchors_are_conjugate(trident_weighted):
     s = trident_weighted
     up, down = (s.petal_anchor(fp) for fp in s.repelling_points())
@@ -145,7 +158,7 @@ TWINS = [
                  "exp(0.4*(log(1+z) - log(1-z))) * pow(2/(1-z^2), -0.7)", 12,
                  id="strip_flow"),
     pytest.param("trident", dict(d=0.5), "0.5*log(1+z^2) - log(1+z)",
-                 "pow(z - i, 0.5)", None, id="trident"),
+                 "pow(z - i, 0.5)", 12, id="trident"),
 ]
 
 
@@ -161,6 +174,64 @@ def test_expression_twin_matches_builtin(name, w, h_text, v_text, N):
     if N is not None:
         diff = build_matrix(twin, 1.0, N).entries - build_matrix(ref, 1.0, N).entries
         assert np.max(np.abs(diff)) < 1e-10
+
+
+# a Galerkin radial node: flowing two of its points by t = 1 passes the
+# trident's slit tip at a distance of 4.3e-5
+SLIT_TIP_CIRCLE = 0.9944247566854857
+SLIT_TIP_POINT = SLIT_TIP_CIRCLE * np.exp(2j * np.pi * 5 / 1024)
+
+
+def _trident_twin():
+    ref = make_builtin("trident", 2.0, d=0.5)
+    return ref, make_expression(2.0, parse_expr("0.5*log(1+z^2) - log(1+z)"),
+                                parse_expr("pow(z - i, 0.5)"), ref.fixed_points)
+
+
+def test_trident_twin_flows_past_the_slit_tip():
+    ref, twin = _trident_twin()
+    z = SLIT_TIP_CIRCLE * np.exp(2j * np.pi * np.arange(1024) / 1024)
+    assert np.max(np.abs(flow(twin, 1.0, z) - flow(ref, 1.0, z))) < 1e-10
+
+
+def test_continuation_decides_per_point(monkeypatch):
+    # easy points take the same legs whether or not a hard point rides along
+    ref, twin = _trident_twin()
+    z = np.concatenate([[SLIT_TIP_POINT], quasi_random_grid(30, 0.9)])
+    w = eval_h(twin, z)
+    alone = scenario._continuation_invert(twin, w[1:] + 1.0, z[1:], w[1:])
+    corrector = scenario._newton_step_batch
+    calls = []
+
+    def counted(s, z, target):
+        calls.append(z.size)
+        return corrector(s, z, target)
+
+    monkeypatch.setattr(scenario, "_newton_step_batch", counted)
+    both = scenario._continuation_invert(twin, w + 1.0, z, w)
+    assert np.array_equal(both[1:], alone)
+    assert abs(both[0] - flow(ref, 1.0, SLIT_TIP_POINT)) < 1e-10
+    # past the slit tip the hard point goes back to long legs
+    assert len(calls) < 64
+
+
+def test_continuation_gives_up_on_a_point_that_never_converges(monkeypatch):
+    _, twin = _trident_twin()
+    z = quasi_random_grid(30, 0.9)
+    w = eval_h(twin, z)
+    corrector = scenario._newton_step_batch
+    calls = []
+
+    def stuck(s, z, target):
+        # the first point's path is the only one at its height
+        calls.append(z.size)
+        z, ok = corrector(s, z, target)
+        return z, ok & (target.imag != w[0].imag)
+
+    monkeypatch.setattr(scenario, "_newton_step_batch", stuck)
+    with pytest.raises(InversionError):
+        scenario._continuation_invert(twin, w + 1.0, z, w)
+    assert len(calls) <= scenario._LEG_DEPTH + 1
 
 
 # -- declared invariants vs numerical extraction ----------------------------
