@@ -4,6 +4,10 @@ Provides Bergman-norm ring quadrature with membership verdicts, eigenfunction
 identity checks, orbit integrals and resolvent certificates, non-surjectivity
 witnesses, and coboundary growth-exponent fits.  All routines are
 deterministic for fixed tolerances and grid sizes.
+
+The work is batched: `eigenfunction(s, lams)` evaluates h and v once for
+every lambda and `ap_norm_rings` gives each row its verdict; one adaptive
+Gauss-Legendre routine refines every segment and orbit panel together.
 """
 
 from __future__ import annotations
@@ -106,23 +110,11 @@ class ResolventCertificate:
     tol: float
 
 
-class _Overflow(Exception):
-    pass
-
-
 def _eval_f(f, z):
     out = np.asarray(f(z), dtype=complex)
     if out.shape != np.shape(z):
         out = np.broadcast_to(out, np.shape(z)).copy()
     return out
-
-
-def _abs_pow(vals, p):
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mag = np.abs(vals) ** p
-    if not np.all(np.isfinite(mag)):
-        raise _Overflow
-    return mag
 
 
 def _angular_breakpoints(singular_angles, r, grid):
@@ -141,26 +133,28 @@ def _angular_breakpoints(singular_angles, r, grid):
     return np.array(sorted(pts))
 
 
-def _angular_integral(f, p, r, singular_angles, grid):
-    """Integral over the circle of radius r of |f|^p d(theta)."""
-    brk = _angular_breakpoints(singular_angles, r, grid)
-    lo = brk
-    hi = np.append(brk[1:], brk[0] + 2.0 * math.pi)
-    x, w = _gl(grid.angular_order)
-    half = 0.5 * (hi - lo)
-    theta = (0.5 * (lo + hi))[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    z = r * np.exp(1j * theta.ravel())
-    mag = _abs_pow(_eval_f(f, z), p)
-    return float(np.sum(weights.ravel() * mag))
-
-
-def _disk_ring_increment(f, p, r_lo, r_hi, singular_angles, grid):
+def _band_increment(f, p, r_lo, r_hi, arcs, grid):
+    """Integral of |f|^p r dr dt over the polar band r_lo < r < r_hi, where
+    arcs(r) gives the angular panels' ends and the map from angle to point at
+    radius r.  One value per row of a stacked f (a plain f is one row, a
+    constant broadcasts), and whether each row's |f|^p stayed finite."""
     rho, w = _gl_on(r_lo, r_hi, grid.radial_order)
-    acc = 0.0
+    x, wa = _gl(grid.angular_order)
+    acc, finite = 0.0, True
     for rj, wj in zip(rho, w):
-        acc += wj * rj * _angular_integral(f, p, rj, singular_angles, grid)
-    return acc
+        lo, hi, point = arcs(rj)
+        half = 0.5 * (hi - lo)
+        t = (0.5 * (lo + hi))[:, None] + half[:, None] * x[None, :]
+        z = point(t.ravel())
+        vals = np.asarray(f(z), dtype=complex)
+        if vals.ndim != 2:
+            vals = np.broadcast_to(vals, z.shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mag = np.abs(vals) ** p
+        weights = (half[:, None] * wa[None, :]).ravel()
+        acc = acc + wj * rj * np.sum(weights * mag, axis=-1)
+        finite = finite & np.all(np.isfinite(mag), axis=-1)
+    return acc, finite
 
 
 def _fit_tau(increments):
@@ -184,60 +178,47 @@ def _verdict(increments, total):
     return MembershipVerdict(status, tau, tuple(increments), total)
 
 
+def _verdicts(f, p, bands, arcs, grid):
+    """Verdicts from the band increments of |f|^p, one per row of a stacked
+    f (a plain f gets its verdict alone).  A row that overflows is divergent
+    with the increments before that band; the other rows go on."""
+    incs, finite = [], []
+    for lo, hi in bands:
+        inc, ok = _band_increment(f, p, lo, hi, arcs, grid)
+        incs.append(inc)
+        finite.append(ok)
+        if not np.any(np.logical_and.reduce(finite)):
+            break       # every row has overflowed
+    rows = np.array(incs).reshape(len(incs), -1)
+    n_ok = np.logical_and.accumulate(
+        np.array(finite).reshape(rows.shape), axis=0).sum(axis=0)
+    totals = np.cumsum(rows, axis=0)[-1]    # band by band, in order
+    verdicts = [_verdict(list(col), total) if n == len(bands) else
+                MembershipVerdict(DIVERGENT, float("-inf"), tuple(col[:n]),
+                                  float("inf"))
+                for col, n, total in zip(rows.T, n_ok, totals)]
+    return verdicts if np.ndim(inc) else verdicts[0]
+
+
 def _singular_angles(s: Scenario):
     return [math.atan2(fp.zeta.imag, fp.zeta.real) for fp in s.fixed_points]
 
 
-def ap_norm_rings(s: Scenario, f, p=None, grid=DEFAULT_GRID) -> MembershipVerdict:
+def ap_norm_rings(s: Scenario, f, p=None, grid=DEFAULT_GRID):
     """Ring-by-ring Bergman p-norm integrals over |z| < r_k with a verdict on
-    convergence of the full-disk integral."""
+    convergence of the full-disk integral.  A stacked f, whose values carry
+    a leading axis (as from `eigenfunction(s, lams)`), is integrated row by
+    row from one evaluation per node and gets a list of verdicts."""
     p = s.p if p is None else float(p)
     sing = _singular_angles(s)
     radii = [0.0] + grid.rings()
-    increments = []
-    total = 0.0
-    for r_lo, r_hi in zip(radii[:-1], radii[1:]):
-        try:
-            inc = _disk_ring_increment(f, p, r_lo, r_hi, sing, grid)
-        except _Overflow:
-            return MembershipVerdict(DIVERGENT, float("-inf"),
-                                     tuple(increments), float("inf"))
-        increments.append(inc)
-        total += inc
-    return _verdict(increments, total)
 
+    def circle(r):
+        brk = _angular_breakpoints(sing, r, grid)
+        return (brk, np.append(brk[1:], brk[0] + 2.0 * math.pi),
+                lambda theta: r * np.exp(1j * theta))
 
-def _lens_increment(f, p, zeta, rho_lo, rho_hi, grid):
-    """Integral of |f|^p over the disk-cap annulus rho_lo < |z - zeta| < rho_hi
-    intersected with the unit disk; zeta on the unit circle."""
-    theta0 = math.atan2(zeta.imag, zeta.real)
-    rho, w = _gl_on(rho_lo, rho_hi, grid.radial_order)
-    # geometric grading of the angular panels toward both arc endpoints,
-    # which lie on the unit circle
-    frac = [0.0]
-    for j in range(8, 0, -1):
-        frac.append(2.0 ** -j)
-    for j in range(1, 9):
-        frac.append(1.0 - 2.0 ** -j)
-    frac.append(1.0)
-    frac = np.array(sorted(set(frac)))
-    x, wa = _gl(grid.angular_order)
-    acc = 0.0
-    for rj, wj in zip(rho, w):
-        # |zeta + rho e^{i psi}| < 1  <=>  cos(psi - theta0) < -rho/2
-        a = math.acos(max(-1.0, min(1.0, -rj / 2.0)))
-        lo = theta0 + a
-        hi = theta0 + 2.0 * math.pi - a
-        b_lo = lo + (hi - lo) * frac[:-1]
-        b_hi = lo + (hi - lo) * frac[1:]
-        half = 0.5 * (b_hi - b_lo)
-        psi = (0.5 * (b_lo + b_hi))[:, None] + half[:, None] * x[None, :]
-        weights = (half[:, None] * wa[None, :]).ravel()
-        z = zeta + rj * np.exp(1j * psi.ravel())
-        z = np.where(np.abs(z) >= 1.0, z * (1.0 - 1e-15) / np.abs(z), z)
-        mag = _abs_pow(_eval_f(f, z), p)
-        acc += wj * rj * float(np.sum(weights * mag))
-    return acc
+    return _verdicts(f, p, list(zip(radii[:-1], radii[1:])), circle, grid)
 
 
 def local_membership(s: Scenario, f, zeta, p=None,
@@ -249,26 +230,37 @@ def local_membership(s: Scenario, f, zeta, p=None,
         raise EvaluationError("local membership requires |zeta| = 1")
     p = s.p if p is None else float(p)
     rhos = [2.0 ** -k for k in range(1, grid.k_max + 1)]
-    increments = []
-    for rho_hi, rho_lo in zip(rhos[:-1], rhos[1:]):
-        try:
-            increments.append(_lens_increment(f, p, zeta, rho_lo, rho_hi, grid))
-        except _Overflow:
-            return MembershipVerdict(DIVERGENT, float("-inf"),
-                                     tuple(increments), float("inf"))
-    total = float(np.sum(increments))
-    return _verdict(increments, total)
+    theta0 = math.atan2(zeta.imag, zeta.real)
+    # geometric grading of the angular panels toward both arc endpoints,
+    # which lie on the unit circle
+    g = 2.0 ** -np.arange(1, 9)
+    frac = np.unique(np.concatenate([[0.0, 1.0], g, 1.0 - g]))
+
+    def arc(rho):
+        # |zeta + rho e^{i psi}| < 1  <=>  cos(psi - theta0) < -rho/2
+        a = math.acos(max(-1.0, min(1.0, -rho / 2.0)))
+        lo, hi = theta0 + a, theta0 + 2.0 * math.pi - a
+
+        def point(psi):
+            z = zeta + rho * np.exp(1j * psi)
+            return np.where(np.abs(z) >= 1.0, z * (1.0 - 1e-15) / np.abs(z), z)
+
+        return lo + (hi - lo) * frac[:-1], lo + (hi - lo) * frac[1:], point
+
+    return _verdicts(f, p, list(zip(rhos[1:], rhos[:-1])), arc, grid)
 
 
 # -- eigenfunctions ---------------------------------------------------------
 
 def eigenfunction(s: Scenario, lam):
-    """Eigenvector candidate z -> e^{lam h(z)} / v(z) of the generator."""
-    lam = complex(lam)
+    """Eigenvector candidate z -> e^{lam h(z)} / v(z) of the generator.  For
+    a sequence of lam the values are stacked on a leading axis, one row per
+    lam, from one evaluation of h and v."""
+    lams = np.asarray(lam, dtype=complex)
 
     def F(z):
         hj, vj = eval_hv_jets(s, z, 0, 0)
-        return np.exp(lam * hj.f) / vj.f
+        return np.exp(np.multiply.outer(lams, hj.f)) / vj.f
 
     return F
 
@@ -295,27 +287,77 @@ def eigen_identity_residual(s: Scenario, lam, t, grid=None):
 
 # -- adaptive quadrature ----------------------------------------------------
 
-def _adaptive_gl(func, a, b, tol, order=12, max_depth=48):
-    """Adaptive composite Gauss-Legendre on [a, b] for a vectorized func."""
+_GL_ORDER = 12           # Gauss-Legendre points per panel
+_GL_MAX_DEPTH = 48       # halvings of an interval before a panel must pass
+_GL_CHUNK = 128          # panels per integrand call: bounds the batch's memory
 
-    def estimate(lo, hi):
-        x, w = _gl_on(lo, hi, order)
-        return np.sum(w * func(x))
 
-    total = 0.0 + 0.0j
-    stack = [(a, b, tol, estimate(a, b), 0)]
-    while stack:
-        lo, hi, tl, coarse, depth = stack.pop()
+def _adaptive_gl(func, a, b, tol):
+    """Adaptive composite Gauss-Legendre on many intervals a_k < b_k at once;
+    returns one complex value per interval.
+
+    func(x, i) gives the integrand at nodes x, one row of _GL_ORDER nodes per
+    panel, of panels on intervals i.  Every live panel is halved in one
+    batched pass, and accepted once its halves change its estimate by at most
+    its tolerance (tol_k, halved with each split).  An interval's accepted
+    panels are summed left to right, as a depth-first recursion adds them, so
+    its value does not depend on the other intervals.  A non-finite estimate,
+    or a panel not accepted at depth _GL_MAX_DEPTH, raises OrbitIntegralError."""
+    xg, wg = _gl(_GL_ORDER)
+
+    def estimate(lo, hi, i):
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * xg
+        w = half[:, None] * wg
+        out = np.empty(lo.size, dtype=complex)
+        for c in range(0, lo.size, _GL_CHUNK):
+            part = slice(c, c + _GL_CHUNK)
+            out[part] = np.sum(w[part] * func(x[part], i[part]), axis=-1)
+        return out
+
+    lo, hi, tl = (np.array(v, dtype=float).ravel() for v in (a, b, tol))
+    n = lo.size
+    i = np.arange(n)
+    coarse = estimate(lo, hi, i)
+    done_i, done_lo, done_val = [], [], []
+    for depth in range(_GL_MAX_DEPTH + 1):
         mid = 0.5 * (lo + hi)
-        left = estimate(lo, mid)
-        right = estimate(mid, hi)
+        halves = estimate(np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                          np.concatenate([i, i]))
+        left, right = halves[:i.size], halves[i.size:]
         fine = left + right
-        if abs(fine - coarse) <= tl or depth >= max_depth:
-            total += fine
-        else:
-            stack.append((mid, hi, 0.5 * tl, right, depth + 1))
-            stack.append((lo, mid, 0.5 * tl, left, depth + 1))
-    return complex(total)
+        if not np.all(np.isfinite(fine)):
+            raise OrbitIntegralError("tolerance failure: the integrand is not "
+                                     "finite on a quadrature panel",
+                                     achieved=float("inf"))
+        err = np.abs(fine - coarse)
+        ok = err <= tl
+        if depth == _GL_MAX_DEPTH and not np.all(ok):
+            worst = float(np.max(err[~ok]))
+            raise OrbitIntegralError(
+                f"tolerance failure: a quadrature panel's error {worst:.3e} "
+                f"is above its tolerance after {_GL_MAX_DEPTH} halvings",
+                achieved=worst)
+        done_i.append(i[ok])
+        done_lo.append(lo[ok])
+        done_val.append(fine[ok])
+        go = ~ok
+        i = np.concatenate([i[go], i[go]])
+        lo, hi = (np.concatenate([lo[go], mid[go]]),
+                  np.concatenate([mid[go], hi[go]]))
+        coarse = np.concatenate([left[go], right[go]])
+        tl = 0.5 * np.concatenate([tl[go], tl[go]])
+        if not i.size:
+            break
+
+    i, lo, val = (np.concatenate(v) for v in (done_i, done_lo, done_val))
+    order = np.lexsort((lo, i))
+    i, val = i[order], val[order]
+    rank = 1 + np.arange(i.size) - np.searchsorted(i, i)
+    table = np.zeros((n, rank.max(initial=0) + 1), dtype=complex)
+    table[i, rank] = val
+    # sums start from 0 like the recursion's; the zero padding adds exactly
+    return np.cumsum(table, axis=1)[:, -1]
 
 
 def _omega_form(s: Scenario, lam, f, z):
@@ -324,18 +366,16 @@ def _omega_form(s: Scenario, lam, f, z):
     return np.exp(-lam * hj.f) * hj.d1 * vj.f * _eval_f(f, z)
 
 
-def _segment_integral(s: Scenario, lam, f, z0, z1, tol):
-    """Straight-segment integral of the resolvent one-form from z0 to z1."""
-    z0, z1 = complex(z0), complex(z1)
-    if z0 == z1:
-        return 0.0 + 0.0j
-    dz = z1 - z0
+def _segment_integrals(s: Scenario, lam, f, z, tol):
+    """Integrals of the resolvent one-form along the straight segments from 0
+    to each point of the 1-D array z."""
 
-    def density(u):
-        z = z0 + u * dz
-        return _omega_form(s, lam, f, z) * dz
+    def density(u, i):
+        dz = z[i, None]
+        return _omega_form(s, lam, f, u * dz) * dz
 
-    return _adaptive_gl(density, 0.0, 1.0, tol)
+    return _adaptive_gl(density, np.zeros(z.size), np.ones(z.size),
+                        np.full(z.size, tol))
 
 
 # -- orbit integrals --------------------------------------------------------
@@ -442,57 +482,53 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, base=None, tol=1e-9,
 
     quad_tol = 0.5 * tol
     n_panels = max(1, int(math.ceil(T / step)))
-    orbit_part = 0.0 + 0.0j
-    for k in range(n_panels):
-        a = T * k / n_panels
-        b = T * (k + 1) / n_panels
-        orbit_part += _adaptive_gl(integrand, a, b, quad_tol / n_panels)
+    k = np.arange(n_panels)
+    panels = _adaptive_gl(lambda t, i: integrand(t), T * k / n_panels,
+                          T * (k + 1) / n_panels,
+                          np.full(n_panels, quad_tol / n_panels))
+    orbit_part = np.cumsum(np.append(0j, panels))[-1]   # panel by panel
 
-    K = (_segment_integral(s, lam, f, 0.0, base, quad_tol)
-         + orient * np.exp(-lam * ev.w0) * orbit_part)
+    seg = _segment_integrals(s, lam, f, np.array([complex(base)]), quad_tol)
+    K = seg[0] + orient * np.exp(-lam * ev.w0) * orbit_part
     return ResolventCertificate(lam, region, complex(K), bound,
                                 complex(anchor.zeta), complex(base), tol)
 
 
 def resolvent_apply(s: Scenario, lam, f, cert: ResolventCertificate, z):
-    """Resolvent solution F(z) = e^{lam h}/v * (K - segment integral to z)."""
+    """Resolvent solution F(z) = e^{lam h}/v * (K - segment integral to z), at
+    a point (a complex) or at an array of points (an array of that shape)."""
     lam = complex(lam)
     if cert.lam != lam:
         raise EvaluationError("certificate was issued for a different lambda")
-    z = complex(z)
-    if abs(z) > 0.999:
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z) > 0.999):
         raise EvaluationError("resolvent evaluation rejected for |z| > 0.999")
-    seg = _segment_integral(s, lam, f, 0.0, z, cert.tol)
-    return complex(eigenfunction(s, lam)(z) * (cert.K - seg))
-
-
-def _cauchy_derivative(F, z, radius=0.02, nodes=16):
-    k = np.arange(nodes)
-    theta = 2.0 * math.pi * k / nodes
-    ring = z + radius * np.exp(1j * theta)
-    vals = np.array([complex(F(w)) for w in ring])
-    return complex(np.sum(vals * np.exp(-1j * theta)) / (nodes * radius))
+    seg = _segment_integrals(s, lam, f, z.ravel(), cert.tol).reshape(z.shape)
+    out = eigenfunction(s, lam)(z) * (cert.K - seg)
+    return complex(out) if out.ndim == 0 else out
 
 
 def residual_check(s: Scenario, lam, f, F, grid=None):
     """Max over the grid of |lam F - F'/h' - g F - f|, with F' from the
-    Cauchy integral on a small circle (F analytic, spectrally accurate)."""
+    Cauchy integral on a small circle (F analytic, spectrally accurate).
+    F is called once, on the grid and every circle node together.  A
+    non-finite residual anywhere makes the maximum NaN, which fails every
+    tolerance."""
     lam = complex(lam)
     if grid is None:
         grid = verification_grid(20, 0.85)
-    grid = np.asarray(grid, dtype=complex)
+    grid = np.asarray(grid, dtype=complex).ravel()
     if np.any(np.abs(grid) > 0.9):
         raise EvaluationError("residual grid must satisfy |z| <= 0.9")
-    worst = 0.0
-    for z in grid.ravel():
-        z = complex(z)
-        Fz = complex(F(z))
-        Fp = _cauchy_derivative(F, z)
-        gz = complex(generator_g(s, z))
-        fz = complex(_eval_f(f, np.array([z]))[0])
-        res = abs(lam * Fz - Fp / complex(eval_h_prime(s, z)) - gz * Fz - fz)
-        worst = max(worst, res)
-    return worst
+    radius, nodes = 0.02, 16
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    ring = grid[:, None] + radius * np.exp(1j * theta)
+    vals = np.asarray(F(np.concatenate([grid, ring.ravel()])), dtype=complex)
+    Fz, Fr = vals[:grid.size], vals[grid.size:].reshape(ring.shape)
+    Fp = np.sum(Fr * np.exp(-1j * theta), axis=-1) / (nodes * radius)
+    res = np.abs(lam * Fz - Fp / eval_h_prime(s, grid)
+                 - generator_g(s, grid) * Fz - _eval_f(f, grid))
+    return float(np.max(res, initial=0.0))
 
 
 def nonsurjectivity_witness(s: Scenario, lam, f, tol=1e-9, step=0.5):

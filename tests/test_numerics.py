@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bergspec import numerics
 from bergspec.errors import EvaluationError, OrbitIntegralError
 from bergspec.numerics import (ap_norm_rings, coboundary_growth_exponent,
                                eigen_identity_residual, eigenfunction,
@@ -58,6 +59,20 @@ def test_local_membership_requires_boundary_point(strip_unweighted):
         local_membership(strip_unweighted, ONE, 0.5)
 
 
+@pytest.mark.parametrize("model", ["strip_weighted", "half_strip_weighted"])
+def test_stacked_rows_match_single_lambda_calls(model, request):
+    # lambda = 60 overflows |F|^p at the 8th ring; the other rows go on
+    s = request.getfixturevalue(model)
+    lams = [0.5 - 0.3j, 60.0, 1.5, -2.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = ap_norm_rings(s, eigenfunction(s, lams))
+        single = [ap_norm_rings(s, eigenfunction(s, lam)) for lam in lams]
+    assert stacked == single
+    assert stacked[1].status == "divergent"
+    assert 0 < len(stacked[1].ring_integrals) < numerics.DEFAULT_GRID.k_max
+    assert [len(v.ring_integrals) for v in stacked[::2]] == [14, 14]
+
+
 # -- eigenfunctions ---------------------------------------------------------
 
 def test_eigen_identity_residual_small(strip_unweighted):
@@ -108,6 +123,19 @@ def test_resolvent_gap_anchor_trident(trident_weighted):
     cert = orbit_integral_K(s, lam, ONE, anchor, tol=1e-9)
     F = lambda z: resolvent_apply(s, lam, ONE, cert, z)
     assert residual_check(s, lam, ONE, F) < 1e-5
+    # one array call agrees with a call per point
+    pts = verification_grid(20, 0.85).reshape(4, 5)
+    each = np.array([[F(z) for z in row] for row in pts])
+    assert isinstance(F(pts[0, 0]), complex)
+    assert np.max(np.abs(F(pts) - each) / np.abs(each)) < 1e-15
+
+
+def test_residual_check_fails_on_a_non_finite_value(strip_unweighted):
+    grid = verification_grid(20, 0.85)
+    zero = lambda z: np.zeros_like(np.asarray(z, dtype=complex))
+    F = lambda z: np.where(np.asarray(z) == grid[7], np.nan, 0.0)
+    assert residual_check(strip_unweighted, 0.5, zero, zero, grid) == 0.0
+    assert math.isnan(residual_check(strip_unweighted, 0.5, zero, F, grid))
 
 
 def test_orbit_integral_rejects_wrong_half_plane(strip_unweighted):
@@ -129,6 +157,60 @@ def test_witness_degenerate_for_constant_data(trident_unweighted):
     # with v = 1 the one-form has a global primitive, so the witness vanishes
     w = nonsurjectivity_witness(trident_unweighted, -3.0, ONE, tol=1e-9)
     assert abs(w) < 1e-8
+
+
+# -- adaptive quadrature ----------------------------------------------------
+
+def _depth_first_gl(func, a, b, tol, order=12, max_depth=48):
+    """Scalar reference: the depth-first recursion, one interval at a time."""
+    x, w = np.polynomial.legendre.leggauss(order)
+
+    def estimate(lo, hi):
+        half = 0.5 * (hi - lo)
+        return np.sum(half * w * func(0.5 * (lo + hi) + half * x))
+
+    total = 0.0 + 0.0j
+    stack = [(a, b, tol, estimate(a, b), 0)]
+    while stack:
+        lo, hi, tl, coarse, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left, right = estimate(lo, mid), estimate(mid, hi)
+        if abs(left + right - coarse) <= tl or depth >= max_depth:
+            total += left + right
+        else:
+            stack.append((mid, hi, 0.5 * tl, right, depth + 1))
+            stack.append((lo, mid, 0.5 * tl, left, depth + 1))
+    return complex(total)
+
+
+def test_adaptive_gl_intervals_are_independent():
+    # 300 intervals, more than one evaluation chunk, refined to many depths
+    k = np.arange(300)
+    freq, shift = 1.0 + 0.37 * k, 0.02 * (1 + k % 7)
+    a, b = 0.01 * k, 0.01 * k + 1.0 + k % 3
+    tol = np.full(k.size, 1e-10)
+    f = lambda x, i: (np.exp(1j * freq[i, None] * x)
+                      / (x - a[i, None] + shift[i, None]))
+    together = numerics._adaptive_gl(f, a, b, tol)
+    assert k.size > numerics._GL_CHUNK
+    for j in range(k.size):
+        alone = numerics._adaptive_gl(lambda x, i: f(x, i + j), a[j:j + 1],
+                                      b[j:j + 1], tol[j:j + 1])
+        assert together[j] == alone[0]
+    # each interval adds its panels in the depth-first recursion's order
+    for j in (0, 57, 128, 299):
+        assert together[j] == _depth_first_gl(lambda x: f(x, np.array([j]))[0],
+                                              a[j], b[j], tol[j])
+
+
+def test_adaptive_gl_raises_at_the_depth_cap():
+    # on [0, 2^-d] the rule's estimate of the integral of 1/x does not depend
+    # on d, so the panel at 0 never passes
+    with pytest.raises(OrbitIntegralError, match="halvings"):
+        numerics._adaptive_gl(lambda x, i: 1.0 / x, [0.0], [1.0], [1e-9])
+    with pytest.raises(OrbitIntegralError, match="not finite"):
+        numerics._adaptive_gl(lambda x, i: np.where(x < 0.5, 1.0, np.nan),
+                              [0.0], [1.0], [1e-9])
 
 
 # -- growth exponents -------------------------------------------------------
