@@ -5,9 +5,9 @@ Subcommands: classify | verify | truncate | plot | report.  JSON output uses
 identical inputs produce byte-identical files; wall time goes to stderr only.
 Exit codes: 0 ok, 1 verification failure, 2 config error or bad argument,
 3 theorem-coverage error, 4 numerical failure (Newton inversion, orbit
-integral or fixed-point cross-check did not succeed, or numpy raised
-LinAlgError or FloatingPointError).  Codes 2 to 4 come with a short message
-on stderr instead of a traceback.
+integral or fixed-point cross-check did not succeed, numpy raised
+LinAlgError, or float arithmetic overflowed or divided by zero).  Codes 2
+to 4 come with a short message on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -442,7 +442,7 @@ def main(argv=None):
     except CoverageError as e:
         sys.stderr.write(f"coverage error: {e}\n")
         code = EXIT_COVERAGE
-    except (BergspecError, np.linalg.LinAlgError, FloatingPointError) as e:
+    except (BergspecError, np.linalg.LinAlgError, ArithmeticError) as e:
         sys.stderr.write(f"numerical failure: {type(e).__name__}: {e}\n")
         code = EXIT_NUMERICAL
     finally:

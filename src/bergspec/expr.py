@@ -1,15 +1,16 @@
 """Analytic expression trees with forward-mode derivative propagation.
 
 A Jet carries the value of an analytic function together with its
-derivatives up to a requested order (0 to 3) at a point, so one evaluation
-yields h, h', h'', h''' simultaneously, or only the value when that is all
-the caller reads.  Every slot is computed by the same truncated Taylor
+derivatives up to a requested order (0 to 2) at a point, so one evaluation
+yields h, h', h'' simultaneously, or only the value when that is all the
+caller reads.  Every slot is computed by the same truncated Taylor
 formula at every order, so its value does not depend on the order asked for.
 All arithmetic works elementwise on numpy arrays as well as on python
 complex scalars.  Branch functions (log, sqrt, pow) are principal-branch.
 
-Expressions are DAGs: the built-in weights reuse the conformal map's own
-subtree, and a derivative node reuses its child.  A `Tape` compiles the DAG
+Expressions are DAGs: the built-in weights reuse the logs inside the
+conformal map's own tree.  There is no derivative node; a caller that needs
+h' reads it from the jet of h.  A `Tape` compiles the DAG
 under one or more roots into a flat post-order schedule in which each node
 appears once, at the highest order any of its readers wants; a lower-order
 reader takes a truncated copy, which is bitwise the lower-order
@@ -36,41 +37,39 @@ class Jet:
     point; the slots above `order` are None.  Binary operations compute to
     the lower order of their operands."""
 
-    __slots__ = ("f", "d1", "d2", "d3", "order")
+    __slots__ = ("f", "d1", "d2", "order")
 
-    def __init__(self, f, d1=0.0, d2=0.0, d3=0.0, order=3):
+    def __init__(self, f, d1=0.0, d2=0.0, order=2):
         self.f = f
         self.d1 = d1 if order > 0 else None
         self.d2 = d2 if order > 1 else None
-        self.d3 = d3 if order > 2 else None
         self.order = order
 
     @staticmethod
-    def variable(z, order=3):
+    def variable(z, order=2):
         arr = isinstance(z, np.ndarray)
         one = (np.ones_like(z) if arr else 1.0) if order > 0 else None
         zero = (np.zeros_like(z) if arr else 0.0) if order > 1 else None
-        return Jet(z, one, zero, zero, order)
+        return Jet(z, one, zero, order)
 
     def truncated(self, order):
         """The same jet without the slots above `order`."""
-        return Jet(self.f, self.d1, self.d2, self.d3, order)
+        return Jet(self.f, self.d1, self.d2, order)
 
     def __add__(self, o):
         if not isinstance(o, Jet):
-            return Jet(self.f + o, self.d1, self.d2, self.d3, self.order)
+            return Jet(self.f + o, self.d1, self.d2, self.order)
         n = min(self.order, o.order)
         return Jet(self.f + o.f,
                    self.d1 + o.d1 if n > 0 else None,
-                   self.d2 + o.d2 if n > 1 else None,
-                   self.d3 + o.d3 if n > 2 else None, n)
+                   self.d2 + o.d2 if n > 1 else None, n)
 
     __radd__ = __add__
 
     def __neg__(self):
         n = self.order
         return Jet(-self.f, -self.d1 if n > 0 else None,
-                   -self.d2 if n > 1 else None, -self.d3 if n > 2 else None, n)
+                   -self.d2 if n > 1 else None, n)
 
     def __sub__(self, o):
         return self + (-o if isinstance(o, Jet) else Jet(-o))
@@ -82,18 +81,12 @@ class Jet:
         if not isinstance(o, Jet):
             n = self.order
             return Jet(self.f * o, self.d1 * o if n > 0 else None,
-                       self.d2 * o if n > 1 else None,
-                       self.d3 * o if n > 2 else None, n)
+                       self.d2 * o if n > 1 else None, n)
         f, g = self, o
         n = min(f.order, g.order)
-        return Jet(
-            f.f * g.f,
-            f.d1 * g.f + f.f * g.d1 if n > 0 else None,
-            f.d2 * g.f + 2 * f.d1 * g.d1 + f.f * g.d2 if n > 1 else None,
-            f.d3 * g.f + 3 * f.d2 * g.d1 + 3 * f.d1 * g.d2 + f.f * g.d3
-            if n > 2 else None,
-            n,
-        )
+        return Jet(f.f * g.f,
+                   f.d1 * g.f + f.f * g.d1 if n > 0 else None,
+                   f.d2 * g.f + 2 * f.d1 * g.d1 + f.f * g.d2 if n > 1 else None, n)
 
     __rmul__ = __mul__
 
@@ -105,8 +98,7 @@ class Jet:
         v0 = f.f / g.f
         v1 = (f.d1 - v0 * g.d1) / g.f if n > 0 else None
         v2 = (f.d2 - 2 * v1 * g.d1 - v0 * g.d2) / g.f if n > 1 else None
-        v3 = (f.d3 - 3 * v2 * g.d1 - 3 * v1 * g.d2 - v0 * g.d3) / g.f if n > 2 else None
-        return Jet(v0, v1, v2, v3, n)
+        return Jet(v0, v1, v2, n)
 
     def __rtruediv__(self, o):
         return Jet(o + 0j) / self
@@ -129,23 +121,16 @@ class Jet:
 
     def exp(self):
         e = np.exp(self.f)
-        f1, f2, f3, n = self.d1, self.d2, self.d3, self.order
+        f1, f2, n = self.d1, self.d2, self.order
         return Jet(e, e * f1 if n > 0 else None,
-                   e * (f1 * f1 + f2) if n > 1 else None,
-                   e * (f1 ** 3 + 3 * f1 * f2 + f3) if n > 2 else None, n)
+                   e * (f1 * f1 + f2) if n > 1 else None, n)
 
     def log(self):
-        f0, f1, f2, f3, n = self.f, self.d1, self.d2, self.d3, self.order
+        f0, f1, f2, n = self.f, self.d1, self.d2, self.order
         if np.any(np.asarray(f0) == 0):
             raise EvaluationError("log/pow evaluated at a branch point (argument 0)")
         q1 = f1 / f0 if n > 0 else None
-        return Jet(
-            np.log(f0),
-            q1,
-            f2 / f0 - q1 * q1 if n > 1 else None,
-            f3 / f0 - 3 * f1 * f2 / (f0 * f0) + 2 * q1 ** 3 if n > 2 else None,
-            n,
-        )
+        return Jet(np.log(f0), q1, f2 / f0 - q1 * q1 if n > 1 else None, n)
 
     def sqrt(self):
         if np.any(np.asarray(self.f) == 0):
@@ -154,8 +139,7 @@ class Jet:
         s0 = np.sqrt(self.f)
         s1 = self.d1 / (2 * s0) if n > 0 else None
         s2 = (self.d2 - 2 * s1 * s1) / (2 * s0) if n > 1 else None
-        s3 = (self.d3 - 6 * s1 * s2) / (2 * s0) if n > 2 else None
-        return Jet(s0, s1, s2, s3, n)
+        return Jet(s0, s1, s2, n)
 
     def cpow(self, w):
         """Principal-branch power with complex exponent."""
@@ -248,28 +232,6 @@ class _Fn(_Node):
         return f"{self.name}({', '.join(map(repr, self.children))})"
 
 
-class _Deriv(_Node):
-    """Derivative of a subtree: reads the child one order higher and shifts
-    its jet down one slot.
-
-    Jets stop at order 3, so at order 3 the third-order slot of the shifted
-    jet is unavailable and set to 0; nothing in the package consumes a third
-    derivative of a _Deriv node.
-    """
-
-    def __init__(self, child):
-        self.children = (child,)
-
-    def wants(self, k):
-        return (min(k + 1, 3),)
-
-    def step(self, k):
-        return lambda j: Jet(j.d1, j.d2, j.d3, 0j, k)
-
-    def __repr__(self):
-        return f"D[{self.children[0]}]"
-
-
 def _fill(x, shape):
     """Slot x with the shape of the evaluation points."""
     if x is None or getattr(x, "shape", None) == shape:
@@ -289,6 +251,8 @@ class Tape:
     """
 
     def __init__(self, exprs, orders):
+        if max(orders) > 2:
+            raise ValueError("jets carry derivatives up to order 2")
         roots = [e._root for e in exprs]
         post, pos = [], {}   # nodes in post-order; id -> index while compiling
 
@@ -320,7 +284,7 @@ class Tape:
         def read(i, k):
             if (i, k) not in slot:
                 if isinstance(post[i], _Const):
-                    slot[i, k] = new_slot(Jet(post[i].value, 0j, 0j, 0j, k))
+                    slot[i, k] = new_slot(Jet(post[i].value, 0j, 0j, k))
                 else:
                     s = new_slot()
                     self._ops.append((s, functools.partial(Jet.truncated, order=k),
@@ -349,7 +313,7 @@ class Tape:
         jets = [vals[i] for i in self._out]
         if isinstance(z, np.ndarray):
             shape = z.shape
-            jets = [Jet(*(_fill(x, shape) for x in (j.f, j.d1, j.d2, j.d3)), j.order)
+            jets = [Jet(*(_fill(x, shape) for x in (j.f, j.d1, j.d2)), j.order)
                     for j in jets]
         return jets
 
@@ -362,7 +326,7 @@ class AnalyticExpr:
         self._text = text
         self._tapes = {}   # order -> Tape, compiled on first use
 
-    def jet(self, z, order=3) -> Jet:
+    def jet(self, z, order=2) -> Jet:
         """Jet at z carrying the derivatives up to `order`."""
         tape = self._tapes.get(order)
         if tape is None:
@@ -377,9 +341,6 @@ class AnalyticExpr:
 
     def deriv2(self, z):
         return self.jet(z, 2).d2
-
-    def derivative(self) -> "AnalyticExpr":
-        return AnalyticExpr(_Deriv(self._root), text=f"D[{self._text or self._root!r}]")
 
     def __repr__(self):
         return f"AnalyticExpr({self._text or self._root!r})"

@@ -232,10 +232,6 @@ class SpectralRegion:
                 out.append(n)
         return SpectralRegion(tuple(_merge_touching(out)))
 
-    @property
-    def is_empty(self):
-        return not self.components
-
     def contains(self, lam: complex) -> bool:
         return any(c.contains(lam) for c in self.components)
 

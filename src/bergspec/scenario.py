@@ -3,7 +3,9 @@
 A scenario bundles the conformal representation of the flow (the univalent
 map conjugating the flow to a unit-speed translation), a weight function,
 and the declared boundary fixed-point data.  Every built-in model inverts
-its map in closed form and carries petal anchors computed from it;
+its map in closed form, carries petal anchors computed from it, and builds
+its weight from the logs in its map's own tree, so the weight is one
+analytic branch on the disk and shares the map's nodes in a tape;
 `model = expression` inverts by damped Newton continuation along straight
 paths in the image domain, seeded from a precomputed grid; every point
 converges, and retries a failing leg in quarters, on its own.  Everything is
@@ -14,6 +16,7 @@ race merely compiles a tape twice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,10 +97,10 @@ class Scenario:
     """Immutable model: exponent p, conformal map, weight, fixed points."""
 
     def __init__(self, p, kind, h=None, v=None, fixed_points=(), weights=(0.0, 0.0, 0.0),
-                 closed_inverse=None, in_omega=None, petal_anchors=None, params=None):
+                 closed_inverse=None, in_omega=None, petal_anchors=(), params=None):
         if p < 1:
             raise ConfigError(f"p must be >= 1, got {p}")
-        _validate_fixed_points(fixed_points) if fixed_points else None
+        _validate_fixed_points(fixed_points)
         self.p = float(p)
         self.kind = kind
         self._h = h
@@ -112,7 +115,7 @@ class Scenario:
         self._seed_w = None
         if h is not None and closed_inverse is None:
             self._build_seed_grid()
-        self._petal_anchors = dict(petal_anchors or {})
+        self._petal_anchors = _key_anchors(self.fixed_points, petal_anchors)
         if h is not None:
             self._smoke_test()
 
@@ -169,6 +172,8 @@ def _fp_key(zeta):
 def _key_anchors(fixed_points, anchors):
     """Petal anchors keyed by their nearest repelling fixed point."""
     reps = [f for f in fixed_points if f.role == REPELLING]
+    if anchors and not reps:
+        raise ConfigError("petal anchors need a repelling fixed point")
     keyed = {}
     for a in anchors:
         fp = min(reps, key=lambda f: abs(complex(a) - f.zeta))
@@ -186,8 +191,12 @@ def _clamp_re(u, bound=700.0):
     return u
 
 
-def _weight_exprs(h, d_factor, c, s, d):
-    z = ex.var()
+def _weight_exprs(h, log_dh, d_factor, c, s, d):
+    """v = e^{c h} (+-h')^{-s} d_factor^d, the middle factor as exp(-s L)
+    with L = log_dh an analytic log of +-h' on the disk: a principal-branch
+    pow(h', -s) jumps where h' is negative real.  The sign of +-h' scales v
+    by a constant, which cancels in the cocycle, in g = v'/(v h') and in the
+    resolvent."""
     v = None
 
     def mul(acc, f):
@@ -196,23 +205,25 @@ def _weight_exprs(h, d_factor, c, s, d):
     if c != 0.0:
         v = mul(v, ex.apply_fn("exp", h * c))
     if s != 0.0:
-        v = mul(v, ex.apply_fn("pow", h.derivative(), -s))
+        v = mul(v, ex.apply_fn("exp", log_dh * -s))
     if d != 0.0:
-        if d_factor is None:
-            raise ConfigError("weight parameter d is not supported for this model")
-        v = mul(v, ex.apply_fn("pow", d_factor(z), d))
+        v = mul(v, ex.apply_fn("pow", d_factor, d))
     return v if v is not None else ex.const(1.0)
 
 
 def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
     z = ex.var()
+    log = functools.partial(ex.apply_fn, "log")
     params = None
     midlines = ()   # heights of the petal anchors, placed at Re w = -8
     if name == "strip_flow":
         if a <= 0:
             raise ConfigError("strip_flow parameter a must be positive")
-        h = (ex.apply_fn("log", 1 + z) - ex.apply_fn("log", 1 - z)) * (1.0 / a)
-        v = _weight_exprs(h, lambda z_: 1 + z_, c, s, d)
+        zp = 1 + z
+        log_p, log_m = log(zp), log(1 - z)
+        h = (log_p - log_m) * (1.0 / a)
+        # h' = 2 / (a (1-z)(1+z))
+        v = _weight_exprs(h, math.log(2.0 / a) - log_m - log_p, zp, c, s, d)
         fps = (
             FixedPointDatum(1.0 + 0j, a, c - s * a, role=DENJOY_WOLFF),
             FixedPointDatum(-1.0 + 0j, -a, c + a * (s + d), role=REPELLING),
@@ -231,12 +242,16 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
         params = {"a": a}
 
     elif name == "half_strip":
-        u = (1 - z) / (1 + z)
-        h = ex.apply_fn("log", u + ex.apply_fn("sqrt", 1 + u * u)) - _LOG_SQRT2P1
-        # no repelling point here: the d factor anchors at the regular
+        zp, zm = 1 + z, 1 - z
+        u = zm / zp
+        root = ex.apply_fn("sqrt", 1 + u * u)
+        h = log(u + root) - _LOG_SQRT2P1
+        # -h' = 2 / ((1+z)^2 root), and (1+z)^2 root = sqrt2 (1+z) sqrt(1+z^2)
+        # has its argument in (-3pi/4, 3pi/4), so one principal log serves.
+        # No repelling point here: the d factor anchors at the regular
         # boundary point z = 1, where it stays bounded and leaves the
         # invariants untouched
-        v = _weight_exprs(h, lambda z_: 1 - z_, c, s, d)
+        v = _weight_exprs(h, math.log(2.0) - log(zp * zp * root), zm, c, s, d)
         fps = (FixedPointDatum(-1.0 + 0j, 1.0, c - s, role=DENJOY_WOLFF),)
 
         def inverse(w):
@@ -247,8 +262,10 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
             return (np.abs(np.imag(w)) < math.pi / 2) & (np.real(w) > -_LOG_SQRT2P1)
 
     elif name == "trident":
-        h = ex.apply_fn("log", 1 + z * z) * 0.5 - ex.apply_fn("log", 1 + z)
-        v = _weight_exprs(h, lambda z_: z_ - 1j, c, s, d)
+        log_sq, log_p = log(1 + z * z), log(1 + z)
+        h = log_sq * 0.5 - log_p
+        # -h' = (1-z) / ((1+z^2)(1+z))
+        v = _weight_exprs(h, log(1 - z) - log_sq - log_p, z - 1j, c, s, d)
         fps = (
             FixedPointDatum(-1.0 + 0j, 1.0, c - s, role=DENJOY_WOLFF),
             FixedPointDatum(1j, -2.0, c + 2 * (s + d), role=REPELLING),
@@ -278,19 +295,16 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
     anchors = [inverse(complex(-8.0, m)) for m in midlines]
     return Scenario(p, name, h=h, v=v, fixed_points=fps, weights=(c, s, d),
                     closed_inverse=inverse, in_omega=inside,
-                    petal_anchors=_key_anchors(fps, anchors), params=params)
+                    petal_anchors=anchors, params=params)
 
 
 def make_parametric(p, fixed_points):
-    _validate_fixed_points(fixed_points)
     return Scenario(p, "parametric", fixed_points=tuple(fixed_points))
 
 
 def make_expression(p, h_expr, v_expr, fixed_points, petal_anchors=()):
-    _validate_fixed_points(fixed_points)
     return Scenario(p, "expression", h=h_expr, v=v_expr,
-                    fixed_points=tuple(fixed_points),
-                    petal_anchors=_key_anchors(fixed_points, petal_anchors))
+                    fixed_points=tuple(fixed_points), petal_anchors=petal_anchors)
 
 
 # -- config parsing ---------------------------------------------------------

@@ -132,6 +132,8 @@ def test_exit_code_bad_argument(strip_cfg, capsys, argv):
     errors.OrbitIntegralError("tolerance not met"),
     np.linalg.LinAlgError("SVD did not converge"),
     FloatingPointError("overflow encountered in multiply"),
+    OverflowError("math range error"),
+    ZeroDivisionError("complex division by zero"),
 ])
 def test_exit_code_numerical_failure(tmp_path, strip_cfg, capsys,
                                      monkeypatch, error):
@@ -144,6 +146,16 @@ def test_exit_code_numerical_failure(tmp_path, strip_cfg, capsys,
     assert not out.exists()
     lines = capsys.readouterr().err.splitlines()
     assert lines[0] == f"numerical failure: {type(error).__name__}: {error}"
+    assert len(lines) == 2 and lines[1].startswith("wall time")
+
+
+def test_float_overflow_exits_numerical_failure(tmp_path, capsys):
+    # exp(801) in the operator radius overflows a float
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("p = 2\nmodel = strip_flow\nc = 800\n")
+    assert main(["classify", "-c", str(cfg), "--json", str(tmp_path / "o.json")]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "numerical failure: OverflowError: math range error"
     assert len(lines) == 2 and lines[1].startswith("wall time")
 
 

@@ -1,5 +1,5 @@
 """Order-aware jets: a jet of order k computes exactly the slots 0..k of the
-order-3 jet, bit for bit, and nothing above them."""
+order-2 jet, bit for bit, and nothing above them."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from bergspec.expr import parse_expr
 from bergspec.scenario import (eval_h, eval_h_prime, eval_v, make_builtin,
                                quasi_random_grid)
 
-SLOTS = ("f", "d1", "d2", "d3")
+SLOTS = ("f", "d1", "d2")
 C, S, D = 0.4, 0.7, 0.3
 
 
@@ -45,8 +45,8 @@ def test_each_order_matches_order_three_bitwise(name):
     e = EXPRS[name]
     for z in [POINTS, *SCALARS]:
         full = e.jet(z)
-        assert full.order == 3
-        for k in range(4):
+        assert full.order == 2
+        for k in range(3):
             j = e.jet(z, k)
             assert j.order == k
             for i, slot in enumerate(SLOTS):
@@ -59,19 +59,9 @@ def test_each_order_matches_order_three_bitwise(name):
         assert _same(e.deriv2(z), full.d2)
 
 
-@pytest.mark.parametrize("name", sorted(EXPRS))
-def test_derivative_expression_is_the_jet_one_order_up(name):
-    e = EXPRS[name]
-    d = e.derivative()
-    for z in [POINTS, SCALARS[0]]:
-        for k in range(3):
-            dj, ej = d.jet(z, k), e.jet(z, k + 1)
-            for i in range(k + 1):
-                assert _same(getattr(dj, SLOTS[i]), getattr(ej, SLOTS[i + 1])), (k, i)
-        # jets stop at order 3: the shifted top slot is unavailable
-        top = d.jet(z, 3)
-        assert _same(top.d2, e.jet(z).d3)
-        assert np.all(top.d3 == 0)
+def test_jets_stop_at_order_two():
+    with pytest.raises(ValueError):
+        EXPRS["trident.v"].jet(POINTS, 3)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))

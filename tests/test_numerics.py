@@ -12,6 +12,7 @@ from bergspec.numerics import (ap_norm_rings, coboundary_growth_exponent,
                                local_membership, nonsurjectivity_witness,
                                orbit_integral_K, residual_check,
                                resolvent_apply, verification_grid)
+from bergspec.regions import fixed_point_gamma, gammas_from
 from bergspec.scenario import eval_h, make_builtin
 
 ONE = lambda z: np.ones_like(np.asarray(z, dtype=complex))
@@ -128,6 +129,38 @@ def test_resolvent_gap_anchor_trident(trident_weighted):
     each = np.array([[F(z) for z in row] for row in pts])
     assert isinstance(F(pts[0, 0]), complex)
     assert np.max(np.abs(F(pts) - each) / np.abs(each)) < 1e-15
+
+
+def _resolvent_residual(s, lam):
+    """Residual of the resolvent certified at lam, anchored as `verify` does."""
+    if lam > gammas_from(s.fixed_points, s.p).gamma0:
+        anchor = s.dw_point()
+    else:
+        anchor = max(s.repelling_points(), key=lambda fp: fixed_point_gamma(fp, s.p))
+    cert = orbit_integral_K(s, lam, ONE, anchor, tol=1e-9)
+    return residual_check(s, lam, ONE, lambda z: resolvent_apply(s, lam, ONE, cert, z))
+
+
+@pytest.mark.parametrize("s_", [0.3, 0.7])
+@pytest.mark.parametrize("name,weights,sides", [
+    pytest.param("half_strip", dict(c=0.2), ("right",), id="half_strip"),
+    pytest.param("trident", dict(c=0.2, d=0.3), ("right", "gap"), id="trident")])
+def test_weighted_resolvent_on_both_sides(name, weights, sides, s_):
+    # the s-factor (+-h')^{-s} must be one analytic branch: h' < 0 on the
+    # whole real diameter of both models, where pow(h', -s) would jump
+    s = make_builtin(name, 2.0, s=s_, **weights)
+    g = gammas_from(s.fixed_points, s.p)
+    for side in sides:
+        lam = g.gamma0 + 1.0 if side == "right" else g.gamma2 - 1.0
+        assert _resolvent_residual(s, lam) < 1e-5, (side, lam)
+
+
+@pytest.mark.parametrize("s_", [0.3, 0.7])
+def test_half_strip_resolvent_constant_is_real(s_):
+    # a real-symmetric model gives a real K at real lambda
+    s = make_builtin("half_strip", 2.0, c=0.2, s=s_)
+    K = orbit_integral_K(s, 1.52, ONE, s.dw_point(), tol=1e-9).K
+    assert abs(K.imag) <= 1e-12 * abs(K)
 
 
 def test_residual_check_fails_on_a_non_finite_value(strip_unweighted):

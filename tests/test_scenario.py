@@ -97,6 +97,17 @@ def test_cocycle_derivative_cross_check(name, w):
     assert np.max(np.abs(fd - generator_g(s, z))) < 1e-6
 
 
+@pytest.mark.parametrize("name,sign", [("strip_flow", 1), ("half_strip", -1),
+                                       ("trident", -1)])
+def test_weight_log_is_a_log_of_h_prime(name, sign):
+    # with s = -1 and no other factor the weight is exp(L), L the analytic
+    # log of +-h' that the weight's s-factor is built from
+    s = make_builtin(name, 2.0, s=-1.0)
+    z = quasi_random_grid(2000, 0.999)
+    hp = sign * scenario.eval_h_jet(s, z, 1).d1
+    assert np.max(np.abs(eval_v(s, z) - hp) / np.abs(hp)) < 1e-13
+
+
 def test_flow_at_zero_is_identity(strip_weighted):
     z = GRID
     assert np.max(np.abs(flow(strip_weighted, 0.0, z) - z)) < 1e-12
@@ -265,8 +276,20 @@ def test_fixed_point_sign_validation():
 
 
 def test_exactly_one_attracting_point_required():
-    with pytest.raises(ConfigError):
-        make_parametric(2.0, [FixedPointDatum(1.0, -1.0, 0.0, role="repelling")])
+    rep = FixedPointDatum(1.0, -1.0, 0.0, role="repelling")
+    for fps in ([rep], []):
+        with pytest.raises(ConfigError, match="exactly one Denjoy-Wolff point"):
+            make_parametric(2.0, fps)
+    with pytest.raises(ConfigError, match="exactly one Denjoy-Wolff point"):
+        make_expression(2.0, parse_expr("log(1+z) - log(1-z)"), parse_expr("1"),
+                        [rep])
+
+
+def test_petal_anchors_need_a_repelling_point():
+    dw = FixedPointDatum(1.0, 1.0, 0.0, role="denjoy_wolff")
+    with pytest.raises(ConfigError, match="repelling"):
+        make_expression(2.0, parse_expr("log(1+z) - log(1-z)"), parse_expr("1"),
+                        [dw], petal_anchors=[-0.5])
 
 
 def test_p_validation():
