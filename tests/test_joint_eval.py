@@ -9,7 +9,10 @@ from bergspec.scenario import eval_hv_jets, make_builtin, quasi_random_grid
 
 SLOTS = ("f", "d1", "d2")
 C, S, D = 0.4, 0.7, 0.3
-ORDER_PAIRS = [(kh, kv) for kh in range(3) for kv in range(3)]
+TOP = len(SLOTS) - 1
+# order TOP + 1 lies above the jets' top slot: joint and separate passes must
+# both reject it, even when only one of the two roots asks for it
+ORDER_PAIRS = [(kh, kv) for kh in range(TOP + 2) for kv in range(TOP + 2)]
 
 BUILTINS = {name: make_builtin(name, 2.0, c=C, s=S, d=D)
             for name in ("strip_flow", "half_strip", "trident")}
@@ -32,6 +35,15 @@ def _same(a, b):
 
 
 def _check_joint(joint, h, v, kh, kv):
+    if max(kh, kv) > TOP:
+        for z in [POINTS, SCALARS[0]]:
+            with pytest.raises(ValueError):
+                joint(z, kh, kv)
+            for e, k in ((h, kh), (v, kv)):
+                if k > TOP:
+                    with pytest.raises(ValueError):
+                        e.jet(z, k)
+        return
     for z in [POINTS, *SCALARS]:
         hj, vj = joint(z, kh, kv)
         for j, ref, k in ((hj, h.jet(z, kh), kh), (vj, v.jet(z, kv), kv)):
