@@ -159,15 +159,8 @@ def cmd_classify(args):
     if args.svg:
         region = generator_region if generator_region is not None \
             else regions.generator_point_spectrum(g)
-        Path(args.svg).write_text(render_svg(region, _viewport(args)))
+        Path(args.svg).write_text(render_svg(region, args.viewport))
     return exit_code
-
-
-def _viewport(args):
-    if getattr(args, "viewport", None):
-        xmin, xmax, ymin, ymax = (float(x) for x in args.viewport.split(","))
-        return Viewport(xmin, xmax, ymin, ymax)
-    return Viewport()
 
 
 # -- verify -----------------------------------------------------------------
@@ -323,7 +316,7 @@ def cmd_plot(args):
     except CoverageError as e:
         sys.stderr.write(f"coverage error: {e}\n")
         return EXIT_COVERAGE
-    Path(args.svg).write_text(render_svg(region, _viewport(args)))
+    Path(args.svg).write_text(render_svg(region, args.viewport))
     return EXIT_OK
 
 
@@ -372,6 +365,21 @@ def _at_least(cast, low):
     return parse
 
 
+def _viewport(text):
+    """argparse type: xmin,xmax,ymin,ymax, four finite numbers bounding a
+    window of positive width and height."""
+    try:
+        box = [float(x) for x in text.split(",")]
+    except ValueError:
+        box = []
+    if not (len(box) == 4 and all(map(math.isfinite, box))
+            and box[0] < box[1] and box[2] < box[3]):
+        raise argparse.ArgumentTypeError(
+            f"expected xmin,xmax,ymin,ymax with xmin < xmax and ymin < ymax, "
+            f"got {text!r}")
+    return Viewport(*box)
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="bergspec",
@@ -389,7 +397,7 @@ def _build_parser():
     common(p)
     p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
     p.add_argument("--svg", default=None)
-    p.add_argument("--viewport", default=None,
+    p.add_argument("--viewport", type=_viewport, default=None,
                    help="xmin,xmax,ymin,ymax (default -4,4,-3,3)")
     p.set_defaults(func=cmd_classify)
 
@@ -416,7 +424,8 @@ def _build_parser():
                                       "operator"], default="generator")
     p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
     p.add_argument("--svg", required=True)
-    p.add_argument("--viewport", default=None)
+    p.add_argument("--viewport", type=_viewport, default=None,
+                   help="xmin,xmax,ymin,ymax (default -4,4,-3,3)")
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("report", help="run classify + truncate over a suite "

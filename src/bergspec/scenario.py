@@ -8,7 +8,10 @@ its weight from the logs in its map's own tree, so the weight is one
 analytic branch on the disk and shares the map's nodes in a tape;
 `model = expression` inverts by damped Newton continuation along straight
 paths in the image domain, seeded from a precomputed grid; every point
-converges, and retries a failing leg in quarters, on its own.  Everything is
+converges, and retries a failing leg in quarters, on its own.  The corrector
+steps in u = -i log z, where the unit circle is the flat line Im u = 0, so
+orbits near the circle stay inside without halving; within |z| <= 1/2, where
+u is singular, it steps in z.  Everything is
 immutable after construction and safe to evaluate concurrently; the only
 state filled in later is the cache of compiled evaluation tapes, where a
 race merely compiles a tape twice.
@@ -458,11 +461,11 @@ def generator_g(s: Scenario, z):
 
 # -- inversion and flow -----------------------------------------------------
 
-_NEWTON_BUDGET = 8          # corrector iterations per leg
+_NEWTON_BUDGET = 16         # corrector iterations per leg
 _NEWTON_TOL = 1e-13
 _LEG = 0.25                 # longest leg of a continuation path, in w
 # times a failing leg may be quartered: the truncate of an expression trident
-# needs 11 where a flow starts 1e-11 from the critical value at the slit tip
+# needs 3 where a flow starts 1e-11 from the critical value at the slit tip
 _LEG_DEPTH = 16
 _LEG_UNITS = 4 ** _LEG_DEPTH    # finest legs in one longest leg
 
@@ -477,9 +480,13 @@ def _converged(hj, target):
 
 
 def _newton_step_batch(s, z, target):
-    """Damped Newton toward h(z) = target on 1-D complex arrays.  A point
-    stops once it has converged, after the step its converged jet already
-    gives.  Returns z and the converged mask."""
+    """Damped Newton toward h(z) = target on 1-D complex arrays.  A point with
+    |z| > 1/2 steps in u = -i log z, where the unit circle is the flat line
+    Im u = 0, so a step along an orbit that hugs the circle stays inside:
+    z -> z exp(-delta / (z h')), with delta = h(z) - target.  Nearer 0, where
+    that coordinate is singular, the step is the plain z - delta / h'.  A
+    point stops once it has converged, after the step its converged jet
+    already gives.  Returns z and the converged mask."""
     z = np.array(z, dtype=complex)
     done = np.zeros(z.shape, dtype=bool)
     live = np.arange(z.size)
@@ -489,14 +496,22 @@ def _newton_step_batch(s, z, target):
         ok = _converged(hj, target[live])
         done[live[ok]] = True
         step = (hj.f - target[live]) / hj.d1
+        polar = np.abs(zl) > 0.5
+        step[polar] /= zl[polar]
+
+        def move(factor):
+            cand = zl - factor * step
+            cand[polar] = zl[polar] * np.exp(-factor[polar] * step[polar])
+            return cand
+
         factor = np.ones(zl.shape)
-        cand = zl - step
+        cand = move(factor)
         for _ in range(40):
             bad = np.abs(cand) >= 1.0
             if not np.any(bad):
                 break
             factor = np.where(bad, factor / 2, factor)
-            cand = zl - factor * step
+            cand = move(factor)
         z[live] = cand
         live = live[~ok]
         if not live.size:

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from bergspec import errors, truncation
+from bergspec import errors, regions, truncation
 from bergspec.cli import main
+from bergspec.regions import gammas_from
+from bergspec.scenario import parse_scenario
+from bergspec.svgplot import Viewport, render_svg
 
 STRIP_CFG = "p = 2\nmodel = strip_flow\n"
 STRIP_WEIGHTED_CFG = "p = 2\nmodel = strip_flow\nc = 0.4\ns = 0.7\n"
@@ -172,6 +175,29 @@ def test_plot_subcommand(tmp_path, strip_cfg):
     assert main(["plot", "-c", str(strip_cfg), "--what", "essential",
                  "--svg", str(svg)]) == 0
     assert svg.read_text().startswith('<?xml')
+
+
+@pytest.mark.parametrize("cmd", ["classify", "plot"])
+def test_viewport_sets_the_svg_window(tmp_path, strip_cfg, cmd):
+    svg = tmp_path / "r.svg"
+    assert main([cmd, "-c", str(strip_cfg), "--svg", str(svg),
+                 "--viewport=-2,2,-1.5,1.5"]) == 0
+    region = regions.generator_spectrum(gammas_from(
+        parse_scenario(STRIP_CFG).fixed_points, 2.0))
+    assert svg.read_text() == render_svg(region, Viewport(-2, 2, -1.5, 1.5))
+
+
+@pytest.mark.parametrize("value", ["a,b,c,d", "1,2,3", "1,0,0,1", "0,nan,0,1"])
+@pytest.mark.parametrize("cmd", ["classify", "plot"])
+def test_bad_viewport_is_a_usage_error(tmp_path, strip_cfg, capsys, cmd, value):
+    svg = tmp_path / "r.svg"
+    with pytest.raises(SystemExit) as e:
+        main([cmd, "-c", str(strip_cfg), "--svg", str(svg), f"--viewport={value}"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bergspec")
+    assert "Traceback" not in err
+    assert not svg.exists()
 
 
 def test_report_suite(tmp_path):

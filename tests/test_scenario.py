@@ -173,11 +173,15 @@ TWINS = [
 ]
 
 
+def _twin(name, w, h_text, v_text):
+    ref = make_builtin(name, 2.0, **w)
+    return ref, make_expression(2.0, parse_expr(h_text), parse_expr(v_text),
+                                ref.fixed_points)
+
+
 @pytest.mark.parametrize("name,w,h_text,v_text,N", TWINS)
 def test_expression_twin_matches_builtin(name, w, h_text, v_text, N):
-    ref = make_builtin(name, 2.0, **w)
-    twin = make_expression(2.0, parse_expr(h_text), parse_expr(v_text),
-                           ref.fixed_points)
+    ref, twin = _twin(name, w, h_text, v_text)
     z = quasi_random_grid(200, 0.9)
     w_pts = eval_h(ref, z)
     assert np.max(np.abs(eval_h_inverse(twin, w_pts) - eval_h_inverse(ref, w_pts))) < 1e-10
@@ -194,9 +198,7 @@ SLIT_TIP_POINT = SLIT_TIP_CIRCLE * np.exp(2j * np.pi * 5 / 1024)
 
 
 def _trident_twin():
-    ref = make_builtin("trident", 2.0, d=0.5)
-    return ref, make_expression(2.0, parse_expr("0.5*log(1+z^2) - log(1+z)"),
-                                parse_expr("pow(z - i, 0.5)"), ref.fixed_points)
+    return _twin(*TWINS[1].values[:4])
 
 
 def test_trident_twin_flows_past_the_slit_tip():
@@ -243,6 +245,46 @@ def test_continuation_gives_up_on_a_point_that_never_converges(monkeypatch):
     with pytest.raises(InversionError):
         scenario._continuation_invert(twin, w + 1.0, z, w)
     assert len(calls) <= scenario._LEG_DEPTH + 1
+
+
+# the last radial node of the Galerkin build: orbits through this circle hug
+# |z| = 1, where a straight Newton step leaves the disk
+LAST_GALERKIN_CIRCLE = 0.9999981560634247
+
+
+def test_near_circle_flow_takes_long_legs(monkeypatch):
+    ref, twin = _twin(*TWINS[0].values[:4])
+    z = LAST_GALERKIN_CIRCLE * np.exp(2j * np.pi * np.arange(1024) / 1024)
+    corrector = scenario._newton_step_batch
+    calls = []
+
+    def counted(s, z, target):
+        calls.append(z.size)
+        return corrector(s, z, target)
+
+    monkeypatch.setattr(scenario, "_newton_step_batch", counted)
+    out = flow(twin, 1.0, z)
+    # four 0.25 legs and a few retries, where steps in z took 340 calls
+    assert len(calls) <= 8
+    assert np.max(np.abs(out - flow(ref, 1.0, z))) < 1e-10
+    assert np.all(np.abs(out) < 1.0)
+
+
+@pytest.mark.parametrize("radius", [1e-3, 0.49, 0.51, 1 - 1e-6])
+@pytest.mark.parametrize("name,w,h_text,v_text,N", TWINS)
+def test_inverse_round_trip_across_the_step_switch(request, name, w, h_text, v_text,
+                                                  N, radius):
+    # the corrector steps in z inside |z| = 1/2 and in -i log z outside it
+    if name == "trident" and radius > 0.9:
+        # targets just above the slit start from a seed just below it, and
+        # the straight path from the nearest seed crosses the slit
+        request.applymarker(pytest.mark.xfail(
+            strict=True, raises=InversionError,
+            reason="nearest-seed paths cross the trident's slit"))
+    ref, twin = _twin(name, w, h_text, v_text)
+    z = radius * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    w_pts = eval_h(ref, z)
+    assert np.max(np.abs(eval_h_inverse(twin, w_pts) - eval_h_inverse(ref, w_pts))) < 1e-10
 
 
 # -- declared invariants vs numerical extraction ----------------------------
