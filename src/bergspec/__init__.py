@@ -9,11 +9,11 @@ from .errors import (BergspecError, ConfigError, CoverageError,
                      ModelInconsistencyError, OrbitIntegralError,
                      OutsideOmegaError, PetalExitError)
 from .expr import AnalyticExpr, parse_expr
-from .numerics import (MembershipVerdict, QuadratureGrid, ResolventCertificate,
-                       ap_norm_rings, coboundary_growth_exponent,
-                       eigen_identity_residual, eigenfunction,
-                       local_membership, nonsurjectivity_witness,
-                       orbit_integral_K, residual_check, resolvent_apply)
+from .numerics import (MembershipVerdict, ResolventCertificate, ap_norm_rings,
+                       coboundary_growth_exponent, eigen_identity_residual,
+                       eigenfunction, local_membership,
+                       nonsurjectivity_witness, orbit_integral_K,
+                       residual_check, resolvent_apply)
 from .regions import (NEG_INF, Component, GammaProfile, SpectralRegion,
                       composition_spectrum, essential_spectrum, gammas_from,
                       generator_point_spectrum, generator_spectrum,
@@ -24,7 +24,7 @@ from .scenario import (FixedPointDatum, Scenario, alpha_at, beta_at, cocycle,
                        make_builtin, make_expression, make_parametric,
                        parse_complex, parse_scenario)
 from .svgplot import Viewport, render_svg
-from .truncation import (GalerkinQuadrature, TruncationMatrix, build_matrix,
-                         eigen_cloud, gelfand_radius, resolution_horizon)
+from .truncation import (TruncationMatrix, build_matrix, eigen_cloud,
+                         gelfand_radius, resolution_horizon)
 
 __version__ = "0.1.0"

@@ -352,15 +352,15 @@ def cmd_report(args):
 # -- entry point ------------------------------------------------------------
 
 def _at_least(cast, low):
-    """argparse type: a number parsed by cast that is at least low."""
+    """argparse type: a finite number parsed by cast that is at least low."""
     def parse(text):
         try:
             x = cast(text)
         except ValueError:
             x = None
-        if x is None or not x >= low:
+        if x is None or not (math.isfinite(x) and x >= low):
             raise argparse.ArgumentTypeError(
-                f"expected {cast.__name__} >= {low}, got {text!r}")
+                f"expected finite {cast.__name__} >= {low}, got {text!r}")
         return x
     return parse
 

@@ -24,7 +24,6 @@ from .scenario import (Scenario, _continuation_invert, eval_h, eval_h_prime,
                        eval_hv_jets, eval_v, generator_g, quasi_random_grid)
 
 __all__ = [
-    "QuadratureGrid",
     "MembershipVerdict",
     "ResolventCertificate",
     "ap_norm_rings",
@@ -68,27 +67,14 @@ def _gl_on(a, b, n):
     return 0.5 * (a + b) + half * x, half * w
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Ring scheme for disk integrals: radii r_k = 1 - 2^-k, Gauss-Legendre
-    radial nodes per ring, graded angular panels refined toward declared
-    singular angles (a uniform angular rule cannot separate convergent from
-    divergent boundary singularities once 1 - r falls below its spacing)."""
-
-    k_max: int = 14
-    radial_order: int = 12
-    angular_base: int = 128   # uniform angular panels before grading
-    angular_order: int = 8    # Gauss-Legendre points per angular panel
-
-    def __post_init__(self):
-        if self.k_max < 8 or self.radial_order < 2 or self.angular_base < 8:
-            raise ValueError("quadrature grid too coarse")
-
-    def rings(self):
-        return [1.0 - 2.0 ** -k for k in range(1, self.k_max + 1)]
-
-
-DEFAULT_GRID = QuadratureGrid()
+# Ring scheme for disk integrals: radii r_k = 1 - 2^-k, Gauss-Legendre
+# radial nodes per ring, graded angular panels refined toward declared
+# singular angles (a uniform angular rule cannot separate convergent from
+# divergent boundary singularities once 1 - r falls below its spacing).
+_K_MAX = 14              # rings r_k and caps of radius 2^-k, k = 1..K_MAX
+_RADIAL_ORDER = 12       # Gauss-Legendre points per ring
+_ANGULAR_BASE = 128      # uniform angular panels before grading
+_ANGULAR_ORDER = 8       # Gauss-Legendre points per angular panel
 
 
 @dataclass(frozen=True)
@@ -117,15 +103,14 @@ def _eval_f(f, z):
     return out
 
 
-def _angular_breakpoints(singular_angles, r, grid):
+def _angular_breakpoints(singular_angles, r):
     """Panel breakpoints on [0, 2pi): uniform base plus geometric refinement
     toward each singular angle down to scale (1 - r) / 4."""
-    base = grid.angular_base
-    pts = set((2.0 * math.pi * j / base) for j in range(base))
+    pts = {2.0 * math.pi * j / _ANGULAR_BASE for j in range(_ANGULAR_BASE)}
     delta = max((1.0 - r) / 4.0, 1e-12)
     for theta in singular_angles:
         pts.add(theta % (2.0 * math.pi))
-        w = 2.0 * math.pi / base
+        w = 2.0 * math.pi / _ANGULAR_BASE
         while w > delta:
             w *= 0.5
             pts.add((theta + w) % (2.0 * math.pi))
@@ -133,13 +118,13 @@ def _angular_breakpoints(singular_angles, r, grid):
     return np.array(sorted(pts))
 
 
-def _band_increment(f, p, r_lo, r_hi, arcs, grid):
+def _band_increment(f, p, r_lo, r_hi, arcs):
     """Integral of |f|^p r dr dt over the polar band r_lo < r < r_hi, where
     arcs(r) gives the angular panels' ends and the map from angle to point at
     radius r.  One value per row of a stacked f (a plain f is one row, a
     constant broadcasts), and whether each row's |f|^p stayed finite."""
-    rho, w = _gl_on(r_lo, r_hi, grid.radial_order)
-    x, wa = _gl(grid.angular_order)
+    rho, w = _gl_on(r_lo, r_hi, _RADIAL_ORDER)
+    x, wa = _gl(_ANGULAR_ORDER)
     acc, finite = 0.0, True
     for rj, wj in zip(rho, w):
         lo, hi, point = arcs(rj)
@@ -178,13 +163,13 @@ def _verdict(increments, total):
     return MembershipVerdict(status, tau, tuple(increments), total)
 
 
-def _verdicts(f, p, bands, arcs, grid):
+def _verdicts(f, p, bands, arcs):
     """Verdicts from the band increments of |f|^p, one per row of a stacked
     f (a plain f gets its verdict alone).  A row that overflows is divergent
     with the increments before that band; the other rows go on."""
     incs, finite = [], []
     for lo, hi in bands:
-        inc, ok = _band_increment(f, p, lo, hi, arcs, grid)
+        inc, ok = _band_increment(f, p, lo, hi, arcs)
         incs.append(inc)
         finite.append(ok)
         if not np.any(np.logical_and.reduce(finite)):
@@ -204,32 +189,31 @@ def _singular_angles(s: Scenario):
     return [math.atan2(fp.zeta.imag, fp.zeta.real) for fp in s.fixed_points]
 
 
-def ap_norm_rings(s: Scenario, f, p=None, grid=DEFAULT_GRID):
+def ap_norm_rings(s: Scenario, f, p=None):
     """Ring-by-ring Bergman p-norm integrals over |z| < r_k with a verdict on
     convergence of the full-disk integral.  A stacked f, whose values carry
     a leading axis (as from `eigenfunction(s, lams)`), is integrated row by
     row from one evaluation per node and gets a list of verdicts."""
     p = s.p if p is None else float(p)
     sing = _singular_angles(s)
-    radii = [0.0] + grid.rings()
+    radii = [0.0] + [1.0 - 2.0 ** -k for k in range(1, _K_MAX + 1)]
 
     def circle(r):
-        brk = _angular_breakpoints(sing, r, grid)
+        brk = _angular_breakpoints(sing, r)
         return (brk, np.append(brk[1:], brk[0] + 2.0 * math.pi),
                 lambda theta: r * np.exp(1j * theta))
 
-    return _verdicts(f, p, list(zip(radii[:-1], radii[1:])), circle, grid)
+    return _verdicts(f, p, list(zip(radii[:-1], radii[1:])), circle)
 
 
-def local_membership(s: Scenario, f, zeta, p=None,
-                     grid=DEFAULT_GRID) -> MembershipVerdict:
+def local_membership(s: Scenario, f, zeta, p=None) -> MembershipVerdict:
     """Membership of f in the local Bergman space at a boundary point zeta:
     ring integrals over the shrinking disk caps |z - zeta| < 2^-k."""
     zeta = complex(zeta)
     if abs(abs(zeta) - 1.0) > 1e-9:
         raise EvaluationError("local membership requires |zeta| = 1")
     p = s.p if p is None else float(p)
-    rhos = [2.0 ** -k for k in range(1, grid.k_max + 1)]
+    rhos = [2.0 ** -k for k in range(1, _K_MAX + 1)]
     theta0 = math.atan2(zeta.imag, zeta.real)
     # geometric grading of the angular panels toward both arc endpoints,
     # which lie on the unit circle
@@ -247,7 +231,7 @@ def local_membership(s: Scenario, f, zeta, p=None,
 
         return lo + (hi - lo) * frac[:-1], lo + (hi - lo) * frac[1:], point
 
-    return _verdicts(f, p, list(zip(rhos[1:], rhos[:-1])), arc, grid)
+    return _verdicts(f, p, list(zip(rhos[1:], rhos[:-1])), arc)
 
 
 # -- eigenfunctions ---------------------------------------------------------

@@ -19,6 +19,7 @@ race merely compiles a tape twice.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -323,9 +324,23 @@ def parse_complex(text: str) -> complex:
     if s == "-j":
         s = "-1j"
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError as e:
         raise ConfigError(f"malformed complex literal {text!r}") from e
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex literal {text!r} is not finite")
+    return z
+
+
+def _real(text, what):
+    """A finite float config value; nan and inf are config errors."""
+    try:
+        x = float(text.replace("−", "-"))
+    except ValueError as e:
+        raise ConfigError(f"malformed {what} value {text!r}") from e
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} value {text!r} is not finite")
+    return x
 
 
 _ROLES = {"dw": DENJOY_WOLFF, "denjoy_wolff": DENJOY_WOLFF,
@@ -340,9 +355,13 @@ def _parse_fp(text, lineno):
     if len(parts) != 4:
         raise ConfigError(f"line {lineno}: fp needs 4 fields, got {len(parts)}")
     zeta = parse_complex(parts[0])
-    alpha = float(parts[1].replace("−", "-"))
+    alpha = _real(parts[1], f"line {lineno}: fp alpha")
     beta_text = parts[2].replace("−", "-")
-    beta_re = float("-inf") if beta_text in ("-inf", "-oo") else float(beta_text)
+    # -inf is the sentinel for a weight vanishing faster than any exponential
+    if beta_text.lower() in ("-inf", "-infinity", "-oo"):
+        beta_re = float("-inf")
+    else:
+        beta_re = _real(beta_text, f"line {lineno}: fp beta_re")
     role = _ROLES.get(parts[3])
     if role is None:
         raise ConfigError(f"line {lineno}: unknown role {parts[3]!r}")
@@ -378,19 +397,11 @@ def parse_scenario(config_text: str) -> Scenario:
         raise ConfigError("missing required key 'p'")
     if "model" not in values:
         raise ConfigError("missing required key 'model'")
-    try:
-        p = float(values["p"].replace("−", "-"))
-    except ValueError as e:
-        raise ConfigError(f"malformed p value {values['p']!r}") from e
+    p = _real(values["p"], "p")
     model = values["model"]
 
     def num(key, default=0.0):
-        if key not in values:
-            return default
-        try:
-            return float(values[key].replace("−", "-"))
-        except ValueError as e:
-            raise ConfigError(f"malformed {key} value {values[key]!r}") from e
+        return _real(values[key], key) if key in values else default
 
     if model in ("strip_flow", "half_strip", "trident"):
         return make_builtin(model, p, a=num("a", 1.0), c=num("c"), s=num("s"), d=num("d"))

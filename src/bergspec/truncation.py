@@ -2,7 +2,9 @@
 
 Truncation matrices of the weighted composition operator in the monomial
 orthonormal basis e_k(z) = sqrt((k+1)/pi) z^k, Gelfand spectral-radius
-estimates via matrix powers, and dense eigenvalue clouds.
+estimates via matrix powers, and dense eigenvalue clouds.  Each radial node
+of the Galerkin quadrature projects every column at once: one FFT over the
+Vandermonde block of u_t phi_t^k on that circle.
 
 Truncation spectra of non-normal operators are indicative only: eigenvalues
 of a finite section need not approximate the spectrum of the operator, so
@@ -21,7 +23,6 @@ from .errors import EvaluationError
 from .scenario import Scenario, cocycle, flow
 
 __all__ = [
-    "GalerkinQuadrature",
     "TruncationMatrix",
     "build_matrix",
     "gelfand_radius",
@@ -32,22 +33,8 @@ __all__ = [
 # carries boundary growth of order (1 - r)^{-2} at worst before weighting
 _RADIAL_PANELS = (0.0, 0.5, 0.8, 0.9, 0.95, 0.98, 0.99,
                   0.995, 0.998, 0.9993, 0.9998, 1.0)
-
-
-@dataclass(frozen=True)
-class GalerkinQuadrature:
-    radial_panels: tuple = _RADIAL_PANELS
-    radial_order: int = 12
-    angular: int = 1024
-
-    def __post_init__(self):
-        if self.angular & (self.angular - 1):
-            raise ValueError("angular node count must be a power of two")
-        if list(self.radial_panels) != sorted(set(self.radial_panels)):
-            raise ValueError("radial panels must be strictly increasing")
-
-
-DEFAULT_QUAD = GalerkinQuadrature()
+_RADIAL_ORDER = 12       # Gauss-Legendre points per radial panel
+_ANGULAR = 1024          # equispaced nodes on each circle, one FFT length
 
 
 @dataclass(frozen=True)
@@ -55,40 +42,39 @@ class TruncationMatrix:
     N: int
     entries: np.ndarray
     t: float
-    quad: GalerkinQuadrature
 
 
-def _radial_nodes(quad: GalerkinQuadrature):
+def _radial_nodes():
     from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(quad.radial_order)
+    x, w = leggauss(_RADIAL_ORDER)
     nodes, weights = [], []
-    for a, b in zip(quad.radial_panels[:-1], quad.radial_panels[1:]):
+    for a, b in zip(_RADIAL_PANELS[:-1], _RADIAL_PANELS[1:]):
         half = 0.5 * (b - a)
         nodes.append(0.5 * (a + b) + half * x)
         weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def build_matrix(s: Scenario, t, N, quad=DEFAULT_QUAD) -> TruncationMatrix:
+def build_matrix(s: Scenario, t, N) -> TruncationMatrix:
     """Galerkin matrix of the time-t weighted composition operator.
 
-    Entry (j, k) = <u_t phi_t^k c_k, e_j> computed per radial node by the
-    discrete Fourier transform on the angular circle; with the monomial basis
-    this reduces to M[j,k] = 2 sqrt((j+1)(k+1)) * int_0^1 a_j(r;k) r^{j+1} dr
-    where a_j(r;k) is the j-th Fourier coefficient of u_t phi_t^k on |z| = r.
+    Entry (j, k) = <u_t phi_t^k c_k, e_j>; with the monomial basis this is
+    M[j,k] = 2 sqrt((j+1)(k+1)) * int_0^1 a_j(r;k) r^{j+1} dr, where
+    a_j(r;k) is the j-th Fourier coefficient of u_t phi_t^k on |z| = r.  At
+    each radial node one FFT down the Vandermonde block u_t phi_t^k,
+    k < N, gives every column's coefficients together.
     """
     if s.p != 2.0:
         raise EvaluationError("the Galerkin oracle is defined on p = 2 only")
     if N > 256:
         raise EvaluationError("N <= 256 required")
     t = float(t)
-    radii, rweights = _radial_nodes(quad)
-    theta = 2.0 * math.pi * np.arange(quad.angular) / quad.angular
+    theta = 2.0 * math.pi * np.arange(_ANGULAR) / _ANGULAR
     circle = np.exp(1j * theta)
 
     M = np.zeros((N, N), dtype=complex)
     j = np.arange(N)
-    for r, wr in zip(radii, rweights):
+    for r, wr in zip(*_radial_nodes()):
         z = r * circle
         if t == 0.0:
             zt = z
@@ -96,14 +82,12 @@ def build_matrix(s: Scenario, t, N, quad=DEFAULT_QUAD) -> TruncationMatrix:
         else:
             zt = flow(s, t, z)
             u = s._v(zt) / s._v(z)
-        powers = np.ones_like(zt)
-        for k in range(N):
-            if k > 0:
-                powers = powers * zt
-            coeff = np.fft.fft(u * powers) / quad.angular
-            M[:, k] += wr * coeff[:N] * r ** (j + 1)
+        P = np.vander(zt, N, increasing=True)
+        P *= u[:, None]
+        coeff = np.fft.fft(P, axis=0)[:N] / _ANGULAR
+        M += wr * coeff * (r ** (j + 1))[:, None]
     M *= 2.0 * np.sqrt((j[:, None] + 1.0) * (j[None, :] + 1.0))
-    return TruncationMatrix(N, M, t, quad)
+    return TruncationMatrix(N, M, t)
 
 
 def resolution_horizon(M: TruncationMatrix):

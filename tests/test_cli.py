@@ -200,6 +200,33 @@ def test_bad_viewport_is_a_usage_error(tmp_path, strip_cfg, capsys, cmd, value):
     assert not svg.exists()
 
 
+NON_FINITE = {
+    "p_nan": ("classify", "p = nan\nmodel = strip_flow\n", []),
+    "a_inf": ("classify", "p = 2\nmodel = strip_flow\na = inf\n", []),
+    "s_inf": ("classify", "p = 2\nmodel = strip_flow\ns = inf\n", []),
+    "t_inf": ("truncate", STRIP_CFG, ["--t", "inf"]),
+    "lambda_1e400": ("verify", STRIP_CFG, ["--lambda", "1e400"]),
+    "alpha_nan": ("classify", PARAM_CFG.replace("(1, 1.0,", "(1, nan,"), []),
+    "beta_re_inf": ("classify", PARAM_CFG.replace("0.0, dw", "inf, dw"), []),
+}
+
+
+@pytest.mark.parametrize("cmd, cfg, extra", NON_FINITE.values(),
+                         ids=NON_FINITE.keys())
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, cmd, cfg, extra):
+    path = tmp_path / "s.cfg"
+    path.write_text(cfg)
+    try:
+        code = main([cmd, "-c", str(path), *extra])
+    except SystemExit as e:     # argparse rejects an option value
+        code = e.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and "finite" in errors[0]
+
+
 def test_report_suite(tmp_path):
     (tmp_path / "strip.cfg").write_text(STRIP_WEIGHTED_CFG)
     (tmp_path / "param.cfg").write_text(PARAM_CFG)

@@ -9,9 +9,8 @@ from bergspec import truncation
 from bergspec.errors import EvaluationError, InversionError
 from bergspec.regions import gammas_from, operator_radius
 from bergspec.scenario import make_builtin
-from bergspec.truncation import (GalerkinQuadrature, TruncationMatrix,
-                                 build_matrix, eigen_cloud, gelfand_radius,
-                                 resolution_horizon)
+from bergspec.truncation import (TruncationMatrix, build_matrix, eigen_cloud,
+                                 gelfand_radius, resolution_horizon)
 
 
 def test_identity_at_t_zero(strip_unweighted):
@@ -61,14 +60,40 @@ def test_composition_column_against_taylor_series(strip_unweighted):
         phi[n] = acc / den[0]
     col = np.zeros(n_terms)
     col[0] = 1.0
-    k_target = 3
-    for _ in range(k_target):
-        col = np.convolve(col, phi)[:n_terms]
     # T e_k = sqrt((k+1)/pi) phi^k; with phi^k = sum c_m z^m the entry is
     # <T e_k, e_j> = c_j * sqrt((k+1)/(j+1))
     j = np.arange(N)
-    expected = col[:N] * np.sqrt((k_target + 1.0) / (j + 1.0))
-    assert np.max(np.abs(M.entries[:, k_target] - expected)) < 1e-12
+    for k in range(N):
+        expected = col[:N] * np.sqrt((k + 1.0) / (j + 1.0))
+        assert np.max(np.abs(M.entries[:, k] - expected)) < 1e-12, k
+        col = np.convolve(col, phi)[:n_terms]
+
+
+def _column_by_column(s, t, N):
+    # the projection one column at a time: N separate FFTs of u_t phi_t^k
+    # per radial node, each keeping the first N of its coefficients
+    radii, rweights = truncation._radial_nodes()
+    n = truncation._ANGULAR
+    circle = np.exp(2j * np.pi * np.arange(n) / n)
+    M = np.zeros((N, N), dtype=complex)
+    j = np.arange(N)
+    for r, wr in zip(radii, rweights):
+        z = r * circle
+        zt = truncation.flow(s, t, z)
+        u = s._v(zt) / s._v(z)
+        powers = np.ones_like(zt)
+        for k in range(N):
+            coeff = np.fft.fft(u * powers) / n
+            M[:, k] += wr * coeff[:N] * r ** (j + 1)
+            powers = powers * zt
+    return M * 2.0 * np.sqrt((j[:, None] + 1.0) * (j[None, :] + 1.0))
+
+
+def test_weighted_columns_match_column_by_column_projection():
+    s = make_builtin("strip_flow", 2.0, c=0.4, s=0.7)
+    M = build_matrix(s, 1.0, 24).entries
+    ref = _column_by_column(s, 1.0, 24)
+    assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_semigroup_consistency_of_sections(strip_unweighted):
@@ -88,8 +113,6 @@ def test_p_and_size_validation(strip_unweighted):
         build_matrix(s3, 1.0, 8)
     with pytest.raises(EvaluationError):
         build_matrix(strip_unweighted, 1.0, 500)
-    with pytest.raises(ValueError):
-        GalerkinQuadrature(angular=1000)
 
 
 @pytest.mark.parametrize("error", [InversionError, EvaluationError])
@@ -108,12 +131,11 @@ def test_flow_failure_surfaces_at_every_radius(strip_unweighted, monkeypatch, er
 
 
 def test_gelfand_diagonal_cases():
-    quad = GalerkinQuadrature()
-    ident = TruncationMatrix(8, np.eye(8, dtype=complex), 1.0, quad)
+    ident = TruncationMatrix(8, np.eye(8, dtype=complex), 1.0)
     r, seq = gelfand_radius(ident, 10)
     assert r == pytest.approx(1.0)
     assert all(x == pytest.approx(1.0) for x in seq)
-    half = TruncationMatrix(8, 0.5 * np.eye(8, dtype=complex), 1.0, quad)
+    half = TruncationMatrix(8, 0.5 * np.eye(8, dtype=complex), 1.0)
     r, _ = gelfand_radius(half, 10)
     assert r == pytest.approx(0.5)
     with pytest.raises(ValueError):
@@ -121,9 +143,8 @@ def test_gelfand_diagonal_cases():
 
 
 def test_gelfand_sequence_full_length():
-    quad = GalerkinQuadrature()
     M = TruncationMatrix(4, np.diag([2.0, 1.0, 0.5, 0.25]).astype(complex),
-                         1.0, quad)
+                         1.0)
     r, seq = gelfand_radius(M, 12)
     assert len(seq) == 12
     assert r <= min(seq[:resolution_horizon(M)]) + 1e-15
