@@ -395,7 +395,7 @@ def _build_parser():
     p = sub.add_parser("classify", help="exact spectral regions from the "
                                         "gamma profile")
     common(p)
-    p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
+    p.add_argument("--t", type=_at_least(float, 0), nargs="+", default=[1.0])
     p.add_argument("--svg", default=None)
     p.add_argument("--viewport", type=_viewport, default=None,
                    help="xmin,xmax,ymin,ymax (default -4,4,-3,3)")
@@ -404,11 +404,11 @@ def _build_parser():
     p = sub.add_parser("verify", help="numerical verification at given lambdas")
     common(p)
     p.add_argument("--lambda", dest="lam", nargs="+", required=True)
-    p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
-    p.add_argument("--tol-identity", type=float, default=1e-9)
-    p.add_argument("--tol-residual", type=float, default=1e-5)
-    p.add_argument("--tol-orbit", type=float, default=1e-8)
-    p.add_argument("--tol-slope", type=float, default=0.05)
+    p.add_argument("--t", type=_at_least(float, 0), nargs="+", default=[1.0])
+    p.add_argument("--tol-identity", type=_at_least(float, 0), default=1e-9)
+    p.add_argument("--tol-residual", type=_at_least(float, 0), default=1e-5)
+    p.add_argument("--tol-orbit", type=_at_least(float, 0), default=1e-8)
+    p.add_argument("--tol-slope", type=_at_least(float, 0), default=0.05)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("truncate", help="Galerkin oracle radius estimate")
@@ -422,7 +422,7 @@ def _build_parser():
     common(p)
     p.add_argument("--what", choices=["generator", "essential", "point",
                                       "operator"], default="generator")
-    p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
+    p.add_argument("--t", type=_at_least(float, 0), nargs="+", default=[1.0])
     p.add_argument("--svg", required=True)
     p.add_argument("--viewport", type=_viewport, default=None,
                    help="xmin,xmax,ymin,ymax (default -4,4,-3,3)")
@@ -432,7 +432,7 @@ def _build_parser():
                                       "file of scenario configs")
     p.add_argument("--suite", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--t", type=_at_least(float, 0), nargs="*", default=[1.0])
+    p.add_argument("--t", type=_at_least(float, 0), nargs="+", default=[1.0])
     p.add_argument("--N", type=_at_least(int, 1), default=24)
     p.add_argument("--nmax", type=_at_least(int, 8), default=8)
     p.set_defaults(func=cmd_report)

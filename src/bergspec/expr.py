@@ -6,7 +6,9 @@ yields h, h', h'' simultaneously, or only the value when that is all the
 caller reads.  Every slot is computed by the same truncated Taylor
 formula at every order, so its value does not depend on the order asked for.
 All arithmetic works elementwise on numpy arrays as well as on python
-complex scalars.  Branch functions (log, sqrt, pow) are principal-branch.
+complex scalars.  Branch functions (log, sqrt, pow) are principal-branch,
+with np.log's cut along the negative real axis; log is computed in real
+arithmetic as log|f| + i·atan2(Im f, Re f), and pow(f, w) as exp(w·log f).
 
 Expressions are DAGs: the built-in weights reuse the logs inside the
 conformal map's own tree.  There is no derivative node; a caller that needs
@@ -126,14 +128,23 @@ class Jet:
                    e * (f1 * f1 + f2) if n > 1 else None, n)
 
     def log(self):
+        """Principal log in real arithmetic, log|f| + i·atan2(Im f, Re f):
+        numpy's complex log costs several times the real log and atan2.
+        The cut is np.log's, signed zeros included: -1 - 0i maps to -πi and
+        -1 + 0i to +πi.  |f| = 0 exactly when f = 0, so the modulus also
+        serves the branch-point check."""
         f0, f1, f2, n = self.f, self.d1, self.d2, self.order
-        if np.any(np.asarray(f0) == 0):
+        a = np.abs(f0)
+        if not a.all():
             raise EvaluationError("log/pow evaluated at a branch point (argument 0)")
+        out = np.empty(np.shape(f0), dtype=complex)
+        np.log(a, out=out.real)
+        np.arctan2(f0.imag, f0.real, out=out.imag)
         q1 = f1 / f0 if n > 0 else None
-        return Jet(np.log(f0), q1, f2 / f0 - q1 * q1 if n > 1 else None, n)
+        return Jet(out[()], q1, f2 / f0 - q1 * q1 if n > 1 else None, n)
 
     def sqrt(self):
-        if np.any(np.asarray(self.f) == 0):
+        if not np.all(self.f):
             raise EvaluationError("sqrt evaluated at a branch point (argument 0)")
         n = self.order
         s0 = np.sqrt(self.f)

@@ -129,6 +129,37 @@ def test_exit_code_bad_argument(strip_cfg, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+@pytest.mark.parametrize("option", ["--tol-identity", "--tol-residual",
+                                    "--tol-orbit", "--tol-slope"])
+def test_bad_tolerance_is_a_usage_error(tmp_path, strip_cfg, capsys, option,
+                                        value):
+    out = tmp_path / "v.json"
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "-c", str(strip_cfg), "--lambda", "0.5",
+              f"{option}={value}", "--json", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bergspec")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["classify", "verify", "plot", "report"])
+def test_bare_t_is_a_usage_error(tmp_path, strip_cfg, capsys, cmd):
+    # a --t with no value would otherwise drop every t-indexed check
+    extra = {"classify": [], "verify": ["--lambda", "0.5"],
+             "plot": ["--svg", str(tmp_path / "r.svg")],
+             "report": ["--suite", "s.txt", "--out", str(tmp_path / "o")]}[cmd]
+    source = [] if cmd == "report" else ["-c", str(strip_cfg)]
+    with pytest.raises(SystemExit) as e:
+        main([cmd, *source, *extra, "--t"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bergspec")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("error", [
     errors.InversionError("Newton inversion failed to converge", residual=1.0),
     errors.ModelInconsistencyError("alpha mismatch"),

@@ -74,9 +74,14 @@ def test_syntax_errors_carry_position(bad):
 
 
 def test_branch_point_evaluation_error():
-    e = parse_expr("log(z)")
-    with pytest.raises(EvaluationError):
-        e(0.0)
+    for text in ("log(z)", "pow(z, 0.5)", "sqrt(z)"):
+        e = parse_expr(text)
+        for z in (0.0, np.array([0.5, 0.0, 0.3j])):
+            with pytest.raises(EvaluationError):
+                e(z)
+        # the smallest subnormal is not a branch point
+        for z in (5e-324, np.array([0.5, 5e-324, 0.3j])):
+            assert np.all(np.isfinite(e(z)))
 
 
 def test_integer_power_vs_general_power():

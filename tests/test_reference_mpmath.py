@@ -13,6 +13,7 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 from bergspec import numerics
+from bergspec.expr import Jet
 from bergspec.scenario import make_builtin
 
 P, A, C, S = 2.0, 1.0, 0.4, 0.7
@@ -66,3 +67,40 @@ def test_ring_integral_matches_mpmath(strip):
         ref = float(ref)
     got = numerics.ap_norm_rings(strip, numerics.eigenfunction(strip, lam))
     assert abs(got.ring_integrals[1] - ref) <= 1e-12 * ref
+
+
+def _log_points():
+    rng = np.random.default_rng(12)
+    n = 200
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    sign = rng.choice([-1, 1], n)
+    return {
+        "unit_circle": phase * (1 + sign * 10.0 ** rng.uniform(-14, -12, n)),
+        "negative_axis": -rng.uniform(0.01, 100, n)
+                         + 1j * sign * 10.0 ** rng.uniform(-300, -8, n),
+        "moduli": phase * 10.0 ** np.linspace(-300, 300, n),
+        "generic": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+    }
+
+
+@pytest.mark.parametrize("name", ["unit_circle", "negative_axis", "moduli",
+                                  "generic"])
+def test_jet_log_matches_mpmath(name):
+    # the real-arithmetic log|f| + i atan2 is weakest where log|f| is near 0
+    # and next to the branch cut; compare with a 30-digit log of the same
+    # doubles
+    f = _log_points()[name]
+    got = Jet(f, order=0).log().f
+    with mp.workdps(30):
+        ref = np.array([complex(mp.log(mp.mpc(x.real, x.imag))) for x in f])
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(1, np.abs(ref)))
+
+
+@pytest.mark.parametrize("f, arg", [(complex(-1, -0.0), -np.pi),
+                                    (complex(-1, 0.0), np.pi)])
+def test_jet_log_branch_follows_signed_zero(f, arg):
+    # the cut is np.log's: the sign of a zero imaginary part picks the side
+    for x in (f, np.array([f, f])):
+        got = Jet(x, order=0).log().f
+        assert np.all(got == complex(0, arg))
+        assert np.all(got == np.log(x))
