@@ -76,16 +76,6 @@ def _dump(report, path):
         Path(path).write_text(text)
 
 
-def _region_json(region):
-    out = []
-    for item in region.to_json():
-        out.append({"kind": item["kind"],
-                    "params": [p if isinstance(p, str) else _jnum(p)
-                               for p in item["params"]],
-                    "certainty": item["certainty"]})
-    return out
-
-
 # -- shared plumbing --------------------------------------------------------
 
 def _load_scenario(path):
@@ -124,31 +114,31 @@ def cmd_classify(args):
     reg = {}
     try:
         generator_region = regions.generator_spectrum(g)
-        reg["generator_spectrum"] = _region_json(generator_region)
+        reg["generator_spectrum"] = generator_region.to_json()
     except CoverageError as e:
         generator_region = None
         reg["generator_spectrum"] = {"error": str(e)}
         coverage.append("generator_spectrum")
     try:
-        reg["essential_spectrum"] = _region_json(regions.essential_spectrum(g))
+        reg["essential_spectrum"] = regions.essential_spectrum(g).to_json()
     except CoverageError as e:
         reg["essential_spectrum"] = {"error": str(e)}
         coverage.append("essential_spectrum")
-    reg["generator_point_spectrum"] = _region_json(
-        regions.generator_point_spectrum(g))
+    reg["generator_point_spectrum"] = \
+        regions.generator_point_spectrum(g).to_json()
     report["regions"] = reg
 
     ops = []
     for t in args.t:
         entry = {"t": t, "radius": regions.operator_radius(g, t)}
         try:
-            entry["spectrum"] = _region_json(regions.operator_spectrum(g, t))
+            entry["spectrum"] = regions.operator_spectrum(g, t).to_json()
         except (CoverageError, ValueError) as e:
             entry["spectrum"] = {"error": str(e)}
             if isinstance(e, CoverageError):
                 coverage.append("operator_spectrum")
-        entry["point_spectrum"] = _region_json(
-            regions.operator_point_spectrum(g, t))
+        entry["point_spectrum"] = \
+            regions.operator_point_spectrum(g, t).to_json()
         ops.append(entry)
     report["operator"] = ops
     if coverage:
@@ -198,7 +188,7 @@ def cmd_verify(args):
             continue
         direction = "forward" if fp.role == "denjoy_wolff" else "backward"
         try:
-            slope = numerics.coboundary_growth_exponent(s, fp, direction)
+            slope = numerics.coboundary_growth_exponent(s, fp)
         except (EvaluationError, BergspecError) as e:
             growth.append({"zeta": complex(fp.zeta), "error": str(e)})
             continue
@@ -311,8 +301,10 @@ def cmd_plot(args):
             region = regions.essential_spectrum(g)
         elif args.what == "point":
             region = regions.generator_point_spectrum(g)
+        elif not args.t > 0:
+            raise ConfigError("--what operator needs --t > 0")
         else:
-            region = regions.operator_spectrum(g, args.t[0])
+            region = regions.operator_spectrum(g, args.t)
     except CoverageError as e:
         sys.stderr.write(f"coverage error: {e}\n")
         return EXIT_COVERAGE
@@ -422,7 +414,7 @@ def _build_parser():
     common(p)
     p.add_argument("--what", choices=["generator", "essential", "point",
                                       "operator"], default="generator")
-    p.add_argument("--t", type=_at_least(float, 0), nargs="+", default=[1.0])
+    p.add_argument("--t", type=_at_least(float, 0), default=1.0)
     p.add_argument("--svg", required=True)
     p.add_argument("--viewport", type=_viewport, default=None,
                    help="xmin,xmax,ymin,ymax (default -4,4,-3,3)")

@@ -152,22 +152,20 @@ class Jet:
         s2 = (self.d2 - 2 * s1 * s1) / (2 * s0) if n > 1 else None
         return Jet(s0, s1, s2, n)
 
-    def cpow(self, w):
-        """Principal-branch power with complex exponent."""
+    def pow(self, w):
+        """Principal-branch power exp(w log f) with the exponent w a jet, so
+        an exponent that depends on z carries its derivatives."""
         return (self.log() * w).exp()
 
 
 # --- expression nodes -------------------------------------------------------
 #
 # Nodes only describe the DAG; `Tape` evaluates it.  A node computed at order
-# k reads its children at the orders `wants(k)` and maps their jets to its
-# own with `step(k)`.
+# k reads its children at order k and maps their jets to its own with
+# `step(k)`.
 
 class _Node:
     children = ()
-
-    def wants(self, k):
-        return (k,) * len(self.children)
 
 
 class _Const(_Node):
@@ -230,13 +228,7 @@ class _Fn(_Node):
         self.name = name
         self.children = tuple(args)
 
-    def wants(self, k):
-        # pow(base, exponent) reads only the value of its exponent
-        return (k, 0) if self.name == "pow" else (k,)
-
     def step(self, k):
-        if self.name == "pow":
-            return lambda base, exponent: base.cpow(exponent.f)
         return getattr(Jet, self.name)
 
     def __repr__(self):
@@ -280,8 +272,8 @@ class Tape:
         for r, k in zip(roots, orders):
             need[pos[id(r)]] = max(need[pos[id(r)]], k)
         for i in reversed(range(len(post))):   # every reader before its inputs
-            for c, w in zip(post[i].children, post[i].wants(need[i])):
-                need[pos[id(c)]] = max(need[pos[id(c)]], w)
+            for c in post[i].children:
+                need[pos[id(c)]] = max(need[pos[id(c)]], need[i])
 
         self._static = [None]   # slot 0: the variable; fixed jets elsewhere
         self._ops = []          # (output slot, step, input slot, second input or None)
@@ -307,8 +299,7 @@ class Tape:
             if node is _Z:
                 slot[i, need[i]] = 0
             elif not isinstance(node, _Const):
-                ins = [read(pos[id(c)], w)
-                       for c, w in zip(node.children, node.wants(need[i]))]
+                ins = [read(pos[id(c)], need[i]) for c in node.children]
                 ins.append(None)   # a unary step has no second input
                 s = new_slot()
                 self._ops.append((s, node.step(need[i]), ins[0], ins[1]))

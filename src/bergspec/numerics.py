@@ -88,11 +88,9 @@ class MembershipVerdict:
 @dataclass(frozen=True)
 class ResolventCertificate:
     lam: complex
-    region: str               # right_of_gamma0 | gap_between_gamma2_and_min
     K: complex
     tail_bound: float
     anchor: complex
-    base: complex
     tol: float
 
 
@@ -189,12 +187,11 @@ def _singular_angles(s: Scenario):
     return [math.atan2(fp.zeta.imag, fp.zeta.real) for fp in s.fixed_points]
 
 
-def ap_norm_rings(s: Scenario, f, p=None):
-    """Ring-by-ring Bergman p-norm integrals over |z| < r_k with a verdict on
-    convergence of the full-disk integral.  A stacked f, whose values carry
-    a leading axis (as from `eigenfunction(s, lams)`), is integrated row by
-    row from one evaluation per node and gets a list of verdicts."""
-    p = s.p if p is None else float(p)
+def ap_norm_rings(s: Scenario, f):
+    """Ring-by-ring Bergman s.p-norm integrals over |z| < r_k with a verdict
+    on convergence of the full-disk integral.  A stacked f, whose values
+    carry a leading axis (as from `eigenfunction(s, lams)`), is integrated
+    row by row from one evaluation per node and gets a list of verdicts."""
     sing = _singular_angles(s)
     radii = [0.0] + [1.0 - 2.0 ** -k for k in range(1, _K_MAX + 1)]
 
@@ -203,16 +200,16 @@ def ap_norm_rings(s: Scenario, f, p=None):
         return (brk, np.append(brk[1:], brk[0] + 2.0 * math.pi),
                 lambda theta: r * np.exp(1j * theta))
 
-    return _verdicts(f, p, list(zip(radii[:-1], radii[1:])), circle)
+    return _verdicts(f, s.p, list(zip(radii[:-1], radii[1:])), circle)
 
 
-def local_membership(s: Scenario, f, zeta, p=None) -> MembershipVerdict:
-    """Membership of f in the local Bergman space at a boundary point zeta:
-    ring integrals over the shrinking disk caps |z - zeta| < 2^-k."""
+def local_membership(s: Scenario, f, zeta) -> MembershipVerdict:
+    """Membership of f in the local Bergman space (exponent s.p) at a
+    boundary point zeta: ring integrals over the shrinking disk caps
+    |z - zeta| < 2^-k."""
     zeta = complex(zeta)
     if abs(abs(zeta) - 1.0) > 1e-9:
         raise EvaluationError("local membership requires |zeta| = 1")
-    p = s.p if p is None else float(p)
     rhos = [2.0 ** -k for k in range(1, _K_MAX + 1)]
     theta0 = math.atan2(zeta.imag, zeta.real)
     # geometric grading of the angular panels toward both arc endpoints,
@@ -231,7 +228,7 @@ def local_membership(s: Scenario, f, zeta, p=None) -> MembershipVerdict:
 
         return lo + (hi - lo) * frac[:-1], lo + (hi - lo) * frac[1:], point
 
-    return _verdicts(f, p, list(zip(rhos[1:], rhos[:-1])), arc)
+    return _verdicts(f, s.p, list(zip(rhos[1:], rhos[:-1])), arc)
 
 
 # -- eigenfunctions ---------------------------------------------------------
@@ -253,15 +250,12 @@ def verification_grid(n=100, radius=0.9):
     return quasi_random_grid(n, radius)
 
 
-def eigen_identity_residual(s: Scenario, lam, t, grid=None):
-    """Max deviation in the exact identity u_t (F_lam o phi_t) = e^{lam t} F_lam."""
+def eigen_identity_residual(s: Scenario, lam, t):
+    """Max deviation in the exact identity u_t (F_lam o phi_t) = e^{lam t} F_lam
+    over `verification_grid()`."""
     from .scenario import cocycle, flow
     lam = complex(lam)
-    if grid is None:
-        grid = verification_grid()
-    grid = np.asarray(grid, dtype=complex)
-    if np.any(np.abs(grid) > 0.95):
-        raise EvaluationError("eigen-identity grid must satisfy |z| <= 0.95")
+    grid = verification_grid()
     F = eigenfunction(s, lam)
     zt = flow(s, t, grid)
     lhs = cocycle(s, t, grid) * F(zt)
@@ -400,34 +394,29 @@ class _OrbitEvaluator:
         return z.reshape(t_arr.shape)
 
 
-def orbit_integral_K(s: Scenario, lam, f, anchor, base=None, tol=1e-9,
+def orbit_integral_K(s: Scenario, lam, f, anchor, tol=1e-9,
                      step=0.5) -> ResolventCertificate:
     """Resolvent constant K = integral of the one-form from 0 to the boundary
-    fixed point `anchor`, taken along the straight segment to `base` and then
-    the (forward or backward) orbit of `base`, truncated with an analytic
-    tail bound."""
+    fixed point `anchor`, truncated with an analytic tail bound.  To the
+    attracting point it is the forward orbit of 0; to a repelling point, the
+    straight segment to the petal anchor and then its backward orbit."""
     lam = complex(lam)
     gamma = fixed_point_gamma(anchor, s.p)
-    forward = anchor.role == "denjoy_wolff"
-    if forward:
-        if base is None:
-            base = 0.0
+    if anchor.role == "denjoy_wolff":
+        base = 0.0
         if not lam.real > gamma:
             raise OrbitIntegralError(
                 f"divergent orbit integral: Re lambda = {lam.real} must "
                 f"exceed gamma = {gamma} at the attracting point")
         rate = gamma - lam.real
-        region = "right_of_gamma0"
         sign_t, lam_t, orient = 1.0, -lam, 1.0
     else:
-        if base is None:
-            base = s.petal_anchor(anchor)
+        base = s.petal_anchor(anchor)
         if not lam.real < gamma:
             raise OrbitIntegralError(
                 f"divergent orbit integral: Re lambda = {lam.real} must be "
                 f"below gamma = {gamma} at the repelling point")
         rate = lam.real - gamma
-        region = "gap_between_gamma2_and_min"
         sign_t, lam_t, orient = -1.0, lam, -1.0
 
     rate_eff = rate + _TAIL_EPS
@@ -474,8 +463,8 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, base=None, tol=1e-9,
 
     seg = _segment_integrals(s, lam, f, np.array([complex(base)]), quad_tol)
     K = seg[0] + orient * np.exp(-lam * ev.w0) * orbit_part
-    return ResolventCertificate(lam, region, complex(K), bound,
-                                complex(anchor.zeta), complex(base), tol)
+    return ResolventCertificate(lam, complex(K), bound, complex(anchor.zeta),
+                                tol)
 
 
 def resolvent_apply(s: Scenario, lam, f, cert: ResolventCertificate, z):
@@ -492,18 +481,14 @@ def resolvent_apply(s: Scenario, lam, f, cert: ResolventCertificate, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def residual_check(s: Scenario, lam, f, F, grid=None):
-    """Max over the grid of |lam F - F'/h' - g F - f|, with F' from the
-    Cauchy integral on a small circle (F analytic, spectrally accurate).
-    F is called once, on the grid and every circle node together.  A
-    non-finite residual anywhere makes the maximum NaN, which fails every
-    tolerance."""
+def residual_check(s: Scenario, lam, f, F):
+    """Max over `verification_grid(20, 0.85)` of |lam F - F'/h' - g F - f|,
+    with F' from the Cauchy integral on a small circle (F analytic,
+    spectrally accurate).  F is called once, on the grid and every circle
+    node together.  A non-finite residual anywhere makes the maximum NaN,
+    which fails every tolerance."""
     lam = complex(lam)
-    if grid is None:
-        grid = verification_grid(20, 0.85)
-    grid = np.asarray(grid, dtype=complex).ravel()
-    if np.any(np.abs(grid) > 0.9):
-        raise EvaluationError("residual grid must satisfy |z| <= 0.9")
+    grid = verification_grid(20, 0.85)
     radius, nodes = 0.02, 16
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     ring = grid[:, None] + radius * np.exp(1j * theta)
@@ -534,24 +519,18 @@ def nonsurjectivity_witness(s: Scenario, lam, f, tol=1e-9, step=0.5):
 
 # -- growth exponents -------------------------------------------------------
 
-def coboundary_growth_exponent(s: Scenario, fp, direction="forward",
-                               t_lo=5.0, t_hi=40.0, n=36):
-    """Least-squares slope of log|v| along the orbit toward fp; approximates
-    Re beta at the fixed point.  Samples where the orbit has numerically
-    collapsed onto the boundary are masked out."""
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be forward or backward")
-    if direction == "forward":
+def coboundary_growth_exponent(s: Scenario, fp):
+    """Least-squares slope of log|v| along the orbit toward fp: forward from
+    0.1 to the attracting point, backward from the petal anchor to a
+    repelling one.  Approximates Re beta at fp.  Samples where the orbit has
+    numerically collapsed onto the boundary are masked out."""
+    if fp.role == "denjoy_wolff":
         ev = _OrbitEvaluator(s, 0.1 + 0.0j, 1.0)
-        if fp.role != "denjoy_wolff":
-            raise EvaluationError("forward orbits converge to the attracting "
-                                  "point only")
     else:
-        if fp.role != "repelling":
-            raise EvaluationError("backward orbits target repelling points")
         ev = _OrbitEvaluator(s, s.petal_anchor(fp), -1.0)
+    t_lo, t_hi = 5.0, 40.0
     for _ in range(8):
-        ts = np.linspace(t_lo, t_hi, n)
+        ts = np.linspace(t_lo, t_hi, 36)
         zs = np.empty(ts.shape, dtype=complex)
         ok = np.zeros(ts.shape, dtype=bool)
         collapse_t = None
@@ -579,7 +558,7 @@ def coboundary_growth_exponent(s: Scenario, fp, direction="forward",
     with np.errstate(divide="ignore", over="ignore"):
         logv = np.log(np.abs(eval_v(s, zs[ok])))
     good = np.isfinite(logv)
-    x = (ts[ok] if direction == "forward" else -ts[ok])[good]
+    x = (ev.sign * ts[ok])[good]
     if len(x) < 10:
         raise EvaluationError("weight evaluation failed along the orbit")
     return float(np.polyfit(x, logv[good], 1)[0])

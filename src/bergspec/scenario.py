@@ -612,11 +612,11 @@ def cocycle(s: Scenario, t, z):
 
 # -- boundary exponents -----------------------------------------------------
 
-def richardson(values, ratio=2.0):
-    """Limit of a sequence with error expansion in powers of ratio**-k."""
+def richardson(values):
+    """Limit of a sequence with error expansion in powers of 2**-k."""
     v = np.asarray(values, dtype=complex)
     for m in range(1, len(v)):
-        r = ratio ** m
+        r = 2.0 ** m
         v = (r * v[1:] - v[:-1]) / (r - 1)
     return complex(v[0])
 
@@ -628,8 +628,9 @@ def _radial_extrapolate(samples):
     return richardson(samples[-4:])
 
 
-def alpha_at(s: Scenario, fp: FixedPointDatum, tol=1e-4) -> float:
-    """Flow exponent at a declared fixed point, computed two ways."""
+def alpha_at(s: Scenario, fp: FixedPointDatum) -> float:
+    """Flow exponent at a declared fixed point, computed two ways; both must
+    agree with each other and with fp.alpha to within 1e-4."""
     s._require_evaluable()
     zeta = complex(fp.zeta)
     quot = []
@@ -643,7 +644,7 @@ def alpha_at(s: Scenario, fp: FixedPointDatum, tol=1e-4) -> float:
         gprime.append(hj.d2 / hj.d1 ** 2)  # -G'(z) for G = 1/h'
     a_quot = _radial_extrapolate(quot).real
     a_gp = _radial_extrapolate(gprime).real
-    if abs(a_quot - a_gp) > tol or abs(a_quot - fp.alpha) > tol:
+    if abs(a_quot - a_gp) > 1e-4 or abs(a_quot - fp.alpha) > 1e-4:
         raise ModelInconsistencyError(
             f"alpha mismatch at {zeta}: quotient {a_quot:.6g}, "
             f"generator {a_gp:.6g}, declared {fp.alpha:.6g}")

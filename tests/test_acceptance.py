@@ -171,8 +171,7 @@ def test_criterion_05_eigenfunction_verification(criterion):
 def test_criterion_06_resolvent_reproduction(criterion):
     with criterion(6, "resolvent orbit-integral reproduction", 120.0):
         s = make_builtin("strip_flow", 2.0)
-        cert = orbit_integral_K(s, 2.0, ONE, s.dw_point(), base=0.0 + 0j,
-                                tol=1e-10)
+        cert = orbit_integral_K(s, 2.0, ONE, s.dw_point(), tol=1e-10)
         assert abs(cert.K - 0.5) < 1e-10
         F = lambda z: resolvent_apply(s, 2.0, ONE, cert, z)
         pts = verification_grid(20, 0.85)
@@ -203,9 +202,8 @@ def test_criterion_07_nonsurjectivity_witness(criterion):
 def test_criterion_08_growth_exponents(criterion):
     with criterion(8, "weight growth exponents along orbits", 60.0):
         s = make_builtin("strip_flow", 2.0, c=0.4, s=0.7)
-        fwd = coboundary_growth_exponent(s, s.dw_point(), "forward")
-        bwd = coboundary_growth_exponent(s, s.repelling_points()[0],
-                                         "backward")
+        fwd = coboundary_growth_exponent(s, s.dw_point())
+        bwd = coboundary_growth_exponent(s, s.repelling_points()[0])
         assert abs(fwd - (-0.3)) <= 0.05 * 0.3
         assert abs(bwd - 1.1) <= 0.05 * 1.1
 

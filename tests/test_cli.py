@@ -116,6 +116,7 @@ def test_exit_code_coverage_error(tmp_path, capsys):
     ["truncate", "--N", "-3"],
     ["truncate", "--t", "-1"],
     ["classify", "--t", "-1"],
+    ["plot", "--svg", "r.svg", "--t", "1", "2"],
     ["report", "--suite", "s.txt", "--out", "o", "--nmax", "7"],
 ])
 def test_exit_code_bad_argument(strip_cfg, capsys, argv):
@@ -206,6 +207,16 @@ def test_plot_subcommand(tmp_path, strip_cfg):
     assert main(["plot", "-c", str(strip_cfg), "--what", "essential",
                  "--svg", str(svg)]) == 0
     assert svg.read_text().startswith('<?xml')
+
+
+def test_operator_plot_at_t_zero_is_a_config_error(tmp_path, strip_cfg, capsys):
+    svg = tmp_path / "r.svg"
+    assert main(["plot", "-c", str(strip_cfg), "--what", "operator",
+                 "--t", "0", "--svg", str(svg)]) == 2
+    assert not svg.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "config error: --what operator needs --t > 0"
+    assert len(lines) == 2 and lines[1].startswith("wall time")
 
 
 @pytest.mark.parametrize("cmd", ["classify", "plot"])

@@ -84,6 +84,32 @@ def test_branch_point_evaluation_error():
             assert np.all(np.isfinite(e(z)))
 
 
+def _zz(z):
+    f, q = z ** z, cmath.log(z) + 1
+    return f, f * q, f * (q * q + 1 / z)
+
+
+def _one_plus_z_iz(z):
+    # (1+z)^{iz} = exp(u), u = iz log(1+z)
+    f = cmath.exp(1j * z * cmath.log(1 + z))
+    u1 = 1j * cmath.log(1 + z) + 1j * z / (1 + z)
+    u2 = 1j * (2 + z) / (1 + z) ** 2
+    return f, f * u1, f * (u1 * u1 + u2)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("text,ref", [
+    pytest.param("pow(z, z)", _zz, id="z^z"),
+    pytest.param("pow(1+z, i*z)", _one_plus_z_iz, id="(1+z)^(iz)")])
+def test_pow_carries_the_exponents_derivatives(text, ref, order):
+    e = parse_expr(text)
+    for z in [0.5 + 0.1j] + POINTS[:3]:
+        j = e.jet(z, order)
+        want = ref(z)
+        for got, exact in zip((j.f, j.d1, j.d2)[:order + 1], want):
+            assert abs(got - exact) < 1e-12 * (1 + abs(exact)), (z, order)
+
+
 def test_integer_power_vs_general_power():
     a = parse_expr("(1-z)^4")
     b = parse_expr("pow(1-z, 4)")

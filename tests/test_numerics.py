@@ -99,8 +99,7 @@ def test_forward_orbit_integral_closed_form(strip_unweighted):
     # z = 0 (h(0) = 0): K = int_0^inf e^{-lam t} dt = 1/lam
     s = strip_unweighted
     for lam in (2.0, 3.0):
-        cert = orbit_integral_K(s, lam, ONE, s.dw_point(), base=0.0 + 0j,
-                                tol=1e-10)
+        cert = orbit_integral_K(s, lam, ONE, s.dw_point(), tol=1e-10)
         assert abs(cert.K - 1.0 / lam) < 1e-10
         assert cert.tail_bound < 1e-9
 
@@ -108,7 +107,7 @@ def test_forward_orbit_integral_closed_form(strip_unweighted):
 def test_resolvent_constant_right_of_gamma0(strip_unweighted):
     s = strip_unweighted
     lam = 2.0
-    cert = orbit_integral_K(s, lam, ONE, s.dw_point(), base=0.0 + 0j, tol=1e-10)
+    cert = orbit_integral_K(s, lam, ONE, s.dw_point(), tol=1e-10)
     F = lambda z: resolvent_apply(s, lam, ONE, cert, z)
     pts = verification_grid(20, 0.85)
     vals = np.array([F(z) for z in pts])
@@ -167,8 +166,8 @@ def test_residual_check_fails_on_a_non_finite_value(strip_unweighted):
     grid = verification_grid(20, 0.85)
     zero = lambda z: np.zeros_like(np.asarray(z, dtype=complex))
     F = lambda z: np.where(np.asarray(z) == grid[7], np.nan, 0.0)
-    assert residual_check(strip_unweighted, 0.5, zero, zero, grid) == 0.0
-    assert math.isnan(residual_check(strip_unweighted, 0.5, zero, F, grid))
+    assert residual_check(strip_unweighted, 0.5, zero, zero) == 0.0
+    assert math.isnan(residual_check(strip_unweighted, 0.5, zero, F))
 
 
 def test_orbit_integral_rejects_wrong_half_plane(strip_unweighted):
@@ -250,8 +249,8 @@ def test_adaptive_gl_raises_at_the_depth_cap():
 
 def test_growth_exponents_strip(strip_weighted):
     s = strip_weighted  # (c, s) = (0.4, 0.7): beta_dw = -0.3, beta_rep = 1.1
-    fwd = coboundary_growth_exponent(s, s.dw_point(), "forward")
-    bwd = coboundary_growth_exponent(s, s.repelling_points()[0], "backward")
+    fwd = coboundary_growth_exponent(s, s.dw_point())
+    bwd = coboundary_growth_exponent(s, s.repelling_points()[0])
     assert abs(fwd - (-0.3)) < 0.05 * 0.3
     assert abs(bwd - 1.1) < 0.05 * 1.1
 
@@ -259,16 +258,22 @@ def test_growth_exponents_strip(strip_weighted):
 def test_growth_exponents_trident_weighted(trident_weighted):
     s = trident_weighted
     for fp in s.repelling_points():
-        slope = coboundary_growth_exponent(s, fp, "backward")
+        slope = coboundary_growth_exponent(s, fp)
         assert abs(slope - fp.beta_re) < 0.05 * max(abs(fp.beta_re), 0.4)
 
 
-def test_growth_exponent_role_validation(strip_weighted):
-    s = strip_weighted
-    with pytest.raises(EvaluationError):
-        coboundary_growth_exponent(s, s.repelling_points()[0], "forward")
-    with pytest.raises(EvaluationError):
-        coboundary_growth_exponent(s, s.dw_point(), "backward")
+@pytest.mark.parametrize("name,weights", [
+    pytest.param("strip_flow", dict(c=0.4, s=0.7), id="strip_flow"),
+    pytest.param("half_strip", dict(c=0.4, s=0.7), id="half_strip"),
+    pytest.param("trident", dict(d=0.5), id="trident"),
+    pytest.param("trident", dict(c=0.2, s=0.3, d=0.3), id="trident_csd")])
+def test_growth_exponent_at_every_fixed_point(name, weights):
+    # the orbit's direction comes from the role: forward to the attracting
+    # point, backward to each repelling one
+    s = make_builtin(name, 2.0, **weights)
+    for fp in s.fixed_points:
+        slope = coboundary_growth_exponent(s, fp)
+        assert abs(slope - fp.beta_re) < 0.05 * max(abs(fp.beta_re), 0.4), fp
 
 
 # -- Bergman growth bound ---------------------------------------------------
