@@ -6,8 +6,9 @@ identical inputs produce byte-identical files; wall time goes to stderr only.
 Exit codes: 0 ok, 1 verification failure, 2 config error or bad argument,
 3 theorem-coverage error, 4 numerical failure (Newton inversion, orbit
 integral or fixed-point cross-check did not succeed, numpy raised
-LinAlgError, or float arithmetic overflowed or divided by zero).  Codes 2
-to 4 come with a short message on stderr instead of a traceback.
+LinAlgError, the flow rounded a point onto the unit circle, or float
+arithmetic overflowed or divided by zero).  Codes 2 to 4 come with a short
+message on stderr instead of a traceback.
 """
 
 from __future__ import annotations

@@ -603,11 +603,20 @@ def flow(s: Scenario, t, z):
     return complex(out) if scalar else out
 
 
+def _weight_ratio(s, t, z, zt):
+    """v(zt) / v(z) for zt = flow(s, t, z).  A point that the flow rounded
+    onto the unit circle has lost its image, and v may have a branch point
+    or a pole there, so that is a numerical failure, not a config error."""
+    if np.any(np.abs(zt) >= 1.0):
+        raise FloatingPointError(
+            f"the time-{t:g} flow rounded a point onto the unit circle")
+    return s._v(zt) / s._v(z)
+
+
 def cocycle(s: Scenario, t, z):
     """Weight transported along the flow: v(flow(t, z)) / v(z)."""
     s._require_evaluable()
-    zt = flow(s, t, z)
-    return s._v(zt) / s._v(z)
+    return _weight_ratio(s, t, z, flow(s, t, z))
 
 
 # -- boundary exponents -----------------------------------------------------

@@ -2,9 +2,10 @@
 
 Truncation matrices of the weighted composition operator in the monomial
 orthonormal basis e_k(z) = sqrt((k+1)/pi) z^k, Gelfand spectral-radius
-estimates via matrix powers, and dense eigenvalue clouds.  Each radial node
-of the Galerkin quadrature projects every column at once: one FFT over the
-Vandermonde block of u_t phi_t^k on that circle.
+estimates via matrix powers, and dense eigenvalue clouds.  In this basis
+the entry <u_t phi_t^k e_k, e_j> is sqrt((k+1)/(j+1)) times the j-th Taylor
+coefficient of u_t phi_t^k, which one Cauchy circle |z| = e^{-1/N} gives for
+every column: n equispaced samples, one FFT per group of 16 columns.
 
 Truncation spectra of non-normal operators are indicative only: eigenvalues
 of a finite section need not approximate the spectrum of the operator, so
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .scenario import Scenario, cocycle, flow
+from .scenario import Scenario, _weight_ratio, cocycle, flow
 
 __all__ = [
     "TruncationMatrix",
@@ -28,13 +29,6 @@ __all__ = [
     "gelfand_radius",
     "eigen_cloud",
 ]
-
-# radial panel breakpoints graded toward the unit circle; the integrand
-# carries boundary growth of order (1 - r)^{-2} at worst before weighting
-_RADIAL_PANELS = (0.0, 0.5, 0.8, 0.9, 0.95, 0.98, 0.99,
-                  0.995, 0.998, 0.9993, 0.9998, 1.0)
-_RADIAL_ORDER = 12       # Gauss-Legendre points per radial panel
-_ANGULAR = 1024          # equispaced nodes on each circle, one FFT length
 
 
 @dataclass(frozen=True)
@@ -44,49 +38,44 @@ class TruncationMatrix:
     t: float
 
 
-def _radial_nodes():
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(_RADIAL_ORDER)
-    nodes, weights = [], []
-    for a, b in zip(_RADIAL_PANELS[:-1], _RADIAL_PANELS[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+_GROUP = 16     # columns per FFT: the block stays 16 x n whatever N is
 
 
 def build_matrix(s: Scenario, t, N) -> TruncationMatrix:
     """Galerkin matrix of the time-t weighted composition operator.
 
-    Entry (j, k) = <u_t phi_t^k c_k, e_j>; with the monomial basis this is
-    M[j,k] = 2 sqrt((j+1)(k+1)) * int_0^1 a_j(r;k) r^{j+1} dr, where
-    a_j(r;k) is the j-th Fourier coefficient of u_t phi_t^k on |z| = r.  At
-    each radial node one FFT down the Vandermonde block u_t phi_t^k,
-    k < N, gives every column's coefficients together.
+    Entry (j, k) = <u_t phi_t^k e_k, e_j>.  Integrating over each circle
+    |z| = r leaves the j-th Taylor coefficient a_j of u_t phi_t^k, so
+    M[j,k] = sqrt((k+1)/(j+1)) * a_j(u_t phi_t^k).  One Cauchy circle
+    |z| = rho gives every a_j: the FFT of n equispaced samples is
+    c_j = a_j rho^j, up to aliases c_{j+n} damped by rho^n.  With
+    rho = e^{-1/N}, dividing by rho^j amplifies rounding by at most e, and
+    n = the smallest power of two >= max(1024, 40 N) damps aliases by
+    e^{-40}.  The powers u_t phi_t^k are built one column at a time and
+    transformed _GROUP columns per FFT.
     """
     if s.p != 2.0:
         raise EvaluationError("the Galerkin oracle is defined on p = 2 only")
     if N > 256:
         raise EvaluationError("N <= 256 required")
     t = float(t)
-    theta = 2.0 * math.pi * np.arange(_ANGULAR) / _ANGULAR
-    circle = np.exp(1j * theta)
+    if t == 0.0:
+        return TruncationMatrix(N, np.eye(N, dtype=complex), t)
+    rho = math.exp(-1.0 / N)
+    n = max(1024, 1 << (40 * N - 1).bit_length())
+    z = rho * np.exp(2j * math.pi * np.arange(n) / n)
+    zt = flow(s, t, z)
+    col = _weight_ratio(s, t, z, zt)
 
-    M = np.zeros((N, N), dtype=complex)
+    M = np.empty((N, N), dtype=complex)
+    for k0 in range(0, N, _GROUP):
+        block = np.empty((min(_GROUP, N - k0), n), dtype=complex)
+        for row in block:
+            row[:] = col
+            col = col * zt
+        M[:, k0:k0 + len(block)] = np.fft.fft(block, axis=1)[:, :N].T
     j = np.arange(N)
-    for r, wr in zip(*_radial_nodes()):
-        z = r * circle
-        if t == 0.0:
-            zt = z
-            u = np.ones_like(z)
-        else:
-            zt = flow(s, t, z)
-            u = s._v(zt) / s._v(z)
-        P = np.vander(zt, N, increasing=True)
-        P *= u[:, None]
-        coeff = np.fft.fft(P, axis=0)[:N] / _ANGULAR
-        M += wr * coeff * (r ** (j + 1))[:, None]
-    M *= 2.0 * np.sqrt((j[:, None] + 1.0) * (j[None, :] + 1.0))
+    M *= np.sqrt((j[None, :] + 1.0) / (j[:, None] + 1.0)) / (n * rho ** j[:, None])
     return TruncationMatrix(N, M, t)
 
 

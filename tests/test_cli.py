@@ -1,6 +1,7 @@
 """CLI contract: JSON round-trip, determinism, exit codes, suite reports."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,37 @@ def test_float_overflow_exits_numerical_failure(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines[0] == "numerical failure: OverflowError: math range error"
     assert len(lines) == 2 and lines[1].startswith("wall time")
+
+
+HALF_STRIP_WEIGHTED_CFG = "p = 2\nmodel = half_strip\nc = 0.3\ns = 0.6\n"
+
+
+@pytest.mark.parametrize("cfg_text,argv", [
+    (STRIP_WEIGHTED_CFG, ["truncate", "--t", "33"]),
+    (STRIP_WEIGHTED_CFG, ["truncate", "--t", "40"]),
+    (STRIP_WEIGHTED_CFG, ["truncate", "--t", "100"]),
+    (HALF_STRIP_WEIGHTED_CFG, ["truncate", "--t", "33"]),
+    (STRIP_WEIGHTED_CFG, ["verify", "--lambda", "0.5", "--t", "40"]),
+], ids=["strip-truncate-33", "strip-truncate-40", "strip-truncate-100",
+        "half_strip-truncate-33", "strip-verify-40"])
+def test_flow_rounded_onto_the_circle_is_a_numerical_failure(tmp_path, capsys,
+                                                             cfg_text, argv):
+    # far along the flow a point rounds onto |z| = 1, where v has a branch
+    # point: the run is valid, so this is exit 4 naming t, not a config error
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(cfg_text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([argv[0], "-c", str(cfg), *argv[1:],
+                     "--json", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 4
+    lines = err.splitlines()
+    assert lines[0].startswith("numerical failure: ")
+    assert f"time-{argv[-1]} flow" in lines[0]
+    assert len(lines) == 2 and lines[1].startswith("wall time")
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_wall_time_on_stderr_not_stdout(tmp_path, strip_cfg, capsys):

@@ -1,10 +1,13 @@
 """Independent 30-digit references for the numpy quadrature (dev-only).
 
-The references evaluate weighted strip_flow from its closed forms with mpmath
-and integrate with mpmath's own rules, sharing no code with bergspec's
-numpy path:
-    h = (log(1 + z) - log(1 - z)) / a,  h' = 2 / (a (1 - z^2)),
-    v = e^{c h} h'^{-s}.
+The references evaluate weighted strip_flow and half_strip from their closed
+forms with mpmath and integrate with mpmath's own rules, sharing no code with
+bergspec's numpy path:
+    strip:      h = (log(1 + z) - log(1 - z)) / a,  h' = 2 / (a (1 - z^2)),
+                v = e^{c h} h'^{-s};
+    half_strip: u = (1 - z)/(1 + z),  h = asinh(u) - asinh(1),
+                h^{-1}(w) = (1 - sinh(w + asinh 1)) / (1 + sinh(w + asinh 1)),
+                v = e^{c h} (-h')^{-s}, -h' = 2 / ((1 + z)^2 sqrt(1 + u^2)).
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ mp = pytest.importorskip("mpmath")
 from bergspec import numerics
 from bergspec.expr import Jet
 from bergspec.scenario import make_builtin
+from bergspec.truncation import build_matrix
 
 P, A, C, S = 2.0, 1.0, 0.4, 0.7
 
@@ -67,6 +71,43 @@ def test_ring_integral_matches_mpmath(strip):
         ref = float(ref)
     got = numerics.ap_norm_rings(strip, numerics.eigenfunction(strip, lam))
     assert abs(got.ring_integrals[1] - ref) <= 1e-12 * ref
+
+
+def _half_strip_entries(c, s, t, entries, n=128):
+    # M[j,k] = sqrt((k+1)/(j+1)) a_j(u_t phi_t^k), the Taylor coefficient
+    # from an n-point trapezoid on |z| = 1/2; its alias a_{j+n} 2^{-n} is
+    # below 1e-30 at n = 128
+    def h(z):
+        return mp.asinh((1 - z) / (1 + z)) - mp.asinh(1)
+
+    def h_inv(w):
+        sh = mp.sinh(w + mp.asinh(1))
+        return (1 - sh) / (1 + sh)
+
+    def v(z):
+        u = (1 - z) / (1 + z)
+        minus_dh = 2 / ((1 + z) ** 2 * mp.sqrt(1 + u * u))
+        return mp.exp(c * h(z)) * mp.exp(-s * mp.log(minus_dh))
+
+    with mp.workdps(30):
+        zs = [mp.expjpi(mp.mpf(2 * m) / n) / 2 for m in range(n)]
+        zts = [h_inv(h(z) + t) for z in zs]
+        us = [v(zt) / v(z) for z, zt in zip(zs, zts)]
+        out = {}
+        for j, k in entries:
+            a_j = sum(u * zt ** k * z ** -j for z, zt, u in zip(zs, zts, us)) / n
+            out[j, k] = complex(mp.sqrt(mp.mpf(k + 1) / (j + 1)) * a_j)
+    return out
+
+
+def test_galerkin_entries_match_mpmath():
+    # weighted half_strip, N = 8, t = 0.8, one entry from each part of the
+    # section: corner, interior, last diagonal
+    c, s, t, N = 0.3, 0.6, 0.8, 8
+    M = build_matrix(make_builtin("half_strip", P, c=c, s=s), t, N).entries
+    ref = _half_strip_entries(c, s, t, [(0, 0), (3, 2), (7, 7)])
+    for (j, k), val in ref.items():
+        assert abs(M[j, k] - val) <= 1e-12 * np.max(np.abs(M)), (j, k)
 
 
 def _log_points():

@@ -191,8 +191,8 @@ def test_expression_twin_matches_builtin(name, w, h_text, v_text, N):
         assert np.max(np.abs(diff)) < 1e-10
 
 
-# a Galerkin radial node: flowing two of its points by t = 1 passes the
-# trident's slit tip at a distance of 4.3e-5
+# flowing two points of this circle by t = 1 passes the trident's slit tip
+# at a distance of 4.3e-5
 SLIT_TIP_CIRCLE = 0.9944247566854857
 SLIT_TIP_POINT = SLIT_TIP_CIRCLE * np.exp(2j * np.pi * 5 / 1024)
 
@@ -247,14 +247,14 @@ def test_continuation_gives_up_on_a_point_that_never_converges(monkeypatch):
     assert len(calls) <= scenario._LEG_DEPTH + 1
 
 
-# the last radial node of the Galerkin build: orbits through this circle hug
-# |z| = 1, where a straight Newton step leaves the disk
-LAST_GALERKIN_CIRCLE = 0.9999981560634247
+# orbits through this circle hug |z| = 1, where a straight Newton step leaves
+# the disk
+NEAR_BOUNDARY_CIRCLE = 0.9999981560634247
 
 
 def test_near_circle_flow_takes_long_legs(monkeypatch):
     ref, twin = _twin(*TWINS[0].values[:4])
-    z = LAST_GALERKIN_CIRCLE * np.exp(2j * np.pi * np.arange(1024) / 1024)
+    z = NEAR_BOUNDARY_CIRCLE * np.exp(2j * np.pi * np.arange(1024) / 1024)
     corrector = scenario._newton_step_batch
     calls = []
 

@@ -8,9 +8,10 @@ import pytest
 from bergspec import truncation
 from bergspec.errors import EvaluationError, InversionError
 from bergspec.regions import gammas_from, operator_radius
-from bergspec.scenario import make_builtin
+from bergspec.scenario import cocycle, make_builtin
 from bergspec.truncation import (TruncationMatrix, build_matrix, eigen_cloud,
                                  gelfand_radius, resolution_horizon)
+from test_scenario import TWINS, _twin
 
 
 def test_identity_at_t_zero(strip_unweighted):
@@ -24,7 +25,6 @@ def test_first_column_is_projection_of_cocycle(strip_weighted):
     s = strip_weighted
     t = 0.6
     M = build_matrix(s, t, 16)
-    from bergspec.scenario import cocycle
     nr, ntheta = 4000, 512
     r = (np.arange(nr) + 0.5) / nr
     theta = 2 * np.pi * np.arange(ntheta) / ntheta
@@ -69,23 +69,29 @@ def test_composition_column_against_taylor_series(strip_unweighted):
         col = np.convolve(col, phi)[:n_terms]
 
 
+# an independent reference, the area integral over the disk: Gauss-Legendre
+# panels in r graded toward the unit circle, and on each circle one FFT per
+# column of u_t phi_t^k, keeping its first N coefficients
+_PANELS = (0.0, 0.5, 0.8, 0.9, 0.95, 0.98, 0.99,
+           0.995, 0.998, 0.9993, 0.9998, 1.0)
+
+
 def _column_by_column(s, t, N):
-    # the projection one column at a time: N separate FFTs of u_t phi_t^k
-    # per radial node, each keeping the first N of its coefficients
-    radii, rweights = truncation._radial_nodes()
-    n = truncation._ANGULAR
+    x, w = np.polynomial.legendre.leggauss(12)
+    n = 1024
     circle = np.exp(2j * np.pi * np.arange(n) / n)
     M = np.zeros((N, N), dtype=complex)
     j = np.arange(N)
-    for r, wr in zip(radii, rweights):
-        z = r * circle
-        zt = truncation.flow(s, t, z)
-        u = s._v(zt) / s._v(z)
-        powers = np.ones_like(zt)
-        for k in range(N):
-            coeff = np.fft.fft(u * powers) / n
-            M[:, k] += wr * coeff[:N] * r ** (j + 1)
-            powers = powers * zt
+    for a, b in zip(_PANELS[:-1], _PANELS[1:]):
+        for r, wr in zip(0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w):
+            z = r * circle
+            zt = truncation.flow(s, t, z)
+            u = s._v(zt) / s._v(z)
+            powers = np.ones_like(zt)
+            for k in range(N):
+                coeff = np.fft.fft(u * powers) / n
+                M[:, k] += wr * coeff[:N] * r ** (j + 1)
+                powers = powers * zt
     return M * 2.0 * np.sqrt((j[:, None] + 1.0) * (j[None, :] + 1.0))
 
 
@@ -94,6 +100,26 @@ def test_weighted_columns_match_column_by_column_projection():
     M = build_matrix(s, 1.0, 24).entries
     ref = _column_by_column(s, 1.0, 24)
     assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+_MEAN_VALUE_CASES = {
+    "strip_flow": lambda: make_builtin("strip_flow", 2.0, c=0.4, s=0.7),
+    "half_strip": lambda: make_builtin("half_strip", 2.0, c=0.3, s=0.6),
+    "trident": lambda: make_builtin("trident", 2.0, d=0.5),
+    "strip_flow_twin": lambda: _twin(*TWINS[0].values[:4])[1],
+    "trident_twin": lambda: _twin(*TWINS[1].values[:4])[1],
+}
+
+
+@pytest.mark.parametrize("t", [0.8, 1.0])
+@pytest.mark.parametrize("name", list(_MEAN_VALUE_CASES))
+def test_first_entry_is_the_cocycle_at_zero(name, t):
+    # mean-value identity: M[0,0] = <u_t e_0, e_0> is the average of u_t
+    # over the disk, which is u_t(0)
+    s = _MEAN_VALUE_CASES[name]()
+    M = build_matrix(s, t, 24).entries
+    u0 = cocycle(s, t, np.array([0j]))[0]
+    assert abs(M[0, 0] - u0) <= 1e-13 * abs(u0)
 
 
 def test_semigroup_consistency_of_sections(strip_unweighted):
@@ -116,12 +142,13 @@ def test_p_and_size_validation(strip_unweighted):
 
 
 @pytest.mark.parametrize("error", [InversionError, EvaluationError])
-def test_flow_failure_surfaces_at_every_radius(strip_unweighted, monkeypatch, error):
-    # a failure on the outermost circles is not clipped away
+def test_flow_failure_on_the_cauchy_circle_surfaces(strip_unweighted, monkeypatch,
+                                                    error):
+    # the build flows the circle |z| = e^{-1/N} and must not swallow a failure
     real_flow = truncation.flow
 
     def flow(s, t, z):
-        if np.max(np.abs(z)) > 0.999:
+        if np.allclose(np.abs(z), math.exp(-1 / 4)):
             raise error("injected")
         return real_flow(s, t, z)
 
