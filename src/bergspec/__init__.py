@@ -1,13 +1,13 @@
 """Spectral theory of hyperbolic weighted composition semigroups on Bergman
 spaces: exact spectral regions from boundary invariants, plus independent
-numerical cross-checks (ring-integral membership, orbit-integral resolvents,
+numerical cross-checks (Taylor-block membership, orbit-integral resolvents,
 a Galerkin truncation oracle) and deterministic JSON/SVG reporting.
 """
 
 from .errors import (BergspecError, ConfigError, CoverageError,
                      EvaluationError, ExprSyntaxError, InversionError,
                      ModelInconsistencyError, OrbitIntegralError,
-                     OutsideOmegaError, PetalExitError)
+                     OutsideOmegaError, PetalExitError, WindingError)
 from .expr import AnalyticExpr, parse_expr
 from .numerics import (MembershipVerdict, ResolventCertificate, ap_norm_rings,
                        coboundary_growth_exponent, eigen_identity_residual,

@@ -7,8 +7,10 @@ Exit codes: 0 ok, 1 verification failure, 2 config error or bad argument,
 3 theorem-coverage error, 4 numerical failure (Newton inversion, orbit
 integral or fixed-point cross-check did not succeed, numpy raised
 LinAlgError, the flow rounded a point onto the unit circle, or float
-arithmetic overflowed or divided by zero).  Codes 2 to 4 come with a short
-message on stderr instead of a traceback.
+arithmetic overflowed or divided by zero, or the membership circle saw the
+eigenfunction wind).  Codes 2 to 4 come with a short message on stderr
+instead of a traceback.  `report` keeps its entries' most severe code,
+ranked 0 < 3 < 1 < 4.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_COVERAGE = 3
 EXIT_NUMERICAL = 4
+# `report` keeps the most severe code of its entries, in this order: a failed
+# check or a numerical failure outranks a coverage exit
+_SEVERITY = (EXIT_OK, EXIT_COVERAGE, EXIT_VERIFY, EXIT_NUMERICAL, EXIT_CONFIG)
 
 
 # -- deterministic JSON -----------------------------------------------------
@@ -201,7 +206,7 @@ def cmd_verify(args):
                        "status": "pass" if ok else "fail"})
     report["growth_exponents"] = growth
 
-    # one ring pass gives every lambda its membership verdict
+    # one pass over the Taylor circle gives every lambda its membership verdict
     verdicts = numerics.ap_norm_rings(s, numerics.eigenfunction(s, lams))
     for lam, verdict in zip(lams, verdicts):
         entry = {"lambda": lam, "checks": []}
@@ -329,12 +334,12 @@ def cmd_report(args):
         ns = argparse.Namespace(config=str(cfg), t=args.t,
                                 json=str(out / f"{stem}.classify.json"),
                                 svg=str(out / f"{stem}.svg"), viewport=None)
-        code = max(code, cmd_classify(ns))
+        code = max(code, cmd_classify(ns), key=_SEVERITY.index)
         tns = argparse.Namespace(config=str(cfg), t=args.t[0], N=args.N,
                                  nmax=args.nmax,
                                  json=str(out / f"{stem}.truncate.json"))
         try:
-            code = max(code, cmd_truncate(tns))
+            code = max(code, cmd_truncate(tns), key=_SEVERITY.index)
         except EvaluationError as e:
             Path(out / f"{stem}.truncate.json").write_text(
                 json.dumps({"command": "truncate", "error": str(e)},

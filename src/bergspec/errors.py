@@ -37,6 +37,10 @@ class PetalExitError(EvaluationError):
     """Backward flow left the image domain (no petal contains the orbit)."""
 
 
+class WindingError(BergspecError):
+    """A function that must be zero-free winds around 0 on a sample circle."""
+
+
 class ModelInconsistencyError(BergspecError):
     """Declared fixed-point data disagrees with the numeric cross-check."""
 

@@ -1,9 +1,15 @@
 """Numerical verification layer for the spectral classifiers.
 
-Provides Bergman-norm ring quadrature with membership verdicts, eigenfunction
-identity checks, orbit integrals and resolvent certificates, non-surjectivity
-witnesses, and coboundary growth-exponent fits.  All routines are
-deterministic for fixed tolerances and grid sizes.
+Provides Bergman-norm membership verdicts, eigenfunction identity checks,
+orbit integrals and resolvent certificates, non-surjectivity witnesses, and
+coboundary growth-exponent fits.  All routines are deterministic for fixed
+tolerances and grid sizes.
+
+Membership comes from Taylor coefficients on one circle (Hedenmalm,
+Korenblum and Zhu, Theory of Bergman Spaces, ch. 1; Bornemann, Found.
+Comput. Math. 11, 2011), so a divergence at any boundary point shows, fixed
+or not, and tau can exceed 1 where the ring quadrature it replaces, whose
+increments were at least their bands' area, could not.
 
 The work is batched: `eigenfunction(s, lams)` evaluates h and v once for
 every lambda and `ap_norm_rings` gives each row its verdict; one adaptive
@@ -18,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import EvaluationError, OrbitIntegralError, PetalExitError
+from .errors import (EvaluationError, OrbitIntegralError, PetalExitError,
+                     WindingError)
 from .regions import fixed_point_gamma
 from .scenario import (Scenario, _continuation_invert, eval_h, eval_h_prime,
                        eval_hv_jets, eval_v, generator_g, quasi_random_grid)
@@ -67,21 +74,27 @@ def _gl_on(a, b, n):
     return 0.5 * (a + b) + half * x, half * w
 
 
-# Ring scheme for disk integrals: radii r_k = 1 - 2^-k, Gauss-Legendre
-# radial nodes per ring, graded angular panels refined toward declared
-# singular angles (a uniform angular rule cannot separate convergent from
-# divergent boundary singularities once 1 - r falls below its spacing).
-_K_MAX = 14              # rings r_k and caps of radius 2^-k, k = 1..K_MAX
-_RADIAL_ORDER = 12       # Gauss-Legendre points per ring
-_ANGULAR_BASE = 128      # uniform angular panels before grading
+# Cap scheme for `local_membership`: caps |z - zeta| < 2^-k, Gauss-Legendre
+# radial nodes per band, angular panels graded toward the cap's ends.
+_K_MAX = 14              # caps of radius 2^-k, k = 1..K_MAX
+_RADIAL_ORDER = 12       # Gauss-Legendre points per band
 _ANGULAR_ORDER = 8       # Gauss-Legendre points per angular panel
+
+# Taylor blocks for `ap_norm_rings`: f on |z| = e^{-1/J} at n = 16J points
+# gives a_j for j < 2J (the alias a_{j+n} is damped by e^{-16}), read in
+# _SUBCIRCLES interleaved parts of n / _SUBCIRCLES points, one f call and
+# one FFT each, so no array of length n is made.
+_TAYLOR_J = 2 ** 12
+_SAMPLES = 16 * _TAYLOR_J
+_SUBCIRCLES = 64
+_ROUNDOFF = 1e-13        # a block below (this * max|f^{p/2}|)^2 is round-off
 
 
 @dataclass(frozen=True)
 class MembershipVerdict:
     status: str
     fitted_exponent: float
-    ring_integrals: tuple
+    ring_integrals: tuple    # block sums, which stand for the ring increments
     total: float
 
 
@@ -99,21 +112,6 @@ def _eval_f(f, z):
     if out.shape != np.shape(z):
         out = np.broadcast_to(out, np.shape(z)).copy()
     return out
-
-
-def _angular_breakpoints(singular_angles, r):
-    """Panel breakpoints on [0, 2pi): uniform base plus geometric refinement
-    toward each singular angle down to scale (1 - r) / 4."""
-    pts = {2.0 * math.pi * j / _ANGULAR_BASE for j in range(_ANGULAR_BASE)}
-    delta = max((1.0 - r) / 4.0, 1e-12)
-    for theta in singular_angles:
-        pts.add(theta % (2.0 * math.pi))
-        w = 2.0 * math.pi / _ANGULAR_BASE
-        while w > delta:
-            w *= 0.5
-            pts.add((theta + w) % (2.0 * math.pi))
-            pts.add((theta - w) % (2.0 * math.pi))
-    return np.array(sorted(pts))
 
 
 def _band_increment(f, p, r_lo, r_hi, arcs):
@@ -183,24 +181,93 @@ def _verdicts(f, p, bands, arcs):
     return verdicts if np.ndim(inc) else verdicts[0]
 
 
-def _singular_angles(s: Scenario):
-    return [math.atan2(fp.zeta.imag, fp.zeta.real) for fp in s.fixed_points]
+def _powered(f, p):
+    """(r, f^{p/2} on the sub-circle z_{r + S l}) for r = 0..S-1, where the
+    S interleaved sub-circles make up the n-point circle |z| = e^{-1/J}:
+    rows by points for a stacked f, else one row.  For p != 2 the phase of
+    f is unwrapped at full resolution, point to next point: down each
+    column z_{S l + r}, r < S, and from each column's end to the next
+    column's start, whose phases a first pass over f finds.  Phase that
+    does not close means f winds."""
+    n, S = _SAMPLES, _SUBCIRCLES
+    base = math.exp(-1.0 / _TAYLOR_J) * np.exp(2j * np.pi * np.arange(n // S)
+                                               / (n // S))
+
+    def sample(r):
+        vals = np.asarray(f(base * np.exp(2j * np.pi * r / n)), dtype=complex)
+        return vals if vals.ndim == 2 else np.broadcast_to(vals, base.shape)
+
+    if p == 2.0:
+        for r in range(S):
+            yield r, sample(r)
+        return
+    prev = sample(0)
+    first = last = np.angle(prev)
+    for r in range(1, S):
+        vals = sample(r)
+        last, prev = last + np.angle(vals / prev), vals
+    turns = np.rint((last - np.roll(first, -1, axis=-1)) / (2.0 * np.pi))
+    winding = np.nan_to_num(turns.sum(axis=-1))     # an overflowed row is nan
+    if np.any(winding):
+        raise WindingError(
+            f"f winds {np.max(np.abs(winding)):.0f} times around 0 on "
+            f"|z| = e^(-1/{_TAYLOR_J}), so it has a zero inside the circle "
+            f"and |f|^p = |f^(p/2)|^2 does not hold")
+    phase = first + 2.0 * np.pi * (np.cumsum(turns, axis=-1) - turns)
+    for r in range(S):
+        vals = sample(r)
+        if r:
+            phase = phase + np.angle(vals / prev)
+        prev = vals
+        yield r, np.exp(0.5 * p * (np.log(np.abs(vals)) + 1j * phase))
 
 
 def ap_norm_rings(s: Scenario, f):
-    """Ring-by-ring Bergman s.p-norm integrals over |z| < r_k with a verdict
-    on convergence of the full-disk integral.  A stacked f, whose values
-    carry a leading axis (as from `eigenfunction(s, lams)`), is integrated
-    row by row from one evaluation per node and gets a list of verdicts."""
-    sing = _singular_angles(s)
-    radii = [0.0] + [1.0 - 2.0 ** -k for k in range(1, _K_MAX + 1)]
+    """Bergman s.p-norm of f with a verdict on its convergence, from the
+    Taylor coefficients a_j, j < 2J, of f^{p/2} on |z| = e^{-1/J}: the block
+    sums of pi |a_j|^2 / (j + 1) over j = 0 and 2^(k-1) <= j < 2^k stand for
+    the ring increments.  A stacked f, whose values carry a leading axis (as
+    from `eigenfunction(s, lams)`), is treated row by row from one
+    evaluation per point and gets a list of verdicts.  A row that overflows
+    is divergent; one whose last block is round-off (a polynomial, say) is
+    convergent with tau = inf.  For p != 2 a zero of f inside the circle
+    raises WindingError."""
+    n, S, two_j = _SAMPLES, _SUBCIRCLES, 2 * _TAYLOR_J
+    m, top = n // S, 0.0
+    with np.errstate(all="ignore"):
+        for r, g in _powered(f, s.p):
+            top = np.maximum(top, np.max(np.abs(g), axis=-1))
+            # c_{q m + l} += w_S^{-q r} w_n^{-l r} X_r[l], X_r the FFT of g
+            x = np.fft.fft(g, axis=-1) * np.exp(-2j * np.pi * np.arange(m)
+                                                 * r / n)
+            if not r:
+                acc = np.zeros((np.size(top), two_j // m, m), dtype=complex)
+            for q, w in enumerate(np.exp(-2j * np.pi * np.arange(two_j // m)
+                                         * r / S)):
+                acc[:, q] += w * x
+            # free g and x before the next f call; r comes from _powered,
+            # since the tuple that enumerate reuses would keep g alive
+            del g, x
+        a = acc.reshape(-1, two_j)
+        a *= np.exp(np.arange(two_j) / _TAYLOR_J) / n     # a_j = c_j rho^-j
+        verdicts = [_block_verdict(row, big)
+                    for row, big in zip(a, np.atleast_1d(top))]
+    return verdicts if np.ndim(top) else verdicts[0]
 
-    def circle(r):
-        brk = _angular_breakpoints(sing, r)
-        return (brk, np.append(brk[1:], brk[0] + 2.0 * math.pi),
-                lambda theta: r * np.exp(1j * theta))
 
-    return _verdicts(f, s.p, list(zip(radii[:-1], radii[1:])), circle)
+def _block_verdict(a, big):
+    """Verdict from the Taylor coefficients a of f^{p/2}, whose largest
+    sample big sets the round-off level."""
+    edges = [0] + [2 ** k for k in range(_TAYLOR_J.bit_length() + 1)]
+    blocks = [float(math.pi * np.sum(np.abs(a[lo:hi]) ** 2
+                                     / np.arange(lo + 1, hi + 1)))
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    total = float(np.cumsum(blocks)[-1])
+    if not math.isfinite(total):
+        return MembershipVerdict(DIVERGENT, float("-inf"), (), float("inf"))
+    if blocks[-1] <= math.pi * (_ROUNDOFF * big) ** 2:
+        return MembershipVerdict(CONVERGENT, float("inf"), tuple(blocks), total)
+    return _verdict(blocks, total)
 
 
 def local_membership(s: Scenario, f, zeta) -> MembershipVerdict:
@@ -253,12 +320,12 @@ def verification_grid(n=100, radius=0.9):
 def eigen_identity_residual(s: Scenario, lam, t):
     """Max deviation in the exact identity u_t (F_lam o phi_t) = e^{lam t} F_lam
     over `verification_grid()`."""
-    from .scenario import cocycle, flow
+    from .scenario import _weight_ratio, flow
     lam = complex(lam)
     grid = verification_grid()
     F = eigenfunction(s, lam)
     zt = flow(s, t, grid)
-    lhs = cocycle(s, t, grid) * F(zt)
+    lhs = _weight_ratio(s, t, grid, zt) * F(zt)
     rhs = np.exp(lam * t) * F(grid)
     return float(np.max(np.abs(lhs - rhs)))
 

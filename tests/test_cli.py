@@ -314,3 +314,65 @@ def test_report_suite(tmp_path):
         assert (out / name).exists()
     trunc = json.loads((out / "param.truncate.json").read_text())
     assert "error" in trunc  # parametric scenarios cannot be truncated
+
+
+def test_report_failed_bound_outranks_coverage_exit(tmp_path):
+    # half_strip c = 0.3 exits 3 (essential spectrum outside coverage); the
+    # trident's truncate misses its radius bound (exit 1), which must show
+    (tmp_path / "half.cfg").write_text("p = 2\nmodel = half_strip\nc = 0.3\n")
+    (tmp_path / "tri.cfg").write_text(
+        "p = 2\nmodel = trident\nc = 0\ns = -1.2\n")
+    suite = tmp_path / "suite.txt"
+    suite.write_text("half.cfg\ntri.cfg\n")
+    out = tmp_path / "rpt"
+    assert main(["classify", "-c", str(tmp_path / "half.cfg"),
+                 "--json", str(tmp_path / "c.json")]) == 3
+    assert main(["report", "--suite", str(suite), "--out", str(out)]) == 1
+    trunc = json.loads((out / "tri.truncate.json").read_text())
+    assert trunc["radius_bound_ok"] is False
+
+
+def _membership(path):
+    return [next(c for c in r["checks"]
+                 if c["check"] == "eigenfunction_membership")
+            for r in json.loads(path.read_text())["results"]]
+
+
+def test_verify_at_p_3(tmp_path):
+    # |F|^3 = |F^{3/2}|^2: at lambda = 0.3 + 0.2i, |F|^3 ~ |1 - z|^-0.9 at
+    # the attracting point, so tau = 2 - 0.9
+    cfg = tmp_path / "strip3.cfg"
+    cfg.write_text("p = 3\nmodel = strip_flow\n")
+    out = tmp_path / "v.json"
+    assert main(["verify", "-c", str(cfg), "--lambda", "0.3+0.2i", "1.5+0i",
+                 "--json", str(out)]) == 0
+    conv, div = _membership(out)
+    assert conv["verdict"] == "convergent" and div["verdict"] == "divergent"
+    assert abs(conv["fitted_exponent"] - 1.1) < 0.01
+    assert abs(div["fitted_exponent"] + 2.5) < 0.01
+
+
+def test_verify_constant_eigenfunction_writes_inf(tmp_path, strip_cfg):
+    # F = 1 at lambda = 0 on the unweighted strip: round-off blocks
+    out = tmp_path / "v.json"
+    assert main(["verify", "-c", str(strip_cfg), "--lambda", "0+0i",
+                 "--json", str(out)]) == 0
+    (check,) = _membership(out)
+    assert check["verdict"] == "convergent"
+    assert check["fitted_exponent"] == "inf"
+
+
+@pytest.mark.parametrize("cfg_text, lam", [
+    ("p = 2\nmodel = trident\nc = 0\ns = -1.2\n", "2+1i"),
+    ("p = 2\nmodel = half_strip\nc = 0\ns = 2.5\n", "-3+0i")])
+def test_verify_sees_divergence_at_non_fixed_contact_points(tmp_path, cfg_text,
+                                                            lam):
+    # classify certifies lambda as point spectrum, but F diverges at the
+    # trident's slit tip or half_strip's corners, which are not fixed points
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "v.json"
+    assert main(["verify", "-c", str(cfg), f"--lambda={lam}",
+                 "--json", str(out)]) == 1
+    (check,) = _membership(out)
+    assert check["verdict"] == "divergent" and check["status"] == "fail"

@@ -1,13 +1,15 @@
-"""Ring-integral membership, orbit-integral resolvents, growth exponents."""
+"""Taylor-block membership, orbit-integral resolvents, growth exponents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bergspec import numerics
-from bergspec.errors import EvaluationError, OrbitIntegralError
-from bergspec.numerics import (ap_norm_rings, coboundary_growth_exponent,
+from bergspec.errors import EvaluationError, OrbitIntegralError, WindingError
+from bergspec.numerics import (MembershipVerdict, ap_norm_rings,
+                               coboundary_growth_exponent,
                                eigen_identity_residual, eigenfunction,
                                local_membership, nonsurjectivity_witness,
                                orbit_integral_K, residual_check,
@@ -62,16 +64,84 @@ def test_local_membership_requires_boundary_point(strip_unweighted):
 
 @pytest.mark.parametrize("model", ["strip_weighted", "half_strip_weighted"])
 def test_stacked_rows_match_single_lambda_calls(model, request):
-    # lambda = 60 overflows |F|^p at the 8th ring; the other rows go on
+    # lambda = 60 overflows F on the sample circle: that row is divergent,
+    # with no blocks and no RuntimeWarning, and the other rows go on
     s = request.getfixturevalue(model)
     lams = [0.5 - 0.3j, 60.0, 1.5, -2.0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         stacked = ap_norm_rings(s, eigenfunction(s, lams))
         single = [ap_norm_rings(s, eigenfunction(s, lam)) for lam in lams]
     assert stacked == single
-    assert stacked[1].status == "divergent"
-    assert 0 < len(stacked[1].ring_integrals) < 14
+    assert stacked[1] == MembershipVerdict("divergent", float("-inf"), (),
+                                           float("inf"))
     assert [len(v.ring_integrals) for v in stacked[::2]] == [14, 14]
+
+
+def _exact_blocks(b):
+    # blocks of pi sum |a_j|^2 / (j + 1) for (1 - z)^{-b}, whose Taylor
+    # coefficients are Gamma(j + b) / (Gamma(b) j!)
+    two_j = 2 * numerics._TAYLOR_J
+    log_a = [math.lgamma(j + b) - math.lgamma(b) - math.lgamma(j + 1)
+             for j in range(two_j)]
+    w = np.exp(2 * np.array(log_a)) / np.arange(1, two_j + 1)
+    edges = [0] + [2 ** k for k in range(numerics._TAYLOR_J.bit_length() + 1)]
+    return [math.pi * np.sum(w[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("a", [0.25, 0.6, 1.2])
+def test_tau_of_power_singularity_matches_exact_coefficients(p, a):
+    # |(1 - z)^{-a}|^p = |(1 - z)^{-p a / 2}|^2, so tau = 2 - p a; the
+    # fit on the exact blocks has the same finite-k offset as ours
+    s = make_builtin("strip_flow", p)
+    v = ap_norm_rings(s, lambda z: (1 - z) ** -a)
+    exact = numerics._fit_tau(_exact_blocks(p * a / 2))
+    assert abs(v.fitted_exponent - exact) < 1e-3
+    assert abs(exact - (2 - p * a)) < 0.01
+    assert v.status == ("convergent" if 2 - p * a > 0 else "divergent")
+
+
+@pytest.mark.parametrize("c, d", [(5.0, 1), (4.0, 400)])
+def test_phase_is_unwrapped_past_pi(c, d):
+    # arg exp(c z^d) passes +-pi on the circle, between neighbouring points
+    # of one sub-circle too when d = 400; |exp(c z^d)|^3 = |exp(1.5 c z^d)|^2,
+    # whose Taylor coefficients are (1.5 c)^k / k! at j = d k
+    s = make_builtin("strip_flow", 3.0)
+    v = ap_norm_rings(s, lambda z: np.exp(c * z ** d))
+    exact = math.pi * math.fsum(
+        math.exp(2 * (k * math.log(1.5 * c) - math.lgamma(k + 1))) / (d * k + 1)
+        for k in range(2 * numerics._TAYLOR_J // d + 1))
+    assert v.total == pytest.approx(exact, rel=1e-12)
+
+
+def test_zero_inside_the_circle_is_a_winding_error():
+    # |f|^p = |f^{p/2}|^2 needs a zero-free f when p != 2
+    s = make_builtin("strip_flow", 3.0)
+    with pytest.raises(WindingError, match="winds 1 times"):
+        ap_norm_rings(s, lambda z: (z - 0.5) * np.exp(z))
+
+
+def test_constant_eigenfunction_has_round_off_blocks(strip_unweighted):
+    # F = 1 at lambda = 0: every block after the first is round-off, so the
+    # verdict is convergent with tau = inf
+    s = strip_unweighted
+    v = ap_norm_rings(s, eigenfunction(s, 0.0))
+    assert v.status == "convergent" and v.fitted_exponent == float("inf")
+    assert v.ring_integrals[0] == pytest.approx(math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("model, weights, lam, local", [
+    ("trident", {"c": 0.0, "s": -1.2}, 2 + 1j, -0.4),
+    ("half_strip", {"c": 0.0, "s": 2.5}, -3.0, -0.5)])
+def test_non_fixed_contact_point_divergence_is_seen(model, weights, lam,
+                                                    local):
+    # F diverges at a boundary point that is not a fixed point (trident's
+    # slit tip z = 1, half_strip's corners +-i); the blocks see it
+    s = make_builtin(model, 2.0, **weights)
+    v = ap_norm_rings(s, eigenfunction(s, lam))
+    assert v.status == "divergent"
+    assert abs(v.fitted_exponent - local) < 0.1
 
 
 # -- eigenfunctions ---------------------------------------------------------

@@ -10,6 +10,8 @@ bergspec's numpy path:
                 v = e^{c h} (-h')^{-s}, -h' = 2 / ((1 + z)^2 sqrt(1 + u^2)).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,24 +55,29 @@ def test_resolvent_segment_integral_matches_mpmath(strip):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
-def test_ring_integral_matches_mpmath(strip):
-    # second ring, 1/2 < |z| < 3/4, of |e^{lam h}/v|^p r dr dtheta.  The
-    # integrand is analytic up to |z| = 1, so in theta the trapezoid rule
-    # converges like (3/4)^n and in r a 30-point Gauss-Legendre rule like
-    # (2 + sqrt 3)^-60: both far below 30 digits
-    lam, n = 0.5, 256
+def test_taylor_block_matches_mpmath(strip, monkeypatch):
+    # block 8 <= j < 16 of pi sum |a_j|^2 / (j + 1) over the Taylor
+    # coefficients of F = e^{lam h}/v.  F is analytic in the unit disk, so
+    # the n-point trapezoid rule on |z| = 1/2 gives a_j up to the alias
+    # a_{j+n} 2^-n, far below 30 digits at n = 128
+    lam, n = 0.5, 128
     with mp.workdps(30):
-        nodes, weights = mp.mp.gauss_quadrature(30, "legendre")
-        ref = mp.mpf(0)
-        for x, w in zip(nodes, weights):
-            r = (5 + x) / 8
-            circle = sum(abs(mp.exp(lam * _h(zk)) / _v(zk)) ** P
-                         for zk in (r * mp.expjpi(mp.mpf(2 * k) / n)
-                                    for k in range(n)))
-            ref += w / 8 * r * circle * 2 * mp.pi / n
-        ref = float(ref)
-    got = numerics.ap_norm_rings(strip, numerics.eigenfunction(strip, lam))
-    assert abs(got.ring_integrals[1] - ref) <= 1e-12 * ref
+        roots = [mp.expjpi(mp.mpf(2 * k) / n) for k in range(n)]
+        vals = [mp.exp(lam * _h(w / 2)) / _v(w / 2) for w in roots]
+        coef = [2 ** j * mp.fsum(v * roots[-j * k % n]
+                                 for k, v in enumerate(vals)) / n
+                for j in range(8, 16)]
+        ref = float(mp.pi * mp.fsum(abs(a) ** 2 / (j + 1)
+                                    for j, a in enumerate(coef, start=8)))
+    F = numerics.eigenfunction(strip, lam)
+    # on 16J points of |z| = e^{-1/J} the alias a_{j+n} rho^{j+n} of a_j is
+    # damped by e^{-16} (here |a_j| also falls with j)
+    got = numerics.ap_norm_rings(strip, F).ring_integrals[4]
+    assert abs(got - ref) <= 2 * math.exp(-16) * ref
+    # on 32J points the alias, e^{-32}, is below round-off
+    monkeypatch.setattr(numerics, "_SAMPLES", 32 * numerics._TAYLOR_J)
+    got = numerics.ap_norm_rings(strip, F).ring_integrals[4]
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def _half_strip_entries(c, s, t, entries, n=128):
