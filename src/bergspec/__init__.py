@@ -11,9 +11,8 @@ from .errors import (BergspecError, ConfigError, CoverageError,
 from .expr import AnalyticExpr, parse_expr
 from .numerics import (MembershipVerdict, ResolventCertificate, ap_norm_rings,
                        coboundary_growth_exponent, eigen_identity_residual,
-                       eigenfunction, local_membership,
-                       nonsurjectivity_witness, orbit_integral_K,
-                       residual_check, resolvent_apply)
+                       eigenfunction, nonsurjectivity_witness,
+                       orbit_integral_K, residual_check, resolvent_apply)
 from .regions import (NEG_INF, Component, GammaProfile, SpectralRegion,
                       composition_spectrum, essential_spectrum, gammas_from,
                       generator_point_spectrum, generator_spectrum,

@@ -4,11 +4,10 @@ Subcommands: classify | verify | truncate | plot | report.  JSON output uses
 12-significant-digit floats with a "-inf" sentinel and fixed key order, so
 identical inputs produce byte-identical files; wall time goes to stderr only.
 Exit codes: 0 ok, 1 verification failure, 2 config error or bad argument,
-3 theorem-coverage error, 4 numerical failure (Newton inversion, orbit
-integral or fixed-point cross-check did not succeed, numpy raised
-LinAlgError, the flow rounded a point onto the unit circle, or float
-arithmetic overflowed or divided by zero, or the membership circle saw the
-eigenfunction wind).  Codes 2 to 4 come with a short message on stderr
+3 theorem-coverage error, 4 numerical failure (Newton inversion or orbit
+integral did not succeed, numpy raised LinAlgError, the flow rounded a
+point onto the unit circle, or float arithmetic overflowed or divided by
+zero, or the membership circle saw the eigenfunction wind).  Codes 2 to 4 come with a short message on stderr
 instead of a traceback.  `report` keeps its entries' most severe code,
 ranked 0 < 3 < 1 < 4.
 """

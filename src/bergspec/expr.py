@@ -48,7 +48,7 @@ class Jet:
         self.order = order
 
     @staticmethod
-    def variable(z, order=2):
+    def variable(z, order):
         arr = isinstance(z, np.ndarray)
         one = (np.ones_like(z) if arr else 1.0) if order > 0 else None
         zero = (np.zeros_like(z) if arr else 0.0) if order > 1 else None

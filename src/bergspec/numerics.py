@@ -18,6 +18,7 @@ Gauss-Legendre routine refines every segment and orbit panel together.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,6 @@ __all__ = [
     "MembershipVerdict",
     "ResolventCertificate",
     "ap_norm_rings",
-    "local_membership",
     "eigenfunction",
     "eigen_identity_residual",
     "orbit_integral_K",
@@ -42,7 +42,6 @@ __all__ = [
     "residual_check",
     "nonsurjectivity_witness",
     "coboundary_growth_exponent",
-    "verification_grid",
 ]
 
 CONVERGENT = "convergent"
@@ -50,35 +49,11 @@ DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
 
 _TAU_BAND = 0.1          # |tau| below this -> inconclusive
-_FIT_RINGS = 6           # increments used in the exponent fit
+_FIT_RINGS = 6           # blocks used in the exponent fit
 _TAIL_EPS = 0.05         # margin in the analytic tail-rate bound
 _TAIL_INFLATE = 10.0     # safety factor on the sampled tail constant
 _T_MAX = 200.0           # hard cap on orbit-integral truncation time
 
-
-# -- quadrature plumbing ----------------------------------------------------
-
-_gl_cache = {}
-
-
-def _gl(n):
-    if n not in _gl_cache:
-        _gl_cache[n] = leggauss(n)
-    return _gl_cache[n]
-
-
-def _gl_on(a, b, n):
-    """Gauss-Legendre nodes and weights transplanted to [a, b]."""
-    x, w = _gl(n)
-    half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * x, half * w
-
-
-# Cap scheme for `local_membership`: caps |z - zeta| < 2^-k, Gauss-Legendre
-# radial nodes per band, angular panels graded toward the cap's ends.
-_K_MAX = 14              # caps of radius 2^-k, k = 1..K_MAX
-_RADIAL_ORDER = 12       # Gauss-Legendre points per band
-_ANGULAR_ORDER = 8       # Gauss-Legendre points per angular panel
 
 # Taylor blocks for `ap_norm_rings`: f on |z| = e^{-1/J} at n = 16J points
 # gives a_j for j < 2J (the alias a_{j+n} is damped by e^{-16}), read in
@@ -112,73 +87,6 @@ def _eval_f(f, z):
     if out.shape != np.shape(z):
         out = np.broadcast_to(out, np.shape(z)).copy()
     return out
-
-
-def _band_increment(f, p, r_lo, r_hi, arcs):
-    """Integral of |f|^p r dr dt over the polar band r_lo < r < r_hi, where
-    arcs(r) gives the angular panels' ends and the map from angle to point at
-    radius r.  One value per row of a stacked f (a plain f is one row, a
-    constant broadcasts), and whether each row's |f|^p stayed finite."""
-    rho, w = _gl_on(r_lo, r_hi, _RADIAL_ORDER)
-    x, wa = _gl(_ANGULAR_ORDER)
-    acc, finite = 0.0, True
-    for rj, wj in zip(rho, w):
-        lo, hi, point = arcs(rj)
-        half = 0.5 * (hi - lo)
-        t = (0.5 * (lo + hi))[:, None] + half[:, None] * x[None, :]
-        z = point(t.ravel())
-        vals = np.asarray(f(z), dtype=complex)
-        if vals.ndim != 2:
-            vals = np.broadcast_to(vals, z.shape)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mag = np.abs(vals) ** p
-        weights = (half[:, None] * wa[None, :]).ravel()
-        acc = acc + wj * rj * np.sum(weights * mag, axis=-1)
-        finite = finite & np.all(np.isfinite(mag), axis=-1)
-    return acc, finite
-
-
-def _fit_tau(increments):
-    """Least-squares exponent in Delta I_k ~ C 2^{-k tau} over the last
-    _FIT_RINGS increments."""
-    tail = np.asarray(increments[-_FIT_RINGS:], dtype=float)
-    tail = np.maximum(tail, 1e-300)
-    k = np.arange(len(increments) - len(tail), len(increments), dtype=float)
-    slope = np.polyfit(k, np.log2(tail), 1)[0]
-    return float(-slope)
-
-
-def _verdict(increments, total):
-    tau = _fit_tau(increments)
-    if tau > _TAU_BAND:
-        status = CONVERGENT
-    elif tau < -_TAU_BAND:
-        status = DIVERGENT
-    else:
-        status = INCONCLUSIVE
-    return MembershipVerdict(status, tau, tuple(increments), total)
-
-
-def _verdicts(f, p, bands, arcs):
-    """Verdicts from the band increments of |f|^p, one per row of a stacked
-    f (a plain f gets its verdict alone).  A row that overflows is divergent
-    with the increments before that band; the other rows go on."""
-    incs, finite = [], []
-    for lo, hi in bands:
-        inc, ok = _band_increment(f, p, lo, hi, arcs)
-        incs.append(inc)
-        finite.append(ok)
-        if not np.any(np.logical_and.reduce(finite)):
-            break       # every row has overflowed
-    rows = np.array(incs).reshape(len(incs), -1)
-    n_ok = np.logical_and.accumulate(
-        np.array(finite).reshape(rows.shape), axis=0).sum(axis=0)
-    totals = np.cumsum(rows, axis=0)[-1]    # band by band, in order
-    verdicts = [_verdict(list(col), total) if n == len(bands) else
-                MembershipVerdict(DIVERGENT, float("-inf"), tuple(col[:n]),
-                                  float("inf"))
-                for col, n, total in zip(rows.T, n_ok, totals)]
-    return verdicts if np.ndim(inc) else verdicts[0]
 
 
 def _powered(f, p):
@@ -265,37 +173,29 @@ def _block_verdict(a, big):
     total = float(np.cumsum(blocks)[-1])
     if not math.isfinite(total):
         return MembershipVerdict(DIVERGENT, float("-inf"), (), float("inf"))
-    if blocks[-1] <= math.pi * (_ROUNDOFF * big) ** 2:
+    floor = math.pi * (_ROUNDOFF * big) ** 2
+    if blocks[-1] <= floor:
         return MembershipVerdict(CONVERGENT, float("inf"), tuple(blocks), total)
-    return _verdict(blocks, total)
+    tau = _fit_tau(blocks, floor)
+    if tau > _TAU_BAND:
+        status = CONVERGENT
+    elif tau < -_TAU_BAND:
+        status = DIVERGENT
+    else:
+        status = INCONCLUSIVE       # a nan tau, too
+    return MembershipVerdict(status, tau, tuple(blocks), total)
 
 
-def local_membership(s: Scenario, f, zeta) -> MembershipVerdict:
-    """Membership of f in the local Bergman space (exponent s.p) at a
-    boundary point zeta: ring integrals over the shrinking disk caps
-    |z - zeta| < 2^-k."""
-    zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-9:
-        raise EvaluationError("local membership requires |zeta| = 1")
-    rhos = [2.0 ** -k for k in range(1, _K_MAX + 1)]
-    theta0 = math.atan2(zeta.imag, zeta.real)
-    # geometric grading of the angular panels toward both arc endpoints,
-    # which lie on the unit circle
-    g = 2.0 ** -np.arange(1, 9)
-    frac = np.unique(np.concatenate([[0.0, 1.0], g, 1.0 - g]))
-
-    def arc(rho):
-        # |zeta + rho e^{i psi}| < 1  <=>  cos(psi - theta0) < -rho/2
-        a = math.acos(max(-1.0, min(1.0, -rho / 2.0)))
-        lo, hi = theta0 + a, theta0 + 2.0 * math.pi - a
-
-        def point(psi):
-            z = zeta + rho * np.exp(1j * psi)
-            return np.where(np.abs(z) >= 1.0, z * (1.0 - 1e-15) / np.abs(z), z)
-
-        return lo + (hi - lo) * frac[:-1], lo + (hi - lo) * frac[1:], point
-
-    return _verdicts(f, s.p, list(zip(rhos[1:], rhos[:-1])), arc)
+def _fit_tau(blocks, floor):
+    """Least-squares exponent in B_k ~ C 2^{-k tau} over those of the last
+    _FIT_RINGS blocks that lie above the round-off floor; nan when fewer than
+    three do (a lacunary f has round-off blocks between its terms)."""
+    k = np.arange(len(blocks) - _FIT_RINGS, len(blocks))
+    tail = np.asarray(blocks, dtype=float)[k]
+    above = tail > floor
+    if np.count_nonzero(above) < 3:
+        return float("nan")
+    return float(-np.polyfit(k[above], np.log2(tail[above]), 1)[0])
 
 
 # -- eigenfunctions ---------------------------------------------------------
@@ -313,16 +213,12 @@ def eigenfunction(s: Scenario, lam):
     return F
 
 
-def verification_grid(n=100, radius=0.9):
-    return quasi_random_grid(n, radius)
-
-
 def eigen_identity_residual(s: Scenario, lam, t):
     """Max deviation in the exact identity u_t (F_lam o phi_t) = e^{lam t} F_lam
-    over `verification_grid()`."""
+    over `quasi_random_grid(100, 0.9)`."""
     from .scenario import _weight_ratio, flow
     lam = complex(lam)
-    grid = verification_grid()
+    grid = quasi_random_grid(100, 0.9)
     F = eigenfunction(s, lam)
     zt = flow(s, t, grid)
     lhs = _weight_ratio(s, t, grid, zt) * F(zt)
@@ -335,6 +231,9 @@ def eigen_identity_residual(s: Scenario, lam, t):
 _GL_ORDER = 12           # Gauss-Legendre points per panel
 _GL_MAX_DEPTH = 48       # halvings of an interval before a panel must pass
 _GL_CHUNK = 128          # panels per integrand call: bounds the batch's memory
+# the rule is made on first use: leggauss calls LAPACK, whose first call costs
+# memory that a run with no quadrature (truncate, report) need not pay
+_gl_rule = functools.cache(lambda: leggauss(_GL_ORDER))
 
 
 def _adaptive_gl(func, a, b, tol):
@@ -348,7 +247,7 @@ def _adaptive_gl(func, a, b, tol):
     panels are summed left to right, as a depth-first recursion adds them, so
     its value does not depend on the other intervals.  A non-finite estimate,
     or a panel not accepted at depth _GL_MAX_DEPTH, raises OrbitIntegralError."""
-    xg, wg = _gl(_GL_ORDER)
+    xg, wg = _gl_rule()
 
     def estimate(lo, hi, i):
         half = 0.5 * (hi - lo)
@@ -549,13 +448,13 @@ def resolvent_apply(s: Scenario, lam, f, cert: ResolventCertificate, z):
 
 
 def residual_check(s: Scenario, lam, f, F):
-    """Max over `verification_grid(20, 0.85)` of |lam F - F'/h' - g F - f|,
+    """Max over `quasi_random_grid(20, 0.85)` of |lam F - F'/h' - g F - f|,
     with F' from the Cauchy integral on a small circle (F analytic,
     spectrally accurate).  F is called once, on the grid and every circle
     node together.  A non-finite residual anywhere makes the maximum NaN,
     which fails every tolerance."""
     lam = complex(lam)
-    grid = verification_grid(20, 0.85)
+    grid = quasi_random_grid(20, 0.85)
     radius, nodes = 0.02, 16
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     ring = grid[:, None] + radius * np.exp(1j * theta)

@@ -346,6 +346,15 @@ def _real(text, what):
 _ROLES = {"dw": DENJOY_WOLFF, "denjoy_wolff": DENJOY_WOLFF,
           "rep": REPELLING, "repelling": REPELLING}
 
+# the keys each model reads besides p and model; any other is a config error
+_MODEL_KEYS = {
+    "strip_flow": ("a", "c", "s", "d"),
+    "half_strip": ("c", "s", "d"),
+    "trident": ("c", "s", "d"),
+    "parametric": ("fp",),
+    "expression": ("h_expr", "v_expr", "fp", "petal_anchor"),
+}
+
 
 def _parse_fp(text, lineno):
     body = text.strip()
@@ -373,6 +382,7 @@ def parse_scenario(config_text: str) -> Scenario:
     values = {}
     fps = []
     anchors = []
+    first_line = {}
     for lineno, raw in enumerate(config_text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -385,13 +395,18 @@ def parse_scenario(config_text: str) -> Scenario:
         if key == "fp":
             fps.append(_parse_fp(value, lineno))
         elif key == "petal_anchor":
-            anchors.append(parse_complex(value))
+            anchor = parse_complex(value)
+            if not abs(anchor) < 1.0:
+                raise ConfigError(f"line {lineno}: petal_anchor {value!r} "
+                                  "must lie inside the unit disk")
+            anchors.append(anchor)
         elif key in ("p", "model", "a", "c", "s", "d", "h_expr", "v_expr"):
             if key in values:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             values[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        first_line.setdefault(key, lineno)
 
     if "p" not in values:
         raise ConfigError("missing required key 'p'")
@@ -399,12 +414,16 @@ def parse_scenario(config_text: str) -> Scenario:
         raise ConfigError("missing required key 'model'")
     p = _real(values["p"], "p")
     model = values["model"]
+    if model not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model {model!r}")
+    for key, lineno in first_line.items():
+        if key not in ("p", "model") + _MODEL_KEYS[model]:
+            raise ConfigError(f"line {lineno}: model {model} does not read "
+                              f"key {key!r}")
 
     def num(key, default=0.0):
         return _real(values[key], key) if key in values else default
 
-    if model in ("strip_flow", "half_strip", "trident"):
-        return make_builtin(model, p, a=num("a", 1.0), c=num("c"), s=num("s"), d=num("d"))
     if model == "parametric":
         if not fps:
             raise ConfigError("parametric model requires at least one fp line")
@@ -417,7 +436,7 @@ def parse_scenario(config_text: str) -> Scenario:
         h = ex.parse_expr(values["h_expr"])
         v = ex.parse_expr(values.get("v_expr", "1"))
         return make_expression(p, h, v, fps, petal_anchors=anchors)
-    raise ConfigError(f"unknown model {model!r}")
+    return make_builtin(model, p, a=num("a", 1.0), c=num("c"), s=num("s"), d=num("d"))
 
 
 # -- point evaluation -------------------------------------------------------
@@ -679,7 +698,7 @@ def beta_at(s: Scenario, fp: FixedPointDatum) -> complex:
 
 # -- helpers ----------------------------------------------------------------
 
-def quasi_random_grid(n, radius=0.95):
+def quasi_random_grid(n, radius):
     """Deterministic low-discrepancy point set in a centered disk."""
     i = np.arange(n)
     r = radius * np.sqrt((i + 0.5) / n)

@@ -16,8 +16,7 @@ from bergspec.cli import main as cli_main
 from bergspec.numerics import (ap_norm_rings, coboundary_growth_exponent,
                                eigen_identity_residual, eigenfunction,
                                nonsurjectivity_witness, orbit_integral_K,
-                               residual_check, resolvent_apply,
-                               verification_grid)
+                               residual_check, resolvent_apply)
 from bergspec.regions import (GammaProfile, gammas_from,
                               essential_spectrum, generator_point_spectrum,
                               generator_spectrum, operator_radius)
@@ -174,7 +173,7 @@ def test_criterion_06_resolvent_reproduction(criterion):
         cert = orbit_integral_K(s, 2.0, ONE, s.dw_point(), tol=1e-10)
         assert abs(cert.K - 0.5) < 1e-10
         F = lambda z: resolvent_apply(s, 2.0, ONE, cert, z)
-        pts = verification_grid(20, 0.85)
+        pts = quasi_random_grid(20, 0.85)
         assert max(abs(F(z) - 0.5) for z in pts) < 1e-8
         tw = make_builtin("trident", 2.0, d=0.5)
         anchor = max(tw.repelling_points(),

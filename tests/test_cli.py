@@ -285,6 +285,13 @@ NON_FINITE = {
 }
 
 
+def test_a_key_the_model_does_not_read_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("p = 2\nmodel = trident\na = 3\n")
+    assert main(["classify", "-c", str(cfg)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd, cfg, extra", NON_FINITE.values(),
                          ids=NON_FINITE.keys())
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, cmd, cfg, extra):

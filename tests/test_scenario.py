@@ -363,6 +363,26 @@ def test_parse_scenario_rejects_unknown_keys():
         parse_scenario("model = strip_flow\n")
 
 
+_STRIP_TWIN = ("p = 2\nmodel = expression\nh_expr = log((1+z)/(1-z))\n"
+               "fp = (1, 1.0, 0.0, dw)\nfp = (-1, -1.0, 0.0, rep)\n")
+
+
+@pytest.mark.parametrize("text, line, what", [
+    pytest.param("p = 2\nmodel = strip_flow\nfp = (1, 5, 0, dw)\n", 3, "'fp'",
+                 id="strip_flow-fp"),
+    pytest.param("p = 2\nmodel = trident\na = 3\n", 3, "'a'", id="trident-a"),
+    pytest.param("p = 2\nh_expr = z\nmodel = trident\n", 2, "'h_expr'",
+                 id="trident-h_expr"),
+    pytest.param(_STRIP_TWIN + "c = 0.4\n", 6, "'c'", id="expression-c"),
+    pytest.param(_STRIP_TWIN + "s = 0.7\n", 6, "'s'", id="expression-s"),
+    pytest.param(_STRIP_TWIN + "petal_anchor = 5\n", 6, "unit disk",
+                 id="petal_anchor-outside")])
+def test_parse_scenario_rejects_keys_the_model_ignores(text, line, what):
+    # each key would be read and then have no effect on the model
+    with pytest.raises(ConfigError, match=f"^line {line}: .*{what}"):
+        parse_scenario(text)
+
+
 def test_parse_scenario_parametric_and_expression():
     s = parse_scenario(
         "p = 2\nmodel = parametric\n"
