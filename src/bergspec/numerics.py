@@ -2,7 +2,7 @@
 
 Provides Bergman-norm membership verdicts, eigenfunction identity checks,
 orbit integrals and resolvent certificates, non-surjectivity witnesses, and
-coboundary growth-exponent fits.  All routines are deterministic for fixed
+coboundary growth exponents.  All routines are deterministic for fixed
 tolerances and grid sizes.
 
 Membership comes from Taylor coefficients on one circle (Hedenmalm,
@@ -28,8 +28,10 @@ from numpy.polynomial.legendre import leggauss
 from .errors import (EvaluationError, OrbitIntegralError, PetalExitError,
                      WindingError)
 from .regions import fixed_point_gamma
-from .scenario import (Scenario, _continuation_invert, eval_h, eval_h_prime,
-                       eval_hv_jets, eval_v, generator_g, quasi_random_grid)
+# eval_v has no caller here, but perfbench/tracing.py wraps it by this name
+from .scenario import (Scenario, _continuation_invert, beta_at, eval_h,
+                       eval_h_prime, eval_hv_jets, eval_v, generator_g,
+                       quasi_random_grid)
 
 __all__ = [
     "MembershipVerdict",
@@ -326,37 +328,37 @@ def _segment_integrals(s: Scenario, lam, f, z, tol):
 
 class _OrbitEvaluator:
     """Points phi_{sign*t}(base) for many t, warm-started from a sorted cache
-    so repeated nearby times cost only a short Newton continuation."""
+    so repeated nearby times cost only a short Newton continuation.  The
+    cache is one (times, points) pair, replaced whole, so a concurrent call
+    reads a consistent pair and at worst drops the other's new points."""
 
     def __init__(self, s: Scenario, base, sign):
         self.s = s
         self.sign = sign
-        self.base = complex(base)
         self.w0 = complex(eval_h(s, base))
         self.closed = s._closed_inverse is not None
-        self.ts = np.zeros(1)
-        self.zs = np.array([self.base])
-
-    def _check_domain(self, w):
-        if self.sign < 0 and not np.all(self.s.in_omega(w)):
-            raise PetalExitError("backward orbit leaves the image domain")
+        self.cache = (np.zeros(1), np.array([complex(base)]))
 
     def points(self, t_arr):
         t_arr = np.asarray(t_arr, dtype=float)
         w_t = self.w0 + self.sign * t_arr
-        self._check_domain(w_t)
+        if self.sign < 0 and not np.all(self.s.in_omega(w_t)):
+            raise PetalExitError("backward orbit leaves the image domain")
         if self.closed:
             return np.asarray(self.s._closed_inverse(w_t), dtype=complex)
         t = t_arr.ravel()
+        ts, zs = self.cache
         # each t starts from its nearest cached time, the earlier one on a tie
-        hi = np.minimum(np.searchsorted(self.ts, t), self.ts.size - 1)
+        hi = np.minimum(np.searchsorted(ts, t), ts.size - 1)
         lo = np.maximum(hi - 1, 0)
-        near = np.where(t - self.ts[lo] <= self.ts[hi] - t, lo, hi)
-        z = _continuation_invert(self.s, w_t.ravel(), self.zs[near],
-                                 self.w0 + self.sign * self.ts[near])
-        ts = np.concatenate([self.ts, t])
-        order = np.argsort(ts, kind="stable")
-        self.ts, self.zs = ts[order], np.concatenate([self.zs, z])[order]
+        near = np.where(t - ts[lo] <= ts[hi] - t, lo, hi)
+        z = _continuation_invert(self.s, w_t.ravel(), zs[near],
+                                 self.w0 + self.sign * ts[near])
+        # merge the new times in, each after the cached ones it equals, in
+        # the order a stable sort of (cache, new) would give
+        order = np.argsort(t, kind="stable")
+        at = np.searchsorted(ts, t[order], side="right")
+        self.cache = (np.insert(ts, at, t[order]), np.insert(zs, at, z[order]))
         return z.reshape(t_arr.shape)
 
 
@@ -391,7 +393,11 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, tol=1e-9,
             "tolerance failure: lambda within the tail margin of gamma",
             achieved=float("inf"))
 
-    ev = _OrbitEvaluator(s, base, sign_t)
+    # one evaluator per orbit and scenario: a later lambda on this anchor,
+    # or the witness, warm-starts from the points walked here
+    ev = s._orbits.get((base, sign_t))
+    if ev is None:
+        ev = s._orbits[base, sign_t] = _OrbitEvaluator(s, base, sign_t)
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
@@ -486,45 +492,7 @@ def nonsurjectivity_witness(s: Scenario, lam, f, tol=1e-9, step=0.5):
 # -- growth exponents -------------------------------------------------------
 
 def coboundary_growth_exponent(s: Scenario, fp):
-    """Least-squares slope of log|v| along the orbit toward fp: forward from
-    0.1 to the attracting point, backward from the petal anchor to a
-    repelling one.  Approximates Re beta at fp.  Samples where the orbit has
-    numerically collapsed onto the boundary are masked out."""
-    if fp.role == "denjoy_wolff":
-        ev = _OrbitEvaluator(s, 0.1 + 0.0j, 1.0)
-    else:
-        ev = _OrbitEvaluator(s, s.petal_anchor(fp), -1.0)
-    t_lo, t_hi = 5.0, 40.0
-    for _ in range(8):
-        ts = np.linspace(t_lo, t_hi, 36)
-        zs = np.empty(ts.shape, dtype=complex)
-        ok = np.zeros(ts.shape, dtype=bool)
-        collapse_t = None
-        for i, t in enumerate(ts):
-            try:
-                z = complex(ev.points(np.array([t]))[0])
-            except (PetalExitError, EvaluationError):
-                collapse_t = t
-                break
-            if abs(z) >= 1.0 - 1e-13:
-                collapse_t = t
-                break
-            zs[i] = z
-            ok[i] = True
-        if np.count_nonzero(ok) >= 10:
-            break
-        # orbit reached the boundary early; compress the sampling window
-        if collapse_t is None or collapse_t <= 0.5:
-            break
-        t_hi = 0.9 * collapse_t
-        t_lo = min(t_lo, t_hi / 8.0)
-    if np.count_nonzero(ok) < 10:
-        raise EvaluationError("orbit collapsed onto the boundary before "
-                              "enough growth samples were collected")
-    with np.errstate(divide="ignore", over="ignore"):
-        logv = np.log(np.abs(eval_v(s, zs[ok])))
-    good = np.isfinite(logv)
-    x = (ev.sign * ts[ok])[good]
-    if len(x) < 10:
-        raise EvaluationError("weight evaluation failed along the orbit")
-    return float(np.polyfit(x, logv[good], 1)[0])
+    """Re beta at fp, read off the radius by `beta_at`.  Along an orbit that
+    meets fp nontangentially d/dt log v(phi_t) = g = v'/(v h'), so this is
+    the limit of the orbit's log|v| slope, found without walking it."""
+    return beta_at(s, fp).real

@@ -13,8 +13,8 @@ steps in u = -i log z, where the unit circle is the flat line Im u = 0, so
 orbits near the circle stay inside without halving; within |z| <= 1/2, where
 u is singular, it steps in z.  Everything is
 immutable after construction and safe to evaluate concurrently; the only
-state filled in later is the cache of compiled evaluation tapes, where a
-race merely compiles a tape twice.
+state filled in later is the caches of compiled evaluation tapes and of
+orbit points, where a race merely compiles a tape twice or drops points.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ class Scenario:
         self._h = h
         self._v = v
         self._tapes = {}   # (h order, v order) -> joint Tape, compiled on first use
+        self._orbits = {}  # (base, sign) -> numerics._OrbitEvaluator, its cache
         self.fixed_points = tuple(fixed_points)
         self.weights = tuple(float(x) for x in weights)
         self._closed_inverse = closed_inverse
@@ -296,6 +297,8 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
 
     else:
         raise ConfigError(f"unknown built-in model {name!r}")
+    if a != 1.0 and name != "strip_flow":
+        raise ConfigError(f"model {name} does not read parameter a")
     anchors = [inverse(complex(-8.0, m)) for m in midlines]
     return Scenario(p, name, h=h, v=v, fixed_points=fps, weights=(c, s, d),
                     closed_inverse=inverse, in_omega=inside,
@@ -652,10 +655,6 @@ def richardson(values):
 _RADII_K = range(4, 15)
 
 
-def _radial_extrapolate(samples):
-    return richardson(samples[-4:])
-
-
 def alpha_at(s: Scenario, fp: FixedPointDatum) -> float:
     """Flow exponent at a declared fixed point, computed two ways; both must
     agree with each other and with fp.alpha to within 1e-4."""
@@ -670,8 +669,8 @@ def alpha_at(s: Scenario, fp: FixedPointDatum) -> float:
         quot.append(-np.log((zeta - phi1) / (zeta - z)))
         hj = s._h.jet(z, 2)
         gprime.append(hj.d2 / hj.d1 ** 2)  # -G'(z) for G = 1/h'
-    a_quot = _radial_extrapolate(quot).real
-    a_gp = _radial_extrapolate(gprime).real
+    a_quot = richardson(quot[-4:]).real
+    a_gp = richardson(gprime[-4:]).real
     if abs(a_quot - a_gp) > 1e-4 or abs(a_quot - fp.alpha) > 1e-4:
         raise ModelInconsistencyError(
             f"alpha mismatch at {zeta}: quotient {a_quot:.6g}, "
@@ -684,11 +683,10 @@ def beta_at(s: Scenario, fp: FixedPointDatum) -> complex:
     weight generator; returns complex(-inf, 0) for the degenerate case."""
     s._require_evaluable()
     zeta = complex(fp.zeta)
-    samples = [generator_g(s, (1.0 - 2.0 ** -k) * zeta) for k in _RADII_K]
-    reals = np.array([x.real for x in samples])
-    if reals[-1] < -1e3 and np.all(np.diff(reals[-4:]) < 0):
+    samples = generator_g(s, (1.0 - 2.0 ** -np.array(_RADII_K)) * zeta)
+    if samples[-1].real < -1e3 and np.all(np.diff(samples[-4:].real) < 0):
         return complex(float("-inf"), 0.0)
-    est_full = _radial_extrapolate(samples)
+    est_full = richardson(samples[-4:])
     est_prev = richardson(samples[-5:-1])
     if abs(est_full - est_prev) > 1e-3 * (1.0 + abs(est_full)):
         raise EvaluationError("no boundary limit for the weight generator "

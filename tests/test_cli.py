@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bergspec import errors, regions, truncation
+from bergspec import errors, numerics, regions, truncation
 from bergspec.cli import main
 from bergspec.regions import gammas_from
 from bergspec.scenario import parse_scenario
@@ -17,6 +17,9 @@ STRIP_WEIGHTED_CFG = "p = 2\nmodel = strip_flow\nc = 0.4\ns = 0.7\n"
 TRIDENT_CFG = "p = 2\nmodel = trident\nd = 0.5\n"
 PARAM_CFG = ("p = 2\nmodel = parametric\n"
              "fp = (1, 1.0, 0.0, dw)\nfp = (-1, -1.0, 0.0, rep)\n")
+# the unweighted strip as an expression model, with no petal_anchor line
+STRIP_TWIN_CFG = ("p = 2\nmodel = expression\nh_expr = log((1+z)/(1-z))\n"
+                  "fp = (1, 1.0, 0.0, dw)\nfp = (-1, -1.0, 0.0, rep)\n")
 
 
 @pytest.fixture
@@ -383,3 +386,75 @@ def test_verify_sees_divergence_at_non_fixed_contact_points(tmp_path, cfg_text,
                  "--json", str(out)]) == 1
     (check,) = _membership(out)
     assert check["verdict"] == "divergent" and check["status"] == "fail"
+
+
+def _growth(path):
+    return {(g["zeta"]["re"], g["zeta"]["im"]): g
+            for g in json.loads(path.read_text())["growth_exponents"]}
+
+
+def test_growth_check_needs_no_petal_anchor(tmp_path):
+    # the backward orbit to z = -1 needed a petal anchor; the radial readout
+    # does not, so that entry is checked, not left as an error
+    cfg = tmp_path / "twin.cfg"
+    cfg.write_text(STRIP_TWIN_CFG)
+    out = tmp_path / "v.json"
+    assert main(["verify", "-c", str(cfg), "--lambda", "0.5",
+                 "--json", str(out)]) == 0
+    growth = _growth(out)
+    assert [g["status"] for g in growth.values()] == ["pass", "pass"]
+    assert abs(growth[-1.0, 0.0]["slope"]) < 1e-9
+    assert "direction" not in growth[-1.0, 0.0]
+
+
+def test_a_wrong_declared_beta_fails_verify(tmp_path):
+    # beta at z = -1 declared 0.2 above the model's 0: only that entry
+    # fails.  The petal anchor h^-1(-8) lets an orbit slope see it, too
+    cfg = tmp_path / "twin.cfg"
+    cfg.write_text(STRIP_TWIN_CFG.replace("-1.0, 0.0, rep", "-1.0, 0.2, rep")
+                   + "petal_anchor = -0.999329299739067\n")
+    out = tmp_path / "v.json"
+    assert main(["verify", "-c", str(cfg), "--lambda", "2",
+                 "--json", str(out)]) == 1
+    growth = _growth(out)
+    assert growth[-1.0, 0.0]["status"] == "fail"
+    assert growth[1.0, 0.0]["status"] == "pass"
+    checks = json.loads(out.read_text())["results"][0]["checks"]
+    assert all(c["status"] != "fail" for c in checks)
+
+
+def test_a_growth_exponent_that_cannot_be_read_is_skipped(tmp_path, strip_cfg,
+                                                          monkeypatch):
+    def unreadable(s, fp):
+        raise errors.EvaluationError("no boundary limit")
+    monkeypatch.setattr(numerics, "coboundary_growth_exponent", unreadable)
+    out = tmp_path / "v.json"
+    assert main(["verify", "-c", str(strip_cfg), "--lambda", "0.5",
+                 "--json", str(out)]) == 0
+    for g in _growth(out).values():
+        assert g == {"zeta": g["zeta"], "status": "skipped",
+                     "reason": "no boundary limit"}
+
+
+def test_repeated_options_add_their_values(tmp_path, strip_cfg):
+    # each repeat of --lambda or --t adds its values, and no --t means 1.0
+    def run(*argv):
+        out = tmp_path / "o.json"
+        assert main([*argv, "-c", str(strip_cfg), "--json", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    report = run("verify", "--lambda", "0.5", "--lambda", "2.0", "--t", "0.5",
+                 "--t", "2")
+    assert [r["lambda"]["re"] for r in report["results"]] == [0.5, 2.0]
+    assert [c["check"] for c in report["results"][0]["checks"]
+            if c["check"].startswith("eigen_identity")] == [
+        "eigen_identity_t_0.5", "eigen_identity_t_2"]
+    report = run("classify", "--t", "0.5", "--t", "2", "3")
+    assert [o["t"] for o in report["operator"]] == [0.5, 2.0, 3.0]
+    assert [o["t"] for o in run("classify")["operator"]] == [1.0]
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"{strip_cfg}\n")
+    assert main(["report", "--suite", str(suite), "--out", str(tmp_path / "r"),
+                 "--t", "0.5", "--t", "2"]) == 0
+    report = json.loads((tmp_path / "r" / "strip.classify.json").read_text())
+    assert [o["t"] for o in report["operator"]] == [0.5, 2.0]

@@ -1,12 +1,14 @@
 """Taylor-block membership, orbit-integral resolvents, growth exponents."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from bergspec import numerics
+from bergspec import numerics, scenario
 from bergspec.errors import OrbitIntegralError, WindingError
 from bergspec.numerics import (MembershipVerdict, ap_norm_rings,
                                coboundary_growth_exponent,
@@ -14,7 +16,8 @@ from bergspec.numerics import (MembershipVerdict, ap_norm_rings,
                                nonsurjectivity_witness, orbit_integral_K,
                                residual_check, resolvent_apply)
 from bergspec.regions import fixed_point_gamma, gammas_from
-from bergspec.scenario import eval_h, make_builtin, quasi_random_grid
+from bergspec.scenario import (eval_h, make_builtin, parse_scenario,
+                               quasi_random_grid)
 
 ONE = lambda z: np.ones_like(np.asarray(z, dtype=complex))
 
@@ -358,6 +361,104 @@ def test_growth_exponent_at_every_fixed_point(name, weights):
     for fp in s.fixed_points:
         slope = coboundary_growth_exponent(s, fp)
         assert abs(slope - fp.beta_re) < 0.05 * max(abs(fp.beta_re), 0.4), fp
+
+
+# expression twins of the built-ins, written as the newton benchmark writes
+# them: the same h, v and declared data, inverted by Newton continuation
+_TWINS = {
+    "strip_flow": ("log(1+z) - log(1-z)", "2/(1-z^2)", "1+z",
+                   lambda c, s, d: [("1", 1, c - s, "dw"),
+                                    ("-1", -1, c + s + d, "rep")]),
+    "trident": ("0.5*log(1+z^2) - log(1+z)", "z/(1+z^2) - 1/(1+z)", "z - i",
+                lambda c, s, d: [("-1", 1, c - s, "dw"),
+                                 ("i", -2, c + 2 * (s + d), "rep"),
+                                 ("-i", -2, c + 2 * s, "rep")]),
+}
+
+
+def _twin(model, c, s, d):
+    h, hprime, d_factor, fps = _TWINS[model]
+    lines = ["p = 2", "model = expression", f"h_expr = {h}",
+             f"v_expr = exp({c}*({h})) * pow({hprime}, -{s})"
+             f" * pow({d_factor}, {d})"]
+    lines += [f"fp = ({z}, {a}, {b}, {role})" for z, a, b, role in fps(c, s, d)]
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("model, c, s, d", [
+    pytest.param("strip_flow", 0.4, 0.7, 0.15, id="strip_flow"),
+    pytest.param("trident", 0.0, 0.1, 0.5, id="trident")])
+def test_growth_exponent_of_a_twin_needs_no_orbit(monkeypatch, model, c, s, d):
+    # the radial readout meets each declared beta far inside the 5% bound,
+    # and walks no orbit: no Newton continuation runs
+    tw = _twin(model, c, s, d)
+    calls = (_counting(monkeypatch, scenario, "_continuation_invert")
+             + _counting(monkeypatch, numerics, "_continuation_invert"))
+    for fp in tw.fixed_points:
+        assert abs(coboundary_growth_exponent(tw, fp) - fp.beta_re) < 1e-6, fp
+    assert not calls
+
+
+def test_a_second_orbit_integral_reuses_the_orbit(monkeypatch):
+    tw = _twin("strip_flow", 0.4, 0.7, 0.15)
+    first = orbit_integral_K(tw, 2.0, ONE, tw.dw_point()).K
+    steps = _counting(monkeypatch, scenario, "_newton_step_batch")
+    again = orbit_integral_K(tw, 2.0, ONE, tw.dw_point()).K
+    assert 0 < len(steps) <= 10
+    assert abs(again - first) <= 1e-14 * abs(first)
+
+
+def test_orbit_cache_merges_as_a_stable_sort():
+    # new times go in after the cached ones they equal, so every warm start
+    # is the one the sorted (cache, new) pair gave
+    tw = _twin("strip_flow", 0.4, 0.7, 0.15)
+    ev = numerics._OrbitEvaluator(tw, 0.0, 1.0)
+    ts, zs = [np.zeros(1)], [np.zeros(1, dtype=complex)]
+    for t in (np.array([3.0, 1.0, 2.0, 1.0]), np.array([[2.0, 0.5], [1.0, 3.0]]),
+              np.linspace(0.0, 4.0, 9)):
+        zs.append(ev.points(t).ravel())
+        ts.append(t.ravel())
+        order = np.argsort(np.concatenate(ts), kind="stable")
+        assert np.array_equal(ev.cache[0], np.concatenate(ts)[order])
+        assert np.array_equal(ev.cache[1], np.concatenate(zs)[order])
+
+
+def test_orbit_cache_shared_by_threads():
+    # a lost update to the shared cache only loses warm starts: every K
+    # matches its serial value and the cache stays a sorted, paired array
+    lams = [1.6, 1.8, 2.0, 2.2, 2.4, 2.6]
+    tw = _twin("strip_flow", 0.4, 0.7, 0.15)
+    serial = [orbit_integral_K(tw, lam, ONE, tw.dw_point()).K for lam in lams]
+    tw = _twin("strip_flow", 0.4, 0.7, 0.15)
+    got = {}
+
+    def run(lam):
+        got[lam] = orbit_integral_K(tw, lam, ONE, tw.dw_point()).K
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(lam,)) for lam in lams]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for lam, K in zip(lams, serial):
+        assert abs(got[lam] - K) <= 1e-12 * abs(K), lam
+    (ev,) = tw._orbits.values()
+    ts, zs = ev.cache
+    assert ts.size == zs.size and np.all(np.diff(ts) >= 0)
 
 
 # -- Bergman growth bound ---------------------------------------------------

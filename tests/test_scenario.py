@@ -383,6 +383,14 @@ def test_parse_scenario_rejects_keys_the_model_ignores(text, line, what):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("name", ["half_strip", "trident"])
+def test_make_builtin_rejects_a_the_model_ignores(name):
+    with pytest.raises(ConfigError, match=f"model {name} does not read"):
+        make_builtin(name, 2.0, a=3.0)
+    assert make_builtin(name, 2.0, a=1.0).kind == name
+    assert make_builtin("strip_flow", 2.0, a=3.0).params == {"a": 3.0}
+
+
 def test_parse_scenario_parametric_and_expression():
     s = parse_scenario(
         "p = 2\nmodel = parametric\n"
