@@ -18,6 +18,8 @@ appears once, at the highest order any of its readers wants; a lower-order
 reader takes a truncated copy, which is bitwise the lower-order
 computation.  Evaluating at a point is one straight loop over the schedule,
 so a shared subtree is computed once per point however many roots read it.
+Each intermediate slot is freed after its last reader, from a liveness list
+made at compile time, so a call holds only the live intermediates.
 Constants are scalar jets, broadcast to the shape of the points only in the
 returned slots.
 """
@@ -248,9 +250,10 @@ class Tape:
     Every node appears once, at the highest order any reader wants; a reader
     that wants fewer orders takes a truncated copy, whose slots are bitwise
     those of the lower-order computation.  Constants are fixed jets built at
-    compile time.  A call runs one straight loop over the schedule and
-    returns one jet per root at the order asked for, every slot shaped like
-    z.
+    compile time.  A call runs one straight loop over the schedule, freeing
+    each computed slot that is not returned after the op that reads it last,
+    and returns one jet per root at the order asked for, every slot shaped
+    like z.
     """
 
     def __init__(self, exprs, orders):
@@ -276,7 +279,9 @@ class Tape:
                 need[pos[id(c)]] = max(need[pos[id(c)]], need[i])
 
         self._static = [None]   # slot 0: the variable; fixed jets elsewhere
-        self._ops = []          # (output slot, step, input slot, second input or None)
+        # (output slot, step, input slot, second input or None), and below
+        # the slots freed after the op
+        self._ops = []
         self._var_order = need[pos[id(_Z)]] if id(_Z) in pos else 0
         slot = {}               # (node index, order) -> slot
 
@@ -306,12 +311,26 @@ class Tape:
                 slot[i, need[i]] = s
         self._out = [read(pos[id(r)], k) for r, k in zip(roots, orders)]
 
+        # liveness: a computed slot that is not returned is freed after the
+        # op that reads it last (or writes it, if none reads it), so a call
+        # holds only the live intermediates
+        last = {0: 0} if self._ops else {}
+        for j, (out, _, a, b) in enumerate(self._ops):
+            last.update({out: j, a: j, b: j})
+        dead = [[] for _ in self._ops]
+        for s, j in last.items():
+            if s is not None and self._static[s] is None and s not in self._out:
+                dead[j].append(s)
+        self._ops = [op + (tuple(d),) for op, d in zip(self._ops, dead)]
+
     def __call__(self, z):
         z = np.asarray(z, dtype=complex) if isinstance(z, (np.ndarray, list)) else complex(z)
         vals = self._static.copy()
         vals[0] = Jet.variable(z, self._var_order)
-        for out, step, a, b in self._ops:
+        for out, step, a, b, dead in self._ops:
             vals[out] = step(vals[a]) if b is None else step(vals[a], vals[b])
+            for s in dead:
+                vals[s] = None
         jets = [vals[i] for i in self._out]
         if isinstance(z, np.ndarray):
             shape = z.shape

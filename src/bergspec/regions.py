@@ -140,10 +140,12 @@ def _normalize_component(c: Component):
         r1, r2 = pr
         if r2 < r1:
             return None
+        # the circle or disk it reduces to is normalized in turn, so a
+        # second pass changes nothing
         if r1 == r2:
-            return Component("circle", (r1,), c.certainty)
+            return _normalize_component(Component("circle", (r1,), c.certainty))
         if r1 <= 0.0:
-            return Component("disk", (r2,), c.certainty)
+            return _normalize_component(Component("disk", (r2,), c.certainty))
     if k == "open_annulus_interior":
         r1, r2 = pr
         if r2 <= r1:

@@ -105,3 +105,25 @@ def test_constant_trees_take_the_shape_of_z(e):
         j = e.jet(SCALARS[0], k)
         for i in range(k + 1):
             assert np.ndim(getattr(j, SLOTS[i])) == 0
+
+
+@pytest.mark.parametrize("kh,kv", [(kh, kv) for kh in range(TOP + 1)
+                                   for kv in range(TOP + 1)])
+def test_tape_frees_each_dead_slot_once_after_its_last_reader(kh, kv):
+    # the trident's h and v share its logs; freeing the slots no later op
+    # reads leaves the jets bitwise those of each root evaluated on its own
+    s = BUILTINS["trident"]
+    tape = Tape((s._h, s._v), (kh, kv))
+    for z in [POINTS, SCALARS[0]]:
+        for j, ref, k in zip(tape(z), (s._h.jet(z, kh), s._v.jet(z, kv)),
+                             (kh, kv)):
+            for slot in SLOTS[:k + 1]:
+                assert _same(getattr(j, slot), getattr(ref, slot)), (k, slot)
+    computed = {0} | {op[0] for op in tape._ops}
+    last_read = {}
+    for i, (_, _, a, b, _) in enumerate(tape._ops):
+        last_read.update({a: i, b: i})
+    freed = [(x, i) for i, op in enumerate(tape._ops) for x in op[4]]
+    assert sorted(x for x, _ in freed) == sorted(computed - set(tape._out))
+    for x, i in freed:
+        assert i >= last_read.get(x, i), (x, i)

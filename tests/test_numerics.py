@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -63,6 +64,77 @@ def test_stacked_rows_match_single_lambda_calls(model, request):
     assert stacked[1] == MembershipVerdict("divergent", float("-inf"), (),
                                            float("inf"))
     assert [len(v.ring_integrals) for v in stacked[::2]] == [14, 14]
+
+
+@pytest.mark.parametrize("p, calls", [(2.0, 16), (3.0, 32)])
+def test_the_circle_is_read_in_sixteen_parts(p, calls):
+    # one f call per sub-circle, two passes when the phase is unwrapped
+    s = make_builtin("strip_flow", p)
+    sizes = []
+
+    def f(z):
+        sizes.append(z.size)
+        return (1 - z) ** -0.6
+
+    ap_norm_rings(s, f)
+    assert sizes == [4096] * calls
+
+
+def _one_fft_blocks(f, p):
+    # blocks from one FFT over all n samples of f^{p/2}, the principal power
+    # (f must lie off the negative axis when p != 2), with their round-off
+    # floors
+    n, J = numerics._SAMPLES, numerics._TAYLOR_J
+    z = math.exp(-1.0 / J) * np.exp(2j * np.pi * np.arange(n) / n)
+    g = np.atleast_2d(f(z))
+    if p != 2.0:
+        g = g ** (p / 2)
+    a = np.fft.fft(g, axis=-1)[:, :2 * J] * np.exp(np.arange(2 * J) / J) / n
+    w = np.abs(a) ** 2 / np.arange(1, 2 * J + 1)
+    edges = [0] + [2 ** k for k in range(J.bit_length() + 1)]
+    blocks = math.pi * np.stack([w[:, lo:hi].sum(axis=1)
+                                 for lo, hi in zip(edges, edges[1:])], axis=1)
+    floor = math.pi * (numerics._ROUNDOFF * np.max(np.abs(g), axis=1)) ** 2
+    return blocks, floor
+
+
+@pytest.mark.parametrize("p, lams", [
+    pytest.param(2.0, None, id="power-p2"),
+    pytest.param(3.0, None, id="power-p3"),
+    pytest.param(2.0, [0.5, 2.0, -1.5], id="stacked-eigenfunction")])
+def test_blocks_match_one_fft_over_the_whole_circle(strip_weighted, p, lams):
+    # the sub-circle assembly is the n-point DFT: each block agrees with the
+    # one-FFT reference to 1e-12 relative, plus round-off.  A coefficient
+    # carries round-off of about eps max|f^{p/2}|, 1e-3 of the floor's
+    # 1e-13 max|f^{p/2}|, which moves a block B by about 2e-3 sqrt(B floor);
+    # the allowance is five times that
+    if lams is None:
+        s, f = make_builtin("strip_flow", p), lambda z: (1 - z) ** -0.6
+    else:
+        s, f = strip_weighted, eigenfunction(strip_weighted, lams)
+    got = ap_norm_rings(s, f)
+    got = got if isinstance(got, list) else [got]
+    ref, floor = _one_fft_blocks(f, p)
+    assert len(got) == len(ref)
+    for v, r, fl in zip(got, ref, floor):
+        b = np.array(v.ring_integrals)
+        assert np.all(np.abs(b - r) <= 1e-12 * r + 1e-2 * np.sqrt(r * fl))
+
+
+def test_a_three_row_call_stays_within_its_memory(strip_weighted):
+    # measured 0.92 MB with numpy 2.4.6: the 2J coefficients of each row
+    # (0.39 MB) and one 4,096-point f call; the bound is that plus 20%.
+    # Keeping the tape's dead slots read 1.38 MB, an F that is not computed
+    # in place 1.18 MB, and 8 sub-circles of 8,192 points 1.45 MB
+    F = eigenfunction(strip_weighted, [0.5, 2.0, -1.5])
+    ap_norm_rings(strip_weighted, F)      # compiles the tape
+    tracemalloc.start()
+    try:
+        ap_norm_rings(strip_weighted, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1e6
 
 
 def _exact_blocks(b):
@@ -405,6 +477,21 @@ def test_growth_exponent_of_a_twin_needs_no_orbit(monkeypatch, model, c, s, d):
     for fp in tw.fixed_points:
         assert abs(coboundary_growth_exponent(tw, fp) - fp.beta_re) < 1e-6, fp
     assert not calls
+
+
+def test_alpha_flows_every_radius_in_one_call(monkeypatch):
+    # one continuation per fixed point, where a flow per radius made 33, and
+    # bitwise the quotient limit of flowing each radius on its own
+    tw = _twin("trident", 0.0, 0.1, 0.5)
+    calls = _counting(monkeypatch, scenario, "_continuation_invert")
+    got = [scenario.alpha_at(tw, fp) for fp in tw.fixed_points]
+    assert len(calls) == 3
+    for fp, alpha in zip(tw.fixed_points, got):
+        zeta = complex(fp.zeta)
+        quot = [-np.log((zeta - scenario.flow(tw, 1.0, z)) / (zeta - z))
+                for z in ((1.0 - 2.0 ** -k) * zeta for k in scenario._RADII_K)]
+        assert alpha == scenario.richardson(quot[-4:]).real
+        assert abs(alpha - fp.alpha) < 1e-4
 
 
 def test_a_second_orbit_integral_reuses_the_orbit(monkeypatch):
