@@ -15,6 +15,7 @@ ranked 0 < 3 < 1 < 4.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -377,7 +378,10 @@ def _viewport(text):
     return Viewport(*box)
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser as it found it,
+    # and every default is immutable ("--t" gets its list in main)
     ap = argparse.ArgumentParser(
         prog="bergspec",
         description="Spectral regions and numerical cross-checks for "

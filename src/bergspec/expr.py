@@ -12,20 +12,24 @@ arithmetic as log|f| + i·atan2(Im f, Re f), and pow(f, w) as exp(w·log f).
 
 Expressions are DAGs: the built-in weights reuse the logs inside the
 conformal map's own tree.  There is no derivative node; a caller that needs
-h' reads it from the jet of h.  A `Tape` compiles the DAG
-under one or more roots into a flat post-order schedule in which each node
-appears once, at the highest order any of its readers wants; a lower-order
-reader takes a truncated copy, which is bitwise the lower-order
-computation.  Evaluating at a point is one straight loop over the schedule,
-so a shared subtree is computed once per point however many roots read it.
-Each intermediate slot is freed after its last reader, from a liveness list
-made at compile time, so a call holds only the live intermediates.
-Constants are scalar jets, broadcast to the shape of the points only in the
-returned slots.
+h' reads it from the jet of h.  `log_of(e)` folds log e at compile time
+(exp(x) -> x, pow(f, w) -> log(f)*w, products and quotients -> sums and
+differences), so a weight's logarithm reuses the logs already in its tree.
+A `Tape` compiles the DAG under one or more roots into a flat post-order
+schedule in which each node, and each set of structurally equal nodes (as
+an expression model's v_expr repeats the logs of its h_expr), appears once,
+at the highest order any of its readers wants; a lower-order reader takes a
+truncated copy, which is bitwise the lower-order computation.  Evaluating
+at a point is one straight loop over the schedule, so a shared subtree is
+computed once per point however many roots read it.  Each intermediate
+slot is freed after its last reader, from a liveness list made at compile
+time, so a call holds only the live intermediates.  Constants are scalar
+jets, broadcast to the shape of the points only in the returned slots.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import operator
 
@@ -33,7 +37,8 @@ import numpy as np
 
 from .errors import EvaluationError, ExprSyntaxError
 
-__all__ = ["Jet", "Tape", "AnalyticExpr", "parse_expr", "const", "var", "apply_fn"]
+__all__ = ["Jet", "Tape", "AnalyticExpr", "parse_expr", "const", "var", "apply_fn",
+           "log_of"]
 
 
 class Jet:
@@ -76,10 +81,19 @@ class Jet:
                    -self.d2 if n > 1 else None, n)
 
     def __sub__(self, o):
-        return self + (-o if isinstance(o, Jet) else Jet(-o))
+        # IEEE defines a - b as a + (-b), signed zeros included, so this is
+        # bitwise the sum with a negated operand, without the negation pass
+        if not isinstance(o, Jet):
+            return Jet(self.f - o, self.d1, self.d2, self.order)
+        n = min(self.order, o.order)
+        return Jet(self.f - o.f,
+                   self.d1 - o.d1 if n > 0 else None,
+                   self.d2 - o.d2 if n > 1 else None, n)
 
     def __rsub__(self, o):
-        return (-self) + o
+        n = self.order
+        return Jet(o - self.f, -self.d1 if n > 0 else None,
+                   -self.d2 if n > 1 else None, n)
 
     def __mul__(self, o):
         if not isinstance(o, Jet):
@@ -237,6 +251,17 @@ class _Fn(_Node):
         return f"{self.name}({', '.join(map(repr, self.children))})"
 
 
+def _structure(node, children):
+    """What a node computes, given the indices of its (already merged)
+    children: nodes with equal keys give bitwise equal jets, so a tape
+    computes them once.  Constants compare by repr, which tells -0.0 from
+    0.0."""
+    if isinstance(node, _Const):
+        return _Const, repr(node.value)
+    return (type(node), getattr(node, "op", None), getattr(node, "name", None),
+            getattr(node, "n", None), children)
+
+
 def _fill(x, shape):
     """Slot x with the shape of the evaluation points."""
     if x is None or getattr(x, "shape", None) == shape:
@@ -247,7 +272,9 @@ def _fill(x, shape):
 class Tape:
     """Flat post-order schedule of the expression DAG under some roots.
 
-    Every node appears once, at the highest order any reader wants; a reader
+    Every node appears once, and so do nodes that compute the same thing
+    (same class, op, name or exponent, equal constants and merged
+    children), at the highest order any reader wants; a reader
     that wants fewer orders takes a truncated copy, whose slots are bitwise
     those of the lower-order computation.  Constants are fixed jets built at
     compile time.  A call runs one straight loop over the schedule, freeing
@@ -261,13 +288,17 @@ class Tape:
             raise ValueError("jets carry derivatives up to order 2")
         roots = [e._root for e in exprs]
         post, pos = [], {}   # nodes in post-order; id -> index while compiling
+        first = {}           # structural key -> index of its first node
 
         def visit(node):
             if id(node) not in pos:
                 for c in node.children:
                     visit(c)
-                pos[id(node)] = len(post)
-                post.append(node)
+                key = _structure(node, tuple(pos[id(c)] for c in node.children))
+                if key not in first:
+                    first[key] = len(post)
+                    post.append(node)
+                pos[id(node)] = first[key]
 
         for r in roots:
             visit(r)
@@ -391,6 +422,31 @@ def apply_fn(name, *args) -> AnalyticExpr:
     if name == "ipow":
         return AnalyticExpr(_IPow(_wrap(args[0]), int(args[1])))
     return AnalyticExpr(_Fn(name, [_wrap(a) for a in args]))
+
+
+def log_of(e: AnalyticExpr) -> AnalyticExpr:
+    """An expression l with exp(l) = e at every point, folded at compile
+    time: exp(x) -> x, pow(f, w) -> log(f)*w (the product that pow
+    exponentiates), a*b -> l(a) + l(b), a/b -> l(a) - l(b), a constant c ->
+    log c, and any other node -> log(node).  So a weight built of exp and
+    pow factors costs no exp, and its logs are those already in the tree.
+    l is a logarithm on no fixed branch: it may jump by 2 pi i, so read it
+    only through exp(... +- l) or l' = e'/e, which do not see the branch."""
+    return AnalyticExpr(_log_node(e._root))
+
+
+def _log_node(node):
+    if isinstance(node, _Fn) and node.name == "exp":
+        return node.children[0]
+    if isinstance(node, _Fn) and node.name == "pow":
+        base, w = node.children
+        return _Bin("*", _Fn("log", [base]), w)
+    if isinstance(node, _Bin) and node.op in "*/":
+        a, b = (_log_node(c) for c in node.children)
+        return _Bin("+" if node.op == "*" else "-", a, b)
+    if isinstance(node, _Const) and node.value:
+        return _Const(cmath.log(node.value))
+    return _Fn("log", [node])
 
 
 def _add_ops():

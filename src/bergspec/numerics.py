@@ -11,9 +11,16 @@ Comput. Math. 11, 2011), so a divergence at any boundary point shows, fixed
 or not, and tau can exceed 1 where the ring quadrature it replaces, whose
 increments were at least their bands' area, could not.
 
-The work is batched: `eigenfunction(s, lams)` evaluates h and v once for
+The work is batched: `eigenfunction(s, lams)` evaluates h and l once for
 every lambda and `ap_norm_rings` gives each row its verdict; one adaptive
 Gauss-Legendre routine refines every segment and orbit panel together.
+
+The weight v enters only through ratios and exponentials, so it is read
+as its folded logarithm l = log v (`expr.log_of`, on no fixed branch): the
+eigenfunction is exp(lam h - l), the one-form exp(l - lam h) h' f, the orbit
+integrand exp(lam_t t + l) f (v f where the orbit lands on a zero of v),
+and g = l'/h'.  Each point costs one exp, and for a built-in l reuses the
+logs inside h.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .errors import (EvaluationError, OrbitIntegralError, PetalExitError,
 from .regions import fixed_point_gamma
 # eval_v has no caller here, but perfbench/tracing.py wraps it by this name
 from .scenario import (Scenario, _continuation_invert, beta_at, eval_h,
-                       eval_h_prime, eval_hv_jets, eval_v, generator_g,
+                       eval_h_prime, eval_hl_jets, eval_v, generator_g,
                        quasi_random_grid)
 
 __all__ = [
@@ -146,6 +153,8 @@ def ap_norm_rings(s: Scenario, f):
     raises WindingError."""
     n, S, two_j = _SAMPLES, _SUBCIRCLES, 2 * _TAYLOR_J
     m, top = n // S, 0.0
+    phase_u = -128j * np.pi * np.arange(m // 64)   # twiddle phases, below
+    phase_v = -2j * np.pi * np.arange(64)
     with np.errstate(all="ignore"):
         for r, g in _powered(f, s.p):
             top = np.maximum(top, np.max(np.abs(g), axis=-1))
@@ -159,9 +168,8 @@ def ap_norm_rings(s: Scenario, f):
             del g
             # w_n^{-l r} for l = 64 u + v as w_n^{-64 u r} w_n^{-v r}: m / 64
             # + 64 exps instead of m, within 1e-15 of the direct ones
-            u, v = np.arange(m // 64), np.arange(64)
-            x *= np.multiply.outer(np.exp(-128j * np.pi * u * r / n),
-                                   np.exp(-2j * np.pi * v * r / n)).ravel()
+            x *= np.multiply.outer(np.exp(phase_u * r / n),
+                                   np.exp(phase_v * r / n)).ravel()
             w = np.exp(-2j * np.pi * r / S)
             for q in range(two_j // m):
                 if q:
@@ -179,8 +187,8 @@ def _block_verdict(a, big):
     """Verdict from the Taylor coefficients a of f^{p/2}, whose largest
     sample big sets the round-off level."""
     edges = [0] + [2 ** k for k in range(_TAYLOR_J.bit_length() + 1)]
-    blocks = [float(math.pi * np.sum(np.abs(a[lo:hi]) ** 2
-                                     / np.arange(lo + 1, hi + 1)))
+    terms = np.abs(a) ** 2 / np.arange(1, a.size + 1)
+    blocks = [float(math.pi * np.sum(terms[lo:hi]))
               for lo, hi in zip(edges[:-1], edges[1:])]
     total = float(np.cumsum(blocks)[-1])
     if not math.isfinite(total):
@@ -213,20 +221,21 @@ def _fit_tau(blocks, floor):
 # -- eigenfunctions ---------------------------------------------------------
 
 def eigenfunction(s: Scenario, lam):
-    """Eigenvector candidate z -> e^{lam h(z)} / v(z) of the generator.  For
-    a sequence of lam the values are stacked on a leading axis, one row per
-    lam, from one evaluation of h and v."""
+    """Eigenvector candidate z -> e^{lam h(z)} / v(z) = e^{lam h(z) - l(z)}
+    of the generator, l = log v.  For a sequence of lam the values are
+    stacked on a leading axis, one row per lam, from one evaluation of h
+    and l."""
     lams = np.asarray(lam, dtype=complex)
 
     def F(z):
-        hj, vj = eval_hv_jets(s, z, 0, 0)
+        hj, lj = eval_hl_jets(s, z, 0, 0)
         # in place, so a call holds one array of the result's size, and row
-        # by row, since a broadcast division takes numpy iterator buffers of
-        # two rows' size; it stays a division, as * (1 / v) rounds differently
+        # by row, since a broadcast update takes numpy iterator buffers of
+        # two rows' size
         out = np.asarray(np.multiply.outer(lams, hj.f))
-        np.exp(out, out=out)
         for i in np.ndindex(lams.shape):
-            out[i] /= vj.f
+            out[i] -= lj.f
+        np.exp(out, out=out)
         return out[()]
 
     return F
@@ -324,9 +333,10 @@ def _adaptive_gl(func, a, b, tol):
 
 
 def _omega_form(s: Scenario, lam, f, z):
-    """The resolvent one-form density e^{-lam h} h' v f at z."""
-    hj, vj = eval_hv_jets(s, z, 1, 0)
-    return np.exp(-lam * hj.f) * hj.d1 * vj.f * _eval_f(f, z)
+    """The resolvent one-form density e^{-lam h} h' v f = e^{l - lam h} h' f
+    at z."""
+    hj, lj = eval_hl_jets(s, z, 1, 0)
+    return np.exp(lj.f - lam * hj.f) * hj.d1 * _eval_f(f, z)
 
 
 def _segment_integrals(s: Scenario, lam, f, z, tol):
@@ -421,9 +431,14 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, tol=1e-9,
         z = ev.points(t)
         # far along the orbit z collapses onto the boundary fixed point and
         # the weight may not evaluate; the true integrand there is far below
-        # tolerance, so those samples contribute zero
+        # tolerance, so those samples contribute zero.  Where z lands on a
+        # zero of v, l = log v has no value: that batch reads v itself
         with np.errstate(all="ignore"):
-            vals = np.exp(lam_t * t) * s._v(z) * _eval_f(f, z)
+            try:
+                w = np.exp(lam_t * t + s._l(z))
+            except EvaluationError:
+                w = np.exp(lam_t * t) * s._v(z)
+            vals = w * _eval_f(f, z)
         return np.where(np.isfinite(vals), vals, 0.0)
 
     # truncation time from the sampled tail constant, inflated for safety

@@ -44,7 +44,7 @@ __all__ = [
     "make_parametric",
     "eval_h",
     "eval_h_jet",
-    "eval_hv_jets",
+    "eval_hl_jets",
     "eval_h_prime",
     "eval_v",
     "eval_h_inverse",
@@ -109,7 +109,10 @@ class Scenario:
         self.kind = kind
         self._h = h
         self._v = v
-        self._tapes = {}   # (h order, v order) -> joint Tape, compiled on first use
+        # l = log v on no fixed branch (expr.log_of), read only through
+        # exp(... +- l) and l' = v'/v
+        self._l = ex.log_of(v) if v is not None else None
+        self._tapes = {}   # (h order, l order) -> joint Tape, compiled on first use
         self._orbits = {}  # (base, sign) -> numerics._OrbitEvaluator, its cache
         self.fixed_points = tuple(fixed_points)
         self.weights = tuple(float(x) for x in weights)
@@ -457,15 +460,16 @@ def eval_h_jet(s: Scenario, z, order):
     return s._h.jet(z, order)
 
 
-def eval_hv_jets(s: Scenario, z, h_order, v_order):
-    """Jets of the conformal map and of the weight at z, with derivatives up
-    to h_order and v_order, from one pass over their shared tape."""
+def eval_hl_jets(s: Scenario, z, h_order, l_order):
+    """Jets of the conformal map and of l = log v (on no fixed branch) at z,
+    from one pass over their shared tape; for a built-in, l reuses the logs
+    inside h, and at d = 0 needs no transcendental function of its own."""
     s._require_evaluable()
     _check_in_disk(z)
-    key = (h_order, v_order)
+    key = (h_order, l_order)
     tape = s._tapes.get(key)
     if tape is None:
-        tape = s._tapes[key] = ex.Tape((s._h, s._v), key)
+        tape = s._tapes[key] = ex.Tape((s._h, s._l), key)
     return tape(z)
 
 
@@ -488,8 +492,9 @@ def generator_G(s: Scenario, z):
 
 
 def generator_g(s: Scenario, z):
-    hj, vj = eval_hv_jets(s, z, 1, 1)
-    return vj.d1 / (vj.f * hj.d1)
+    """g = v'/(v h') = l'/h'."""
+    hj, lj = eval_hl_jets(s, z, 1, 1)
+    return lj.d1 / hj.d1
 
 
 # -- inversion and flow -----------------------------------------------------
@@ -626,13 +631,14 @@ def flow(s: Scenario, t, z):
 
 
 def _weight_ratio(s, t, z, zt):
-    """v(zt) / v(z) for zt = flow(s, t, z).  A point that the flow rounded
-    onto the unit circle has lost its image, and v may have a branch point
-    or a pole there, so that is a numerical failure, not a config error."""
+    """v(zt) / v(z) = exp(l(zt) - l(z)) for zt = flow(s, t, z).  A point
+    that the flow rounded onto the unit circle has lost its image, and v may
+    have a branch point or a pole there, so that is a numerical failure, not
+    a config error."""
     if np.any(np.abs(zt) >= 1.0):
         raise FloatingPointError(
             f"the time-{t:g} flow rounded a point onto the unit circle")
-    return s._v(zt) / s._v(z)
+    return np.exp(s._l(zt) - s._l(z))
 
 
 def cocycle(s: Scenario, t, z):

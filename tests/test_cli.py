@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bergspec import errors, numerics, regions, truncation
+from bergspec import cli, errors, numerics, regions, truncation
 from bergspec.cli import main
 from bergspec.regions import gammas_from
 from bergspec.scenario import parse_scenario
@@ -458,3 +458,22 @@ def test_repeated_options_add_their_values(tmp_path, strip_cfg):
                  "--t", "0.5", "--t", "2"]) == 0
     report = json.loads((tmp_path / "r" / "strip.classify.json").read_text())
     assert [o["t"] for o in report["operator"]] == [0.5, 2.0]
+
+
+def test_calls_in_one_process_share_no_options(tmp_path, strip_cfg):
+    # the parser is built once per process; a second call sees only its own
+    # values and the --t default, nothing the first call appended
+    out = tmp_path / "o.json"
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["verify", "-c", str(strip_cfg), "--lambda", "0.5",
+                 "--lambda", "2.0", "--t", "0.5", "--t", "2",
+                 "--json", str(out)]) == 0
+    first = json.loads(out.read_text())
+    assert [r["lambda"]["re"] for r in first["results"]] == [0.5, 2.0]
+    assert main(["verify", "-c", str(strip_cfg), "--lambda", "0.75",
+                 "--json", str(out)]) == 0
+    second = json.loads(out.read_text())
+    assert [r["lambda"]["re"] for r in second["results"]] == [0.75]
+    assert [c["check"] for c in second["results"][0]["checks"]
+            if c["check"].startswith("eigen_identity")] == [
+        "eigen_identity_t_1"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bergspec import numerics
-from bergspec.expr import parse_expr
+from bergspec.expr import log_of, parse_expr
 from bergspec.scenario import (eval_h, eval_h_prime, eval_v, make_builtin,
                                quasi_random_grid)
 
@@ -64,16 +64,28 @@ def test_jets_stop_at_order_two():
         EXPRS["trident.v"].jet(POINTS, 3)
 
 
+def _f(z):
+    return 1 + z * z
+
+
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_fused_omega_form_equals_separate_evaluations(name):
+    # e^{l - lam h} h' f, with h, h' and l = log v each from its own jet
     s = BUILTINS[name]
     lam = 0.3 - 0.2j
-
-    def f(z):
-        return 1 + z * z
-
     z = POINTS[:64]
-    fused = numerics._omega_form(s, lam, f, z)
-    separate = (np.exp(-lam * eval_h(s, z)) * eval_h_prime(s, z)
-                * eval_v(s, z) * numerics._eval_f(f, z))
+    fused = numerics._omega_form(s, lam, _f, z)
+    separate = (np.exp(log_of(s._v).jet(z, 0).f - lam * eval_h(s, z))
+                * eval_h_prime(s, z) * numerics._eval_f(_f, z))
     assert _same(fused, separate)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_fused_omega_form_agrees_with_the_weight_form(name):
+    s = BUILTINS[name]
+    lam = 0.3 - 0.2j
+    z = POINTS[:64]
+    fused = numerics._omega_form(s, lam, _f, z)
+    direct = (np.exp(-lam * eval_h(s, z)) * eval_h_prime(s, z)
+              * eval_v(s, z) * numerics._eval_f(_f, z))
+    assert np.max(np.abs(fused - direct) / np.abs(direct)) < 1e-13

@@ -1,11 +1,12 @@
-"""Joint evaluation of h and v: one pass over a shared-subtree tape gives
-bitwise the jets of separate passes, and computes each shared node once."""
+"""Joint evaluation of h with the weight v or its logarithm l = log v: one
+pass over a shared-subtree tape gives bitwise the jets of separate passes,
+and computes each shared node once."""
 
 import numpy as np
 import pytest
 
 from bergspec.expr import Jet, Tape, const, parse_expr
-from bergspec.scenario import eval_hv_jets, make_builtin, quasi_random_grid
+from bergspec.scenario import eval_hl_jets, make_builtin, quasi_random_grid
 
 SLOTS = ("f", "d1", "d2")
 C, S, D = 0.4, 0.7, 0.3
@@ -59,7 +60,7 @@ def _check_joint(joint, h, v, kh, kv):
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_joint_pass_matches_separate_passes_builtin(name, kh, kv):
     s = BUILTINS[name]
-    _check_joint(lambda z, a, b: eval_hv_jets(s, z, a, b), s._h, s._v, kh, kv)
+    _check_joint(lambda z, a, b: eval_hl_jets(s, z, a, b), s._h, s._l, kh, kv)
 
 
 @pytest.mark.parametrize("kh,kv", ORDER_PAIRS)
@@ -82,9 +83,9 @@ def test_shared_subtrees_are_evaluated_once(monkeypatch):
     s = make_builtin("strip_flow", 2.0, c=C, s=S)
     z = POINTS[:16]
     # log(1+z) and log(1-z) inside h, once each; the weight's log of h' is
-    # built from those two
+    # built from those two, and so is l = log v
     del calls[:]
-    eval_hv_jets(s, z, 1, 0)
+    eval_hl_jets(s, z, 1, 0)
     assert len(calls) == 2
     del calls[:]
     s._v(z)
