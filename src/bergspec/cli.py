@@ -5,11 +5,11 @@ Subcommands: classify | verify | truncate | plot | report.  JSON output uses
 identical inputs produce byte-identical files; wall time goes to stderr only.
 Exit codes: 0 ok, 1 verification failure, 2 config error or bad argument,
 3 theorem-coverage error, 4 numerical failure (Newton inversion or orbit
-integral did not succeed, numpy raised LinAlgError, the flow rounded a
-point onto the unit circle, or float arithmetic overflowed or divided by
-zero, or the membership circle saw the eigenfunction wind).  Codes 2 to 4 come with a short message on stderr
-instead of a traceback.  `report` keeps its entries' most severe code,
-ranked 0 < 3 < 1 < 4.
+integral failed, LinAlgError, a flow rounded onto the unit circle, float
+overflow or division by zero, or a winding eigenfunction); codes 2 to 4
+come with a one-line message on stderr, never a traceback.  `report` ranks
+its entries' codes 0 < 3 < 1 < 4 and keeps the worst; a truncate that
+fails numerically writes its error to the entry's JSON, and the next runs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ EXIT_NUMERICAL = 4
 # `report` keeps the most severe code of its entries, in this order: a failed
 # check or a numerical failure outranks a coverage exit
 _SEVERITY = (EXIT_OK, EXIT_COVERAGE, EXIT_VERIFY, EXIT_NUMERICAL, EXIT_CONFIG)
+# exit 4 in main, once config and coverage errors are handled
+_NUMERICAL_ERRORS = (BergspecError, np.linalg.LinAlgError, ArithmeticError)
 
 
 # -- deterministic JSON -----------------------------------------------------
@@ -338,12 +340,18 @@ def cmd_report(args):
         tns = argparse.Namespace(config=str(cfg), t=args.t[0], N=args.N,
                                  nmax=args.nmax,
                                  json=str(out / f"{stem}.truncate.json"))
+        # a numerical failure ends this entry only; classify read its config
         try:
             code = max(code, cmd_truncate(tns), key=_SEVERITY.index)
+            continue
         except EvaluationError as e:
-            Path(out / f"{stem}.truncate.json").write_text(
-                json.dumps({"command": "truncate", "error": str(e)},
-                           indent=2) + "\n")
+            error = e
+        except _NUMERICAL_ERRORS as e:
+            error = e
+            sys.stderr.write(f"numerical failure in {stem}: "
+                             f"{type(e).__name__}: {e}\n")
+            code = max(code, EXIT_NUMERICAL, key=_SEVERITY.index)
+        _dump({"command": "truncate", "error": str(error)}, tns.json)
     return code
 
 
@@ -455,13 +463,13 @@ def main(argv=None):
         args.t = [1.0]
     try:
         code = args.func(args)
-    except (ConfigError, EvaluationError, OSError) as e:
+    except (ConfigError, EvaluationError, OSError, UnicodeDecodeError) as e:
         sys.stderr.write(f"config error: {e}\n")
         code = EXIT_CONFIG
     except CoverageError as e:
         sys.stderr.write(f"coverage error: {e}\n")
         code = EXIT_COVERAGE
-    except (BergspecError, np.linalg.LinAlgError, ArithmeticError) as e:
+    except _NUMERICAL_ERRORS as e:
         sys.stderr.write(f"numerical failure: {type(e).__name__}: {e}\n")
         code = EXIT_NUMERICAL
     finally:

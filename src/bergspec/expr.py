@@ -5,9 +5,10 @@ derivatives up to a requested order (0 to 2) at a point, so one evaluation
 yields h, h', h'' simultaneously, or only the value when that is all the
 caller reads.  Every slot is computed by the same truncated Taylor
 formula at every order, so its value does not depend on the order asked for.
-All arithmetic works elementwise on numpy arrays as well as on python
-complex scalars.  Branch functions (log, sqrt, pow) are principal-branch,
-with np.log's cut along the negative real axis; log is computed in real
+One arithmetic, numpy's, serves every point: a tape evaluates a point set
+as a flat complex array (a scalar as one element), and jets combine only
+with jets, so a point's jet has the same bits however it arrives.  log,
+sqrt and pow take np.log's principal branch; log is computed in real
 arithmetic as log|f| + i·atan2(Im f, Re f), and pow(f, w) as exp(w·log f).
 
 Expressions are DAGs: the built-in weights reuse the logs inside the
@@ -43,8 +44,8 @@ __all__ = ["Jet", "Tape", "AnalyticExpr", "parse_expr", "const", "var", "apply_f
 
 class Jet:
     """Value plus the first `order` derivatives of an analytic function at a
-    point; the slots above `order` are None.  Binary operations compute to
-    the lower order of their operands."""
+    point; the slots above `order` are None.  Operations take jets only and
+    compute to the lower order of their operands."""
 
     __slots__ = ("f", "d1", "d2", "order")
 
@@ -56,24 +57,18 @@ class Jet:
 
     @staticmethod
     def variable(z, order):
-        arr = isinstance(z, np.ndarray)
-        one = (np.ones_like(z) if arr else 1.0) if order > 0 else None
-        zero = (np.zeros_like(z) if arr else 0.0) if order > 1 else None
-        return Jet(z, one, zero, order)
+        return Jet(z, np.ones_like(z) if order > 0 else None,
+                   np.zeros_like(z) if order > 1 else None, order)
 
     def truncated(self, order):
         """The same jet without the slots above `order`."""
         return Jet(self.f, self.d1, self.d2, order)
 
     def __add__(self, o):
-        if not isinstance(o, Jet):
-            return Jet(self.f + o, self.d1, self.d2, self.order)
         n = min(self.order, o.order)
         return Jet(self.f + o.f,
                    self.d1 + o.d1 if n > 0 else None,
                    self.d2 + o.d2 if n > 1 else None, n)
-
-    __radd__ = __add__
 
     def __neg__(self):
         n = self.order
@@ -83,34 +78,19 @@ class Jet:
     def __sub__(self, o):
         # IEEE defines a - b as a + (-b), signed zeros included, so this is
         # bitwise the sum with a negated operand, without the negation pass
-        if not isinstance(o, Jet):
-            return Jet(self.f - o, self.d1, self.d2, self.order)
         n = min(self.order, o.order)
         return Jet(self.f - o.f,
                    self.d1 - o.d1 if n > 0 else None,
                    self.d2 - o.d2 if n > 1 else None, n)
 
-    def __rsub__(self, o):
-        n = self.order
-        return Jet(o - self.f, -self.d1 if n > 0 else None,
-                   -self.d2 if n > 1 else None, n)
-
     def __mul__(self, o):
-        if not isinstance(o, Jet):
-            n = self.order
-            return Jet(self.f * o, self.d1 * o if n > 0 else None,
-                       self.d2 * o if n > 1 else None, n)
         f, g = self, o
         n = min(f.order, g.order)
         return Jet(f.f * g.f,
                    f.d1 * g.f + f.f * g.d1 if n > 0 else None,
                    f.d2 * g.f + 2 * f.d1 * g.d1 + f.f * g.d2 if n > 1 else None, n)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, o):
-        if not isinstance(o, Jet):
-            return self * (1.0 / o)
         f, g = self, o
         n = min(f.order, g.order)
         v0 = f.f / g.f
@@ -118,16 +98,12 @@ class Jet:
         v2 = (f.d2 - 2 * v1 * g.d1 - v0 * g.d2) / g.f if n > 1 else None
         return Jet(v0, v1, v2, n)
 
-    def __rtruediv__(self, o):
-        return Jet(o + 0j) / self
-
     def ipow(self, n: int):
         """Integer power by repeated squaring (branch free)."""
         if n == 0:
-            one = np.ones_like(self.f) if isinstance(self.f, np.ndarray) else 1.0 + 0j
-            return Jet(one, order=self.order)
+            return Jet(np.ones_like(self.f), order=self.order)
         if n < 0:
-            return 1.0 / self.ipow(-n)
+            return self.ipow(0) / self.ipow(-n)
         result = None
         base = self
         while n:
@@ -262,11 +238,11 @@ def _structure(node, children):
             getattr(node, "n", None), children)
 
 
-def _fill(x, shape):
-    """Slot x with the shape of the evaluation points."""
-    if x is None or getattr(x, "shape", None) == shape:
-        return x
-    return np.full(shape, x, dtype=complex)
+def _shaped(x, shape):
+    """Slot x shaped like the points; a constant's scalar slot is broadcast."""
+    if getattr(x, "ndim", 0):
+        return x if x.shape == shape else x.reshape(shape)
+    return None if x is None else np.full(shape, x, dtype=complex)
 
 
 class Tape:
@@ -279,8 +255,8 @@ class Tape:
     those of the lower-order computation.  Constants are fixed jets built at
     compile time.  A call runs one straight loop over the schedule, freeing
     each computed slot that is not returned after the op that reads it last,
-    and returns one jet per root at the order asked for, every slot shaped
-    like z.
+    and returns one jet per root at the order asked for, every slot an
+    array shaped like z (0-d for a scalar z).
     """
 
     def __init__(self, exprs, orders):
@@ -355,19 +331,15 @@ class Tape:
         self._ops = [op + (tuple(d),) for op, d in zip(self._ops, dead)]
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex) if isinstance(z, (np.ndarray, list)) else complex(z)
+        z = np.asarray(z, dtype=complex)
         vals = self._static.copy()
-        vals[0] = Jet.variable(z, self._var_order)
+        vals[0] = Jet.variable(z.ravel(), self._var_order)
         for out, step, a, b, dead in self._ops:
             vals[out] = step(vals[a]) if b is None else step(vals[a], vals[b])
             for s in dead:
                 vals[s] = None
-        jets = [vals[i] for i in self._out]
-        if isinstance(z, np.ndarray):
-            shape = z.shape
-            jets = [Jet(*(_fill(x, shape) for x in (j.f, j.d1, j.d2)), j.order)
-                    for j in jets]
-        return jets
+        return [Jet(*(_shaped(x, z.shape) for x in (j.f, j.d1, j.d2)), j.order)
+                for j in (vals[i] for i in self._out)]
 
 
 class AnalyticExpr:
@@ -378,8 +350,9 @@ class AnalyticExpr:
         self._text = text
         self._tapes = {}   # order -> Tape, compiled on first use
 
-    def jet(self, z, order=2) -> Jet:
-        """Jet at z carrying the derivatives up to `order`."""
+    def jet(self, z, order) -> Jet:
+        """Jet at z carrying the derivatives up to `order`, every slot an
+        array shaped like z (0-d for a scalar z)."""
         tape = self._tapes.get(order)
         if tape is None:
             tape = self._tapes[order] = Tape((self,), (order,))
@@ -387,12 +360,6 @@ class AnalyticExpr:
 
     def __call__(self, z):
         return self.jet(z, 0).f
-
-    def deriv(self, z):
-        return self.jet(z, 1).d1
-
-    def deriv2(self, z):
-        return self.jet(z, 2).d2
 
     def __repr__(self):
         return f"AnalyticExpr({self._text or self._root!r})"

@@ -324,12 +324,11 @@ def _adaptive_gl(func, a, b, tol):
 
     i, lo, val = (np.concatenate(v) for v in (done_i, done_lo, done_val))
     order = np.lexsort((lo, i))
-    i, val = i[order], val[order]
-    rank = 1 + np.arange(i.size) - np.searchsorted(i, i)
-    table = np.zeros((n, rank.max(initial=0) + 1), dtype=complex)
-    table[i, rank] = val
-    # sums start from 0 like the recursion's; the zero padding adds exactly
-    return np.cumsum(table, axis=1)[:, -1]
+    # add.at adds one term at a time in the order given: each interval's
+    # panels left to right, from 0 like the recursion's sums
+    out = np.zeros(n, dtype=complex)
+    np.add.at(out, i[order], val[order])
+    return out
 
 
 def _omega_form(s: Scenario, lam, f, z):

@@ -156,7 +156,7 @@ class Scenario:
     def in_omega(self, w):
         """Membership in the image domain, where known."""
         if self._in_omega is None:
-            return np.ones_like(np.asarray(w, dtype=complex), dtype=bool) if isinstance(w, np.ndarray) else True
+            return np.ones(np.shape(w), dtype=bool)
         return self._in_omega(w)
 
     def dw_point(self) -> FixedPointDatum:
@@ -594,7 +594,6 @@ def eval_h_inverse(s: Scenario, w):
     """Invert the conformal map; Newton continuation when no closed form."""
     s._require_evaluable()
     w_arr = np.asarray(w, dtype=complex)
-    scalar = w_arr.ndim == 0
     inside = s.in_omega(w_arr)
     if not np.all(inside):
         raise OutsideOmegaError("target point outside the image domain")
@@ -607,7 +606,7 @@ def eval_h_inverse(s: Scenario, w):
         j = np.concatenate([np.argmin(np.abs(s._seed_w - part[:, None]), axis=1)
                             for part in np.split(flat, range(8, flat.size, 8))])
         z = _continuation_invert(s, w_arr, s._seed_z[j], s._seed_w[j])
-    return complex(z) if scalar else z
+    return complex(z) if np.ndim(z) == 0 else z
 
 
 def flow(s: Scenario, t, z):
@@ -617,7 +616,6 @@ def flow(s: Scenario, t, z):
     if t == 0:
         return z
     z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
     w0 = np.asarray(s._h(z_arr), dtype=complex)
     w1 = w0 + t
     if t < 0 and not np.all(s.in_omega(w1)):
@@ -627,7 +625,7 @@ def flow(s: Scenario, t, z):
     else:
         # the horizontal path from w0 to w0 + t stays in the image domain
         out = _continuation_invert(s, w1, z_arr, w0)
-    return complex(out) if scalar else out
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def _weight_ratio(s, t, z, zt):

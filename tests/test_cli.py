@@ -105,6 +105,17 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["classify", "-c", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("cmd", ["classify", "report"])
+def test_a_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys, cmd):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"p = 2\nmodel = strip_flow\nc = 0.4\xff\n")
+    argv = {"classify": ["-c", str(bad)],
+            "report": ["--suite", str(bad), "--out", str(tmp_path / "o")]}
+    assert main([cmd, *argv[cmd]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("config error: 'utf-8' codec")
+
+
 def test_exit_code_coverage_error(tmp_path, capsys):
     cfg = tmp_path / "cov.cfg"
     cfg.write_text("p = 2\nmodel = parametric\n"
@@ -342,6 +353,30 @@ def test_report_failed_bound_outranks_coverage_exit(tmp_path):
     assert trunc["radius_bound_ok"] is False
 
 
+def test_report_goes_on_after_a_numerical_failure(tmp_path, capsys):
+    # at t = 40 the strip's flow rounds a point onto the unit circle; the
+    # trident after it truncates as it does on its own
+    (tmp_path / "strip.cfg").write_text(STRIP_WEIGHTED_CFG)
+    (tmp_path / "tri.cfg").write_text("p = 2\nmodel = trident\nc = 0\n"
+                                      "s = 0.1\nd = 0.5\n")
+    suite = tmp_path / "suite.txt"
+    suite.write_text("strip.cfg\ntri.cfg\n")
+    out = tmp_path / "rpt"
+    assert main(["report", "--suite", str(suite), "--out", str(out),
+                 "--t", "40"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if not line.startswith("wall time")] == [
+        "numerical failure in strip: FloatingPointError: the time-40 flow "
+        "rounded a point onto the unit circle"]
+    trunc = json.loads((out / "strip.truncate.json").read_text())
+    assert trunc == {"command": "truncate", "error": "the time-40 flow "
+                     "rounded a point onto the unit circle"}
+    for name in ("tri.classify.json", "tri.svg", "tri.truncate.json"):
+        assert (out / name).exists()
+    assert "gelfand_radius" in json.loads(
+        (out / "tri.truncate.json").read_text())
+
+
 def _membership(path):
     return [next(c for c in r["checks"]
                  if c["check"] == "eigenfunction_membership")
@@ -386,6 +421,45 @@ def test_verify_sees_divergence_at_non_fixed_contact_points(tmp_path, cfg_text,
                  "--json", str(out)]) == 1
     (check,) = _membership(out)
     assert check["verdict"] == "divergent" and check["status"] == "fail"
+
+
+def _orbit_checks(tmp_path, cfg_text, *argv):
+    cfg, out = tmp_path / "s.cfg", tmp_path / "v.json"
+    cfg.write_text(cfg_text)
+    code = main(["verify", "-c", str(cfg), *argv, "--json", str(out)])
+    (result,) = json.loads(out.read_text())["results"]
+    return code, {c["check"]: c for c in result["checks"]
+                  if c["check"] in ("resolvent_residual",
+                                    "nonsurjectivity_witness")}
+
+
+def test_verify_anchors_the_resolvent_at_a_repelling_point(tmp_path):
+    # Re lambda = -1.5 is below gamma0 = 0.7 and the repelling gamma 0.1
+    code, checks = _orbit_checks(tmp_path, STRIP_WEIGHTED_CFG,
+                                 "--lambda", "-1.5")
+    assert code == 0
+    assert list(checks) == ["resolvent_residual"]
+    res = checks["resolvent_residual"]
+    assert res["anchor"] == {"re": -1.0, "im": 0.0}
+    assert res["status"] == "pass"
+
+
+def test_verify_records_the_nonsurjectivity_witness(tmp_path):
+    # Re lambda = -2.5 is below both repelling gammas, -1 and -2
+    code, checks = _orbit_checks(tmp_path, TRIDENT_CFG, "--lambda", "-2.5")
+    assert code == 0
+    assert checks["resolvent_residual"]["anchor"] == {"re": 0.0, "im": 1.0}
+    witness = checks["nonsurjectivity_witness"]
+    assert witness["status"] == "recorded" and witness["magnitude"] > 0.1
+
+
+def test_verify_skips_orbit_checks_whose_tail_it_cannot_bound(tmp_path):
+    code, checks = _orbit_checks(tmp_path, TRIDENT_CFG, "--lambda", "-2.5",
+                                 "--tol-orbit", "1e-300")
+    assert code == 0
+    for name in ("resolvent_residual", "nonsurjectivity_witness"):
+        assert checks[name]["status"] == "skipped"
+        assert "at T = 200" in checks[name]["reason"]
 
 
 def _growth(path):

@@ -43,13 +43,13 @@ def test_deriv_matches_finite_difference(text):
     e = parse_expr(text)
     for z in POINTS[:3]:
         fd = _fd_deriv(e, z)
-        assert abs(e.deriv(z) - fd) < 1e-8 * (1 + abs(fd))
+        assert abs(e.jet(z, 1).d1 - fd) < 1e-8 * (1 + abs(fd))
 
 
 def test_third_order_jet_chain_rule():
     e = parse_expr("exp(z^2)")
     z = 0.3 + 0.2j
-    j = e.jet(z)
+    j = e.jet(z, 2)
     f = cmath.exp(z * z)
     assert abs(j.f - f) < 1e-13
     assert abs(j.d1 - 2 * z * f) < 1e-12
@@ -115,4 +115,20 @@ def test_integer_power_vs_general_power():
     b = parse_expr("pow(1-z, 4)")
     for z in POINTS:
         assert abs(a(z) - b(z)) < 1e-12
-        assert abs(a.deriv(z) - b.deriv(z)) < 1e-11
+        assert abs(a.jet(z, 1).d1 - b.jet(z, 1).d1) < 1e-11
+
+
+@pytest.mark.parametrize("order", range(3))
+def test_negative_and_zero_integer_powers(order):
+    # z^-n is 1 / z^n bitwise, as a constant numerator's jet computes it;
+    # z^0 is one with zero derivatives
+    z = np.array(POINTS[:3] + [0.9j, -0.7 + 0.0j])
+    for n in (1, 2, 3, 7):
+        got = parse_expr(f"(1+z)^-{n}").jet(z, order)
+        ref = parse_expr(f"1/(1+z)^{n}").jet(z, order)
+        for slot in ("f", "d1", "d2")[:order + 1]:
+            assert getattr(got, slot).tobytes() == getattr(ref, slot).tobytes()
+    j = parse_expr("(1+z)^0").jet(z, order)
+    assert np.all(j.f == 1)
+    for slot in ("d1", "d2")[:order]:
+        assert np.all(getattr(j, slot) == 0)

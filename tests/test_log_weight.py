@@ -193,8 +193,9 @@ def _old_sub(self, o):
 def test_subtraction_is_bitwise_the_negated_sum_on_signed_zeros():
     a = np.repeat(ZEROS, ZEROS.size)
     b = np.tile(ZEROS, ZEROS.size)
-    c = 2.5 + 0j   # complex, as every constant in a tape is
     for ka in range(3):
+        # a constant as a tape holds it: a fixed jet at its reader's order
+        c = Jet(2.5 + 0j, 0j, 0j, ka)
         for kb in range(3):
             x, y = Jet(a, b, a, ka), Jet(b, a, b, kb)
             for got, ref in ((x - y, x + (-y)), (c - x, (-x) + c),

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from bergspec import numerics, scenario
-from bergspec.errors import OrbitIntegralError, WindingError
-from bergspec.numerics import (MembershipVerdict, ap_norm_rings,
+from bergspec.errors import (EvaluationError, OrbitIntegralError,
+                             PetalExitError, WindingError)
+from bergspec.numerics import (MembershipVerdict, ResolventCertificate,
+                               ap_norm_rings,
                                coboundary_growth_exponent,
                                eigen_identity_residual, eigenfunction,
                                nonsurjectivity_witness, orbit_integral_K,
@@ -546,6 +548,64 @@ def test_orbit_cache_shared_by_threads():
     (ev,) = tw._orbits.values()
     ts, zs = ev.cache
     assert ts.size == zs.size and np.all(np.diff(ts) >= 0)
+
+
+# -- guards and failures of the orbit integrals -------------------------------
+
+def test_orbit_integral_diverges_above_gamma_at_a_repelling_point(
+        strip_weighted):
+    rep = strip_weighted.repelling_points()[0]   # gamma = 0.1
+    with pytest.raises(OrbitIntegralError, match="at the repelling point"):
+        orbit_integral_K(strip_weighted, 0.5, ONE, rep)
+
+
+def test_orbit_integral_refuses_lambda_within_the_tail_margin(strip_weighted):
+    dw = strip_weighted.dw_point()
+    lam = fixed_point_gamma(dw, strip_weighted.p) + 0.5 * numerics._TAIL_EPS
+    with pytest.raises(OrbitIntegralError, match="tail margin"):
+        orbit_integral_K(strip_weighted, lam, ONE, dw)
+
+
+def test_orbit_integral_fails_when_no_truncation_time_meets_tol(
+        trident_weighted):
+    # the tail bound at the cap T = 200 is about 6e-143
+    with pytest.raises(OrbitIntegralError, match="at T = 200") as ei:
+        orbit_integral_K(trident_weighted, -2.5, ONE,
+                         trident_weighted.repelling_points()[0], tol=1e-300)
+    assert 0 < ei.value.achieved < 1e-100
+
+
+def test_a_backward_orbit_that_leaves_the_image_domain_raises(
+        half_strip_weighted):
+    # h(0) = 0, and the half strip's image ends at Re w = -log(1 + sqrt 2)
+    ev = numerics._OrbitEvaluator(half_strip_weighted, 0.0, -1.0)
+    with pytest.raises(PetalExitError):
+        ev.points(np.array([0.5, 5.0]))
+
+
+def test_resolvent_apply_rejects_a_certificate_for_another_lambda(
+        strip_weighted):
+    cert = ResolventCertificate(2.0 + 0j, 0j, 0.0, 1.0 + 0j, 1e-9)
+    with pytest.raises(EvaluationError, match="different lambda"):
+        resolvent_apply(strip_weighted, 1.5, ONE, cert, 0.3)
+
+
+def test_resolvent_apply_rejects_points_near_the_circle(strip_weighted):
+    cert = ResolventCertificate(2.0 + 0j, 0j, 0.0, 1.0 + 0j, 1e-9)
+    with pytest.raises(EvaluationError, match="0.999"):
+        resolvent_apply(strip_weighted, 2.0, ONE, cert,
+                        np.array([0.3, 0.9995j]))
+
+
+def test_the_witness_needs_two_repelling_points(strip_weighted):
+    with pytest.raises(OrbitIntegralError, match="two repelling points"):
+        nonsurjectivity_witness(strip_weighted, -2.0, ONE)
+
+
+def test_the_witness_needs_lambda_below_gamma_2(trident_weighted):
+    # the trident's repelling gammas are -1 and -2
+    with pytest.raises(OrbitIntegralError, match="gamma_2"):
+        nonsurjectivity_witness(trident_weighted, -1.5, ONE)
 
 
 # -- Bergman growth bound ---------------------------------------------------

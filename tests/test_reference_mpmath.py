@@ -2,7 +2,8 @@
 
 The references evaluate weighted strip_flow and half_strip from their closed
 forms with mpmath and integrate with mpmath's own rules, sharing no code with
-bergspec's numpy path:
+bergspec's numpy path (along the strip's orbits h = w, so its orbit
+integrals are integrals in w):
     strip:      h = (log(1 + z) - log(1 - z)) / a,  h' = 2 / (a (1 - z^2)),
                 v = e^{c h} h'^{-s};
     half_strip: u = (1 - z)/(1 + z),  h = asinh(u) - asinh(1),
@@ -53,6 +54,26 @@ def test_resolvent_segment_integral_matches_mpmath(strip):
     one = lambda x: np.ones_like(np.asarray(x, dtype=complex))
     got = numerics._segment_integrals(strip, lam, one, np.array([z]), 1e-9)[0]
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("lam,toward", [(2.0, 1.0), (-1.5, -1.0)])
+def test_orbit_integral_matches_mpmath(strip, lam, toward):
+    # along the orbit h = w, so v = e^{c w} (a/2)^s cosh(a w/2)^{-2s}, and
+    # toward z = 1 K = int_0^inf e^{-lam w} v dw, toward the repelling point
+    # z = -1 K = -int_{-inf}^0 e^{-lam w} v dw
+    with mp.workdps(30):
+        def one_form(w):
+            return (mp.exp((C - lam) * w) * mp.power(mp.mpf(A) / 2, S)
+                    * mp.cosh(A * w / 2) ** (-2 * S))
+
+        if toward > 0:
+            ref = float(mp.quad(one_form, [0, mp.inf]))
+        else:
+            ref = -float(mp.quad(one_form, [-mp.inf, 0]))
+    (fp,) = [f for f in strip.fixed_points if f.zeta == toward]
+    one = lambda x: np.ones_like(np.asarray(x, dtype=complex))
+    cert = numerics.orbit_integral_K(strip, lam, one, fp, tol=1e-9)
+    assert abs(cert.K - ref) <= 1e-9
 
 
 def test_taylor_block_matches_mpmath(strip, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from bergspec import scenario
 from bergspec.errors import (ConfigError, EvaluationError, InversionError,
-                             OutsideOmegaError)
+                             ModelInconsistencyError, OutsideOmegaError,
+                             PetalExitError)
 from bergspec.expr import parse_expr
 from bergspec.scenario import (FixedPointDatum, alpha_at, beta_at, cocycle,
                                eval_h, eval_h_inverse, eval_h_prime, eval_v,
@@ -247,6 +248,27 @@ def test_continuation_gives_up_on_a_point_that_never_converges(monkeypatch):
     assert len(calls) <= scenario._LEG_DEPTH + 1
 
 
+def test_continuation_resumes_long_legs_after_a_failed_legs_quarters(
+        monkeypatch):
+    _, twin = _trident_twin()
+    z = quasi_random_grid(30, 0.9)
+    w = eval_h(twin, z)
+    want = scenario._continuation_invert(twin, w + 1.0, z, w)
+    corrector = scenario._newton_step_batch
+    calls = []
+
+    def first_leg_fails(s, z, target):
+        calls.append(z.size)
+        z, ok = corrector(s, z, target)
+        return z, ok & (len(calls) > 1)
+
+    monkeypatch.setattr(scenario, "_newton_step_batch", first_leg_fails)
+    got = scenario._continuation_invert(twin, w + 1.0, z, w)
+    # the failed first leg in four quarters, then the three long legs left
+    assert calls == [30] * 8
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 # orbits through this circle hug |z| = 1, where a straight Newton step leaves
 # the disk
 NEAR_BOUNDARY_CIRCLE = 0.9999981560634247
@@ -304,6 +326,36 @@ def test_beta_oracle_matches_declared(name, w):
             continue
         b = beta_at(s, fp)
         assert abs(b.real - fp.beta_re) < 1e-5 * max(1.0, abs(fp.beta_re))
+
+
+def test_backward_flow_out_of_the_image_domain_raises(half_strip_weighted):
+    # h(0) = 0, and the half strip's image ends at Re w = -log(1 + sqrt 2)
+    with pytest.raises(PetalExitError):
+        flow(half_strip_weighted, -5.0, 0.0)
+
+
+def test_alpha_oracle_rejects_a_wrong_declared_alpha(strip_weighted):
+    wrong = FixedPointDatum(1.0 + 0j, 2.0, 0.0, role="denjoy_wolff")
+    with pytest.raises(ModelInconsistencyError, match="alpha mismatch"):
+        alpha_at(strip_weighted, wrong)
+
+
+# the unweighted strip's h with a weight of the caller's choosing
+STRIP_EXPR_CFG = ("p = 2\nmodel = expression\nh_expr = log((1+z)/(1-z))\n"
+                  "fp = (1, 1.0, -inf, dw)\nfp = (-1, -1.0, 0.0, rep)\n")
+
+
+def test_beta_oracle_reads_minus_infinity_where_g_falls_without_bound():
+    # g = l'/h' = -(1+z)/(1-z)^2 for v = exp(-1/(1-z)^2)
+    s = parse_scenario(STRIP_EXPR_CFG + "v_expr = exp(-1/(1-z)^2)\n")
+    assert beta_at(s, s.dw_point()) == complex(float("-inf"), 0.0)
+
+
+def test_beta_oracle_rejects_samples_that_oscillate():
+    # l = ((1+z)/(1-z))^i = e^{ih}, so g = i e^{ih} turns forever toward z = 1
+    s = parse_scenario(STRIP_EXPR_CFG + "v_expr = exp(pow((1+z)/(1-z), i))\n")
+    with pytest.raises(EvaluationError, match="oscillatory"):
+        beta_at(s, s.dw_point())
 
 
 # -- validation and parsing -------------------------------------------------
