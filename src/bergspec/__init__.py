@@ -14,13 +14,12 @@ from .numerics import (MembershipVerdict, ResolventCertificate, ap_norm_rings,
                        eigenfunction, nonsurjectivity_witness,
                        orbit_integral_K, residual_check, resolvent_apply)
 from .regions import (NEG_INF, Component, GammaProfile, SpectralRegion,
-                      composition_spectrum, essential_spectrum, gammas_from,
+                      essential_spectrum, gammas_from,
                       generator_point_spectrum, generator_spectrum,
-                      membership_rule, operator_point_spectrum,
-                      operator_radius, operator_spectrum)
-from .scenario import (FixedPointDatum, Scenario, alpha_at, beta_at, cocycle,
-                       eval_h, eval_h_inverse, flow, generator_G, generator_g,
-                       make_builtin, make_expression, make_parametric,
+                      operator_point_spectrum, operator_radius,
+                      operator_spectrum)
+from .scenario import (FixedPointDatum, Scenario, beta_at, cocycle, eval_h,
+                       eval_h_inverse, flow, generator_g, make_builtin,
                        parse_complex, parse_scenario)
 from .svgplot import Viewport, render_svg
 from .truncation import (TruncationMatrix, build_matrix, eigen_cloud,

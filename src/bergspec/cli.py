@@ -111,7 +111,11 @@ def _gamma_json(g):
 # -- classify ---------------------------------------------------------------
 
 def cmd_classify(args):
-    s = _load_scenario(args.config)
+    return _classify(_load_scenario(args.config), args.t, args.json, args.svg,
+                     args.viewport)
+
+
+def _classify(s, ts, json_path, svg, viewport):
     g = gammas_from(s.fixed_points, s.p)
     report = {"command": "classify",
               "scenario": _scenario_echo(s),
@@ -137,7 +141,7 @@ def cmd_classify(args):
     report["regions"] = reg
 
     ops = []
-    for t in args.t:
+    for t in ts:
         entry = {"t": t, "radius": regions.operator_radius(g, t)}
         try:
             entry["spectrum"] = regions.operator_spectrum(g, t).to_json()
@@ -153,11 +157,11 @@ def cmd_classify(args):
         report["coverage_errors"] = coverage
         exit_code = EXIT_COVERAGE
 
-    _dump(report, args.json)
-    if args.svg:
+    _dump(report, json_path)
+    if svg:
         region = generator_region if generator_region is not None \
             else regions.generator_point_spectrum(g)
-        Path(args.svg).write_text(render_svg(region, args.viewport))
+        Path(svg).write_text(render_svg(region, viewport))
     return exit_code
 
 
@@ -274,16 +278,20 @@ def cmd_verify(args):
 # -- truncate ---------------------------------------------------------------
 
 def cmd_truncate(args):
-    s = _load_scenario(args.config)
+    return _truncate(_load_scenario(args.config), args.t, args.N, args.nmax,
+                     args.json)
+
+
+def _truncate(s, t, N, nmax, json_path):
     g = gammas_from(s.fixed_points, s.p)
-    M = truncation.build_matrix(s, args.t, args.N)
-    radius, seq = truncation.gelfand_radius(M, args.nmax)
-    theory = regions.operator_radius(g, args.t)
+    M = truncation.build_matrix(s, t, N)
+    radius, seq = truncation.gelfand_radius(M, nmax)
+    theory = regions.operator_radius(g, t)
     cloud = truncation.eigen_cloud(M)
     report = {
         "command": "truncate",
         "scenario": _scenario_echo(s),
-        "t": args.t, "N": args.N, "n_max": args.nmax,
+        "t": t, "N": N, "n_max": nmax,
         "gelfand_radius": radius,
         "gelfand_sequence": list(seq),
         "resolution_horizon": truncation.resolution_horizon(M),
@@ -293,7 +301,7 @@ def cmd_truncate(args):
         "radius_bound_ok": bool(radius <= 1.05 * theory),
         "eigenvalue_max_modulus": abs(cloud[-1]) if cloud else 0.0,
     }
-    _dump(report, args.json)
+    _dump(report, json_path)
     return EXIT_OK if report["radius_bound_ok"] else EXIT_VERIFY
 
 
@@ -333,16 +341,15 @@ def cmd_report(args):
         if not cfg.is_absolute():
             cfg = Path(args.suite).parent / cfg
         stem = cfg.stem
-        ns = argparse.Namespace(config=str(cfg), t=args.t,
-                                json=str(out / f"{stem}.classify.json"),
-                                svg=str(out / f"{stem}.svg"), viewport=None)
-        code = max(code, cmd_classify(ns), key=_SEVERITY.index)
-        tns = argparse.Namespace(config=str(cfg), t=args.t[0], N=args.N,
-                                 nmax=args.nmax,
-                                 json=str(out / f"{stem}.truncate.json"))
-        # a numerical failure ends this entry only; classify read its config
+        s = _load_scenario(cfg)     # one parse serves both commands
+        code = max(code, _classify(s, args.t, out / f"{stem}.classify.json",
+                                   out / f"{stem}.svg", None),
+                   key=_SEVERITY.index)
+        tjson = out / f"{stem}.truncate.json"
+        # a numerical failure ends this entry only
         try:
-            code = max(code, cmd_truncate(tns), key=_SEVERITY.index)
+            code = max(code, _truncate(s, args.t[0], args.N, args.nmax, tjson),
+                       key=_SEVERITY.index)
             continue
         except EvaluationError as e:
             error = e
@@ -351,7 +358,7 @@ def cmd_report(args):
             sys.stderr.write(f"numerical failure in {stem}: "
                              f"{type(e).__name__}: {e}\n")
             code = max(code, EXIT_NUMERICAL, key=_SEVERITY.index)
-        _dump({"command": "truncate", "error": str(error)}, tns.json)
+        _dump({"command": "truncate", "error": str(error)}, tjson)
     return code
 
 

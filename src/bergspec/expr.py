@@ -131,6 +131,11 @@ class Jet:
             raise EvaluationError("log/pow evaluated at a branch point (argument 0)")
         out = np.empty(np.shape(f0), dtype=complex)
         np.log(a, out=out.real)
+        if not np.isfinite(a.sum()):
+            # |f| overflowed beyond the largest double at a finite f, where
+            # log|f| = log|f/2| + log 2 is finite
+            big = np.isinf(a) & np.isfinite(f0)
+            out.real[big] = np.log(np.abs(np.asarray(f0)[big] / 2)) + np.log(2.0)
         np.arctan2(f0.imag, f0.real, out=out.imag)
         q1 = f1 / f0 if n > 0 else None
         return Jet(out[()], q1, f2 / f0 - q1 * q1 if n > 1 else None, n)
@@ -386,8 +391,6 @@ def combine(op, a, b) -> AnalyticExpr:
 
 
 def apply_fn(name, *args) -> AnalyticExpr:
-    if name == "ipow":
-        return AnalyticExpr(_IPow(_wrap(args[0]), int(args[1])))
     return AnalyticExpr(_Fn(name, [_wrap(a) for a in args]))
 
 

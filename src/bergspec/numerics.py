@@ -62,6 +62,7 @@ _FIT_RINGS = 6           # blocks used in the exponent fit
 _TAIL_EPS = 0.05         # margin in the analytic tail-rate bound
 _TAIL_INFLATE = 10.0     # safety factor on the sampled tail constant
 _T_MAX = 200.0           # hard cap on orbit-integral truncation time
+_STEP = 0.5              # orbit-integral panel width in t
 
 
 # Taylor blocks for `ap_norm_rings`: f on |z| = e^{-1/J} at n = 16J points
@@ -133,12 +134,26 @@ def _powered(f, p):
             f"|z| = e^(-1/{_TAYLOR_J}), so it has a zero inside the circle "
             f"and |f|^p = |f^(p/2)|^2 does not hold")
     phase = first + 2.0 * np.pi * (np.cumsum(turns, axis=-1) - turns)
+    del first, last, turns, prev, vals   # only phase goes on to the 2nd pass
     for r in range(S):
         vals = sample(r)
         if r:
-            phase = phase + np.angle(vals / prev)
+            ratio = vals / prev
+            del prev                 # freed before the angle is taken
+            phase += np.angle(ratio)
+            del ratio                # and before the next f call
         prev = vals
-        yield r, np.exp(0.5 * p * (np.log(np.abs(vals)) + 1j * phase))
+        yield r, _principal_power(vals, phase, p)
+
+
+def _principal_power(vals, phase, p):
+    """f^{p/2} = exp(p/2 (log|f| + i phase)), built in one array, which
+    the generator that yields it keeps no name for."""
+    g = np.empty(vals.shape, dtype=complex)
+    np.log(np.abs(vals), out=g.real)
+    g.imag = phase
+    g *= 0.5 * p
+    return np.exp(g, out=g)
 
 
 def ap_norm_rings(s: Scenario, f):
@@ -388,8 +403,8 @@ class _OrbitEvaluator:
         return z.reshape(t_arr.shape)
 
 
-def orbit_integral_K(s: Scenario, lam, f, anchor, tol=1e-9,
-                     step=0.5) -> ResolventCertificate:
+def orbit_integral_K(s: Scenario, lam, f, anchor,
+                     tol=1e-9) -> ResolventCertificate:
     """Resolvent constant K = integral of the one-form from 0 to the boundary
     fixed point `anchor`, truncated with an analytic tail bound.  To the
     attracting point it is the forward orbit of 0; to a repelling point, the
@@ -457,7 +472,7 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, tol=1e-9,
         T = min(T * 1.6, _T_MAX)
 
     quad_tol = 0.5 * tol
-    n_panels = max(1, int(math.ceil(T / step)))
+    n_panels = max(1, int(math.ceil(T / _STEP)))
     k = np.arange(n_panels)
     panels = _adaptive_gl(lambda t, i: integrand(t), T * k / n_panels,
                           T * (k + 1) / n_panels,
@@ -503,7 +518,7 @@ def residual_check(s: Scenario, lam, f, F):
     return float(np.max(res, initial=0.0))
 
 
-def nonsurjectivity_witness(s: Scenario, lam, f, tol=1e-9, step=0.5):
+def nonsurjectivity_witness(s: Scenario, lam, f, tol=1e-9):
     """Integral of the resolvent one-form between the first two repelling
     fixed points; a nonzero value certifies that lam - A is not surjective."""
     lam = complex(lam)
@@ -515,8 +530,8 @@ def nonsurjectivity_witness(s: Scenario, lam, f, tol=1e-9, step=0.5):
     if not lam.real < gamma2:
         raise OrbitIntegralError(
             f"witness requires Re lambda < gamma_2 = {gamma2}")
-    k1 = orbit_integral_K(s, lam, f, reps[0], tol=tol, step=step)
-    k2 = orbit_integral_K(s, lam, f, reps[1], tol=tol, step=step)
+    k1 = orbit_integral_K(s, lam, f, reps[0], tol=tol)
+    k2 = orbit_integral_K(s, lam, f, reps[1], tol=tol)
     return k2.K - k1.K
 
 

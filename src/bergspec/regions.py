@@ -23,11 +23,9 @@ __all__ = [
     "generator_spectrum",
     "essential_spectrum",
     "generator_point_spectrum",
-    "composition_spectrum",
     "operator_radius",
     "operator_spectrum",
     "operator_point_spectrum",
-    "membership_rule",
 ]
 
 NEG_INF = float("-inf")
@@ -35,8 +33,6 @@ NEG_INF = float("-inf")
 CERTIFIED = "certified"
 BOUNDARY_UNRESOLVED = "boundary_unresolved"
 UNKNOWN_QUESTION2 = "unknown_question2"
-
-UNRESOLVED = "unresolved"  # membership_rule tie marker
 
 
 @dataclass(frozen=True)
@@ -305,16 +301,6 @@ def generator_point_spectrum(g: GammaProfile) -> SpectralRegion:
     return SpectralRegion.of(Component("vline", (g0,), BOUNDARY_UNRESOLVED))
 
 
-def composition_spectrum(alphas, p):
-    """Unweighted case: spectrum and point spectrum straight from the
-    flow exponents (all weight exponents zero)."""
-    alphas = list(alphas)
-    if not alphas or alphas[0] <= 0 or any(a >= 0 for a in alphas[1:]):
-        raise ValueError("need alpha_0 > 0 and remaining alphas < 0")
-    g = GammaProfile(p, 2 * alphas[0] / p, tuple(2 * a / p for a in alphas[1:]))
-    return generator_spectrum(g), generator_point_spectrum(g)
-
-
 def operator_radius(g: GammaProfile, t):
     """Spectral radius of the time-t operator; exact by the radius theorem."""
     if t < 0:
@@ -360,18 +346,3 @@ def operator_point_spectrum(g: GammaProfile, t) -> SpectralRegion:
     if g1 > g0:
         return EMPTY
     return SpectralRegion.of(Component("circle", (math.exp(g0 * t),), BOUNDARY_UNRESOLVED))
-
-
-def membership_rule(mu: complex, fp, p: float):
-    """Exponential-of-the-conformal-map membership test near a fixed point.
-
-    Returns True / False, or "unresolved" exactly at the threshold where
-    the dichotomy is a strict inequality.
-    """
-    threshold = 2.0 * fp.alpha / p
-    x = mu.real if isinstance(mu, complex) else float(mu)
-    if x == threshold:
-        return UNRESOLVED
-    if fp.role == "denjoy_wolff":
-        return x < threshold
-    return x > threshold

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from bergspec import numerics
 from bergspec.cli import main as cli_main
 from bergspec.numerics import (ap_norm_rings, coboundary_growth_exponent,
                                eigen_identity_residual, eigenfunction,
@@ -183,7 +184,7 @@ def test_criterion_06_resolvent_reproduction(criterion):
         assert residual_check(tw, -1.5, ONE, F2) < 1e-5
 
 
-def test_criterion_07_nonsurjectivity_witness(criterion):
+def test_criterion_07_nonsurjectivity_witness(criterion, monkeypatch):
     # Deviation from the spec text: for the unweighted trident with f = 1 the
     # witness one-form has a global primitive, so the pair integral vanishes
     # identically; the nonzero-witness requirement is met with f(z) = z and
@@ -192,8 +193,9 @@ def test_criterion_07_nonsurjectivity_witness(criterion):
         s = make_builtin("trident", 2.0)
         assert abs(nonsurjectivity_witness(s, -3.0, ONE, tol=1e-9)) < 1e-8
         ident = lambda z: np.asarray(z, dtype=complex)
-        w1 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9, step=0.5)
-        w2 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9, step=0.25)
+        w1 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9)
+        monkeypatch.setattr(numerics, "_STEP", 0.25)   # halve the panels
+        w2 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9)
         assert abs(w1) > 1e-6
         assert abs(w1 - w2) < 1e-8
 

@@ -139,6 +139,23 @@ def test_a_three_row_call_stays_within_its_memory(strip_weighted):
     assert peak < 1.1e6
 
 
+def test_a_three_row_call_at_p3_stays_within_its_memory():
+    # measured 1.16 MB with numpy 2.4.6: the p = 2 call's 0.86 MB plus the
+    # unwrapped phase and the raw sub-circle that the next phase step reads.
+    # Keeping the first pass's phases and building f^{p/2} through
+    # temporaries read 1.68 MB
+    s = make_builtin("strip_flow", 3.0, c=0.4, s=0.7)
+    F = eigenfunction(s, [0.5, 2.0, -1.5])
+    ap_norm_rings(s, F)                   # compiles the tape
+    tracemalloc.start()
+    try:
+        ap_norm_rings(s, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25e6
+
+
 def _exact_blocks(b):
     # blocks of pi sum |a_j|^2 / (j + 1) for (1 - z)^{-b}, whose Taylor
     # coefficients are Gamma(j + b) / (Gamma(b) j!)
@@ -337,11 +354,12 @@ def test_orbit_integral_rejects_wrong_half_plane(strip_unweighted):
         orbit_integral_K(s, 0.5, ONE, s.dw_point())  # Re lam < gamma0
 
 
-def test_witness_step_halving_reproducible(trident_unweighted):
+def test_witness_step_halving_reproducible(trident_unweighted, monkeypatch):
     s = trident_unweighted
     ident = lambda z: np.asarray(z, dtype=complex)
-    w1 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9, step=0.5)
-    w2 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9, step=0.25)
+    w1 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9)
+    monkeypatch.setattr(numerics, "_STEP", 0.25)   # halve the panels
+    w2 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9)
     assert abs(w1) > 1e-6
     assert abs(w1 - w2) < 1e-8
 

@@ -173,3 +173,16 @@ def test_jet_log_branch_follows_signed_zero(f, arg):
         got = Jet(x, order=0).log().f
         assert np.all(got == complex(0, arg))
         assert np.all(got == np.log(x))
+
+
+def test_jet_log_beyond_the_largest_modulus():
+    # |f| overflows to inf here although log|f| is about 710
+    big = np.array([1.7e308 * (1 + 1j), -1.5e308 * (1 + 1j)])
+    got = Jet(big, order=0).log().f
+    ref = np.log(big)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - ref) <= 2e-16 * np.abs(ref))
+    # the ordinary points of the same array keep their bits
+    small = np.array([0.3 - 0.4j, -2.0 + 0j])
+    mixed = Jet(np.concatenate([small, big]), order=0).log().f
+    assert mixed[:2].tobytes() == Jet(small, order=0).log().f.tobytes()

@@ -8,9 +8,8 @@ import pytest
 
 from bergspec.errors import CoverageError
 from bergspec.regions import (NEG_INF, Component, GammaProfile, SpectralRegion,
-                              composition_spectrum, essential_spectrum,
-                              gammas_from, generator_point_spectrum,
-                              generator_spectrum, membership_rule,
+                              essential_spectrum, gammas_from,
+                              generator_point_spectrum, generator_spectrum,
                               operator_point_spectrum, operator_radius,
                               operator_spectrum)
 from bergspec.scenario import FixedPointDatum
@@ -151,20 +150,6 @@ def test_point_spectrum_open_strip_with_unresolved_boundary():
     assert not pt.contains(1.5)
 
 
-def test_composition_group_strip_example():
-    spec, point = composition_spectrum((1.0, -1.0), 2.0)
-    assert spec.normalized().to_json() == \
-        [{"kind": "vstrip", "params": [-1.0, 1.0], "certainty": "certified"}]
-    assert point.restrict("certified").contains(0.0)
-    assert not point.restrict("certified").contains(1.0)
-
-
-def test_composition_triple_normalizes():
-    spec, _ = composition_spectrum((1.0, -2.0, -2.0), 2.0)
-    assert spec.normalized().to_json() == \
-        [{"kind": "half_plane_left", "params": [1.0], "certainty": "certified"}]
-
-
 # -- builtin-derived profiles ----------------------------------------------
 
 def test_gammas_from_trident_weighted():
@@ -232,19 +217,6 @@ def test_to_json_neg_inf_sentinel():
     blob = json.dumps(generator_spectrum(g).normalized().to_json())
     assert "-inf" not in blob or json.loads(blob)  # parseable either way
     json.loads(blob)
-
-
-# -- membership rule --------------------------------------------------------
-
-def test_membership_rule():
-    dw = FixedPointDatum(1.0 + 0j, 1.0, 0.0, role="denjoy_wolff")
-    rep = FixedPointDatum(-1.0 + 0j, -1.0, 0.0, role="repelling")
-    assert membership_rule(0.5 + 2j, dw, 2.0) is True
-    assert membership_rule(1.5, dw, 2.0) is False
-    assert membership_rule(1.0, dw, 2.0) == "unresolved"
-    assert membership_rule(-0.5, rep, 2.0) is True
-    assert membership_rule(-1.5, rep, 2.0) is False
-    assert membership_rule(-1.0, rep, 2.0) == "unresolved"
 
 
 def test_disk_zero_component_drops():
