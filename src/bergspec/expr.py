@@ -131,11 +131,13 @@ class Jet:
             raise EvaluationError("log/pow evaluated at a branch point (argument 0)")
         out = np.empty(np.shape(f0), dtype=complex)
         np.log(a, out=out.real)
-        if not np.isfinite(a.sum()):
-            # |f| overflowed beyond the largest double at a finite f, where
-            # log|f| = log|f/2| + log 2 is finite
-            big = np.isinf(a) & np.isfinite(f0)
-            out.real[big] = np.log(np.abs(np.asarray(f0)[big] / 2)) + np.log(2.0)
+        if a.sum() >= 2.0 ** 1023:
+            # at a finite f with |f| >= 2^1023, |f| or the |Re f| + |Im f| of
+            # numpy's complex division can overflow: halve f, f' and f''
+            # there (exact), so log|f| = log|f/2| + log 2 and f'/f, f''/f hold
+            two = np.where(np.isfinite(f0) & (a >= 2.0 ** 1023), 2.0, 1.0)
+            f0, f1, f2 = (x if x is None else x / two for x in (f0, f1, f2))
+            out.real[...] = np.log(np.abs(f0)) + np.log(two)
         np.arctan2(f0.imag, f0.real, out=out.imag)
         q1 = f1 / f0 if n > 0 else None
         return Jet(out[()], q1, f2 / f0 - q1 * q1 if n > 1 else None, n)

@@ -1,13 +1,17 @@
 """Exact spectral-region algebra driven by the invariants gamma_j.
 
-Everything here is pure value-level computation on extended reals: the
-classifiers turn a profile (gamma_0; gamma_1 >= gamma_2 >= ...) into closed
-subsets of the plane described as unions of vertical strips / lines /
-half-planes (generator side) or disks / annuli / circles (operator side).
+Everything here is pure value-level computation on extended reals.  A region
+is a union of components, and each component kind is an interval, closed or
+open, of one coordinate: Re lambda (vertical strips, lines, left half-planes)
+or |lambda| (disks, annuli, circles); see `_KINDS`.  The generator
+classifiers turn a profile (gamma_0; gamma_1 >= gamma_2 >= ...) into regions
+of the first sort; the operator spectra at time t are their images under
+lambda -> e^{lambda t}, plus the annulus the theorem leaves undecided.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -84,134 +88,92 @@ def gammas_from(fixed_points, p) -> GammaProfile:
     return GammaProfile(p, fixed_point_gamma(dw[0], p), tuple(reps))
 
 
+# Each kind is the set of lambda whose Re lambda (axis "v") or |lambda|
+# (axis "r") lies in [lo, hi], or in (lo, hi) when not closed.  Two-parameter
+# kinds give (lo, hi); one-parameter kinds give hi with lo = -inf ("upto") or
+# lo = hi ("at").
+_KINDS = {
+    "empty": None,
+    "half_plane_left": ("v", True, "upto"),
+    "vstrip": ("v", True, "between"),
+    "vline": ("v", True, "at"),
+    "open_vstrip_interior": ("v", False, "between"),
+    "disk": ("r", True, "upto"),
+    "closed_annulus": ("r", True, "between"),
+    "open_annulus_interior": ("r", False, "between"),
+    "circle": ("r", True, "at"),
+}
+_KIND_OF = {view: k for k, view in _KINDS.items() if view is not None}
+
+
 @dataclass(frozen=True)
 class Component:
     kind: str
     params: tuple
     certainty: str = CERTIFIED
 
+    def interval(self):
+        """(axis, closed, lo, hi) by the kind table above; None when empty."""
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown component kind {self.kind!r}")
+        view, pr = _KINDS[self.kind], self.params
+        if view is None:
+            return None
+        axis, closed, shape = view
+        lo, hi = {"upto": (NEG_INF, pr[0]), "at": (pr[0], pr[0])}.get(shape, pr)
+        return axis, closed, lo, hi
+
     def contains(self, lam: complex) -> bool:
-        x, r = lam.real, abs(lam)
-        k, pr = self.kind, self.params
-        if k == "empty":
+        view = self.interval()
+        if view is None:
             return False
-        if k == "half_plane_left":
-            return x <= pr[0]
-        if k == "vstrip":
-            return pr[0] <= x <= pr[1]
-        if k == "vline":
-            return x == pr[0]
-        if k == "open_vstrip_interior":
-            return pr[0] < x < pr[1]
-        if k == "disk":
-            return r <= pr[0]
-        if k == "closed_annulus":
-            return pr[0] <= r <= pr[1]
-        if k == "open_annulus_interior":
-            return pr[0] < r < pr[1]
-        if k == "circle":
-            return r == pr[0]
-        raise ValueError(f"unknown component kind {k!r}")
+        axis, closed, lo, hi = view
+        x = lam.real if axis == "v" else abs(lam)
+        return lo <= x <= hi if closed else lo < x < hi
+
+
+def _from_interval(axis, closed, lo, hi, certainty):
+    """The canonical component of the set that (axis, closed, lo, hi) reads:
+    a closed point interval is a line or circle, and a closed interval from
+    -inf (or from <= 0 in |lambda|) a half-plane or disk."""
+    if closed and lo == hi:
+        return Component(_KIND_OF[axis, True, "at"], (lo,), certainty)
+    if closed and (lo == NEG_INF or axis == "r" and lo <= 0.0):
+        return Component(_KIND_OF[axis, True, "upto"], (hi,), certainty)
+    return Component(_KIND_OF[axis, closed, "between"], (lo, hi), certainty)
 
 
 def _normalize_component(c: Component):
-    k, pr = c.kind, c.params
-    if k == "vstrip":
-        a, b = pr
-        if b < a or b == NEG_INF:
-            return None
-        if a == NEG_INF:
-            return Component("half_plane_left", (b,), c.certainty)
-        if a == b:
-            return Component("vline", (a,), c.certainty)
-    if k == "open_vstrip_interior":
-        a, b = pr
-        if b <= a:
-            return None
-    if k == "half_plane_left" and pr[0] == NEG_INF:
+    """The canonical component of the same set, or None when it is empty.
+    A disk of radius 0 is dropped although it holds the origin (ROADMAP
+    item 21); a circle of radius 0 is kept."""
+    view = c.interval()
+    if view is None:
         return None
-    if k in ("disk", "circle") and pr[0] <= 0.0:
-        return None if pr[0] < 0 or k == "disk" and pr[0] == 0 else c
-    if k == "closed_annulus":
-        r1, r2 = pr
-        if r2 < r1:
-            return None
-        # the circle or disk it reduces to is normalized in turn, so a
-        # second pass changes nothing
-        if r1 == r2:
-            return _normalize_component(Component("circle", (r1,), c.certainty))
-        if r1 <= 0.0:
-            return _normalize_component(Component("disk", (r2,), c.certainty))
-    if k == "open_annulus_interior":
-        r1, r2 = pr
-        if r2 <= r1:
-            return None
-    if k == "empty":
+    axis, closed, lo, hi = view
+    if (hi < lo or hi == NEG_INF or not closed and hi == lo
+            or closed and axis == "r" and (hi < 0.0 or lo < hi == 0.0)):
         return None
-    return c
-
-
-_CLOSED_INTERVAL_KINDS = {
-    "half_plane_left": "v", "vstrip": "v", "vline": "v",
-    "disk": "r", "closed_annulus": "r", "circle": "r",
-}
-
-
-def _interval_view(c: Component):
-    """(axis, lo, hi) for components that are closed intervals of Re or |.|."""
-    k, pr = c.kind, c.params
-    if k == "half_plane_left":
-        return "v", NEG_INF, pr[0]
-    if k in ("vstrip", "closed_annulus"):
-        return _CLOSED_INTERVAL_KINDS[k], pr[0], pr[1]
-    if k in ("vline", "circle"):
-        return _CLOSED_INTERVAL_KINDS[k], pr[0], pr[0]
-    if k == "disk":
-        return "r", 0.0, pr[0]
-    return None
-
-
-def _from_interval(axis, lo, hi, certainty):
-    if axis == "v":
-        if lo == NEG_INF:
-            return Component("half_plane_left", (hi,), certainty)
-        if lo == hi:
-            return Component("vline", (lo,), certainty)
-        return Component("vstrip", (lo, hi), certainty)
-    if lo <= 0.0:
-        return Component("disk", (hi,), certainty)
-    if lo == hi:
-        return Component("circle", (lo,), certainty)
-    return Component("closed_annulus", (lo, hi), certainty)
+    return _from_interval(axis, closed, lo, hi, c.certainty)
 
 
 def _merge_touching(components):
-    """Fuse closed components of equal certainty whose intervals overlap or
-    touch, so HalfPlaneLeft(a) + VStrip(a, b) collapses to HalfPlaneLeft(b)."""
+    """Fuse closed components of equal axis and certainty whose intervals
+    overlap or touch, so HalfPlaneLeft(a) + VStrip(a, b) collapses to
+    HalfPlaneLeft(b)."""
     comps = list(components)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(comps)):
-            vj = _interval_view(comps[j])
-            if vj is None:
-                continue
-            for k in range(j + 1, len(comps)):
-                if comps[k].certainty != comps[j].certainty:
-                    continue
-                vk = _interval_view(comps[k])
-                if vk is None or vk[0] != vj[0]:
-                    continue
-                if max(vj[1], vk[1]) <= min(vj[2], vk[2]):
-                    comps[j] = _from_interval(vj[0], min(vj[1], vk[1]),
-                                              max(vj[2], vk[2]),
-                                              comps[j].certainty)
-                    del comps[k]
-                    changed = True
-                    break
-            if changed:
+    while True:
+        for j, k in itertools.combinations(range(len(comps)), 2):
+            a, ca, lo1, hi1 = comps[j].interval()
+            b, cb, lo2, hi2 = comps[k].interval()
+            if (a == b and ca and cb and max(lo1, lo2) <= min(hi1, hi2)
+                    and comps[j].certainty == comps[k].certainty):
+                comps[j] = _from_interval(a, True, min(lo1, lo2),
+                                          max(hi1, hi2), comps[j].certainty)
+                del comps[k]
                 break
-    return comps
+        else:
+            return comps
 
 
 @dataclass(frozen=True)
@@ -275,27 +237,20 @@ def generator_spectrum(g: GammaProfile) -> SpectralRegion:
 
 
 def essential_spectrum(g: GammaProfile) -> SpectralRegion:
-    """Union of the vertical lines at every finite gamma."""
+    """Union of the vertical lines at every gamma (vline(-inf) is empty)."""
     if g.gamma0 == NEG_INF or g.gamma1 == NEG_INF:
         raise CoverageError("essential spectrum unsupported when gamma0 or "
                             "gamma1 is -inf")
-    lines = []
-    for x in g.all_gammas():
-        if x != NEG_INF:
-            lines.append(Component("vline", (x,)))
-    return SpectralRegion.of(*lines)
+    return SpectralRegion.of(*(Component("vline", (x,)) for x in g.all_gammas()))
 
 
 def generator_point_spectrum(g: GammaProfile) -> SpectralRegion:
     g0, g1 = g.gamma0, g.gamma1
-    if g0 == NEG_INF:
-        return EMPTY
     if g1 < g0:
-        comps = [Component("open_vstrip_interior", (g1, g0))]
-        comps.append(Component("vline", (g0,), BOUNDARY_UNRESOLVED))
-        if g1 != NEG_INF:
-            comps.append(Component("vline", (g1,), BOUNDARY_UNRESOLVED))
-        return SpectralRegion.of(*comps)
+        return SpectralRegion.of(
+            Component("open_vstrip_interior", (g1, g0)),
+            Component("vline", (g0,), BOUNDARY_UNRESOLVED),
+            Component("vline", (g1,), BOUNDARY_UNRESOLVED))
     if g1 > g0:
         return EMPTY
     return SpectralRegion.of(Component("vline", (g0,), BOUNDARY_UNRESOLVED))
@@ -311,38 +266,36 @@ def operator_radius(g: GammaProfile, t):
     return math.exp(gmax * t)
 
 
+def _exp_image(region: SpectralRegion, t):
+    """The components' images under lambda -> e^{lambda t}: Re lambda in
+    [lo, hi] maps onto |mu| in [e^{lo t}, e^{hi t}].  Re lambda -> -inf maps
+    to mu -> 0, which a closed image holds (lo stays -inf, as a disk reads)
+    and an open one does not (lo = 0)."""
+    out = []
+    for c in region.components:
+        _, closed, lo, hi = c.interval()
+        lo = (NEG_INF if closed else 0.0) if lo == NEG_INF else math.exp(lo * t)
+        out.append(_from_interval("r", closed, lo, math.exp(hi * t),
+                                  c.certainty))
+    return out
+
+
 def operator_spectrum(g: GammaProfile, t) -> SpectralRegion:
+    """The image of the generator spectrum, plus the open annulus between its
+    inner disk (radius 0 when it has none) and its outer annulus, which the
+    theorem leaves undecided (unknown_question2)."""
     if not t > 0:
         raise ValueError("operator_spectrum requires t > 0")
-    _require_covered(g)
-    g0, g1, g2 = g.gamma0, g.gamma1, g.gamma2
-    rmax = operator_radius(g, t)
-    if g2 >= g0 or g2 == g1:
-        return SpectralRegion.of(Component("disk", (rmax,)))
-    r2 = 0.0 if g2 == NEG_INF else math.exp(g2 * t)
-    rlo = math.exp(min(g0, g1) * t) if g1 != NEG_INF else math.exp(g0 * t)
-    rhi = rmax
-    comps = [Component("disk", (r2,)),
-             Component("closed_annulus", (rlo, rhi))]
-    if r2 < rlo:
-        comps.append(Component("open_annulus_interior", (r2, rlo), UNKNOWN_QUESTION2))
-    return SpectralRegion.of(*comps)
+    *inner, outer = image = _exp_image(generator_spectrum(g), t)
+    r_in = inner[0].interval()[3] if inner else 0.0
+    gap = _from_interval("r", False, r_in, outer.interval()[2],
+                         UNKNOWN_QUESTION2)
+    return SpectralRegion.of(*image, gap)
 
 
 def operator_point_spectrum(g: GammaProfile, t) -> SpectralRegion:
+    """The image of the generator point spectrum (spectral mapping for the
+    point spectrum: Engel and Nagel, One-Parameter Semigroups, IV.3.7)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    g0, g1 = g.gamma0, g.gamma1
-    if g0 == NEG_INF:
-        return EMPTY
-    if g1 < g0:
-        r0 = math.exp(g0 * t)
-        r1 = 0.0 if g1 == NEG_INF else math.exp(g1 * t)
-        comps = [Component("open_annulus_interior", (r1, r0)),
-                 Component("circle", (r0,), BOUNDARY_UNRESOLVED)]
-        if g1 != NEG_INF:
-            comps.append(Component("circle", (r1,), BOUNDARY_UNRESOLVED))
-        return SpectralRegion.of(*comps)
-    if g1 > g0:
-        return EMPTY
-    return SpectralRegion.of(Component("circle", (math.exp(g0 * t),), BOUNDARY_UNRESOLVED))
+    return SpectralRegion.of(*_exp_image(generator_point_spectrum(g), t))

@@ -1,15 +1,17 @@
 """Deterministic SVG rendering of spectral regions.
 
-Strips and half-planes are rectangles clipped to the viewport, lines and
-circles are 1-px rules, disks and annuli are even-odd fill paths.  Certainty
-is rendered by fill opacity (certified 0.8, boundary_unresolved 0.4) and the
-unknown_question2 tag by a hatch pattern.  Output is byte-stable: fixed float
-formatting and fixed element order.
+Each component is drawn from its interval view (`Component.interval()`):
+a closed point interval is a 1-px rule (line or circle), any other interval
+of Re lambda a rectangle clipped to the viewport, and one of |lambda| a disk
+or an even-odd annulus path.  Certainty is rendered by fill opacity
+(certified 0.8, boundary_unresolved 0.4) and the unknown_question2 tag by a
+hatch pattern.  Output is byte-stable: fixed float formatting and fixed
+element order.
 """
 
 from __future__ import annotations
 
-from .regions import SpectralRegion
+from .regions import NEG_INF, SpectralRegion
 
 __all__ = ["Viewport", "render_svg"]
 
@@ -98,21 +100,19 @@ def _circle_rule(vp, r, style):
 
 
 def _component_svg(vp, c):
-    k, pr = c.kind, c.params
+    view = c.interval()
+    if view is None:
+        return []
+    axis, closed, lo, hi = view
     style = _style(c)
-    if k == "half_plane_left":
-        return _rect(vp, vp.xmin, pr[0], style)
-    if k in ("vstrip", "open_vstrip_interior"):
-        return _rect(vp, pr[0], pr[1], style)
-    if k == "vline":
-        return _vline(vp, pr[0], style)
-    if k == "disk":
-        return _disk(vp, pr[0], style)
-    if k in ("closed_annulus", "open_annulus_interior"):
-        return _annulus(vp, pr[0], pr[1], style)
-    if k == "circle":
-        return _circle_rule(vp, pr[0], style)
-    return []
+    if axis == "v":     # _rect clips to the viewport, so lo = -inf is fine
+        return (_vline(vp, lo, style) if closed and lo == hi
+                else _rect(vp, lo, hi, style))
+    if closed and lo == NEG_INF:
+        return _disk(vp, hi, style)
+    if closed and lo == hi:
+        return _circle_rule(vp, lo, style)
+    return _annulus(vp, lo, hi, style)
 
 
 def _axes(vp):

@@ -12,6 +12,7 @@ integrals are integrals in w):
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,3 +187,18 @@ def test_jet_log_beyond_the_largest_modulus():
     small = np.array([0.3 - 0.4j, -2.0 + 0j])
     mixed = Jet(np.concatenate([small, big]), order=0).log().f
     assert mixed[:2].tobytes() == Jet(small, order=0).log().f.tobytes()
+
+
+@pytest.mark.parametrize("f", [1e308 * (1 + 1j), 1.7e308 * (1 + 1j)])
+def test_jet_log_derivative_beyond_the_largest_modulus(f):
+    # |Re f| + |Im f|, which numpy's complex division forms, overflows here
+    # (and at 1.7e308 so does |f|), while log f and 1/f are finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = Jet(np.array([f]), np.ones(1, complex), order=1).log()
+    with mp.workdps(30):
+        log_ref = complex(mp.log(mp.mpc(f.real, f.imag)))
+        ref = complex(1 / mp.mpc(f.real, f.imag))
+    assert np.isfinite(got.f[0]) and abs(got.f[0] - log_ref) <= 2e-16 * abs(log_ref)
+    # 1/f is subnormal, so round-off is counted in its ulps
+    assert abs(got.d1[0] - ref) <= 2 * math.ulp(abs(ref))

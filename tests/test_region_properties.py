@@ -1,5 +1,7 @@
 """Property tests of the exact region algebra (dev-only: needs hypothesis)."""
 
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from bergspec.errors import CoverageError
 from bergspec.regions import (NEG_INF, Component, GammaProfile,
                               SpectralRegion, essential_spectrum,
-                              generator_point_spectrum, generator_spectrum)
+                              generator_point_spectrum, generator_spectrum,
+                              operator_point_spectrum, operator_spectrum)
 
 # multiples of 1/8 in [-4, 4]: a sum of two is exact, so translating a region
 # by c and shifting its gammas by c give the same floats
@@ -75,3 +78,32 @@ def test_translation_agrees_with_shifted_gammas(g, c):
                 region(g.shifted(c))
             continue
         assert moved == region(g.shifted(c)).normalized(), region.__name__
+
+
+# the operator regions are the e^{t.} image of the generator regions, plus an
+# undecided annulus; x t and gamma t are exact here, so exp keeps their order
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(g=st.builds(GammaProfile, st.just(2.0), extended,
+                   st.lists(extended, max_size=3).map(tuple)),
+       t=st.sampled_from([0.125, 0.5, 1.0, 2.0]),
+       xs=st.lists(st.integers(-80, 80).map(lambda k: k / 16), min_size=1,
+                   max_size=8))
+def test_operator_regions_are_the_exp_image(g, t, xs):
+    gen_point, op_point = generator_point_spectrum(g), operator_point_spectrum(g, t)
+    assert not op_point.contains(0j)    # 0 is no e^{lambda t}
+    try:
+        gen, op = generator_spectrum(g), operator_spectrum(g, t)
+    except CoverageError:
+        gen = op = None
+    for x in xs:
+        mu = complex(math.exp(x * t), 0)
+        for tag in ("certified", "boundary_unresolved"):
+            assert gen_point.restrict(tag).contains(complex(x, 0.3)) == \
+                op_point.restrict(tag).contains(mu), (x, tag)
+        if gen is None:
+            continue
+        if gen.contains(complex(x, 0)):
+            assert op.contains(mu), x
+        elif op.contains(mu):
+            assert any(c.certainty == "unknown_question2" and c.contains(mu)
+                       for c in op.components), x

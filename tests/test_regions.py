@@ -194,15 +194,28 @@ def test_operator_spectrum_disk_case():
 
 def test_operator_spectrum_annulus_case():
     import math
-    g = GammaProfile(2.0, 1.0, (-1.0, -2.0))
-    comps = operator_spectrum(g, 1.0).normalized().to_json()
-    kinds = {c["kind"]: c for c in comps}
-    assert kinds["disk"]["params"] == [pytest.approx(math.e ** -2)]
-    assert kinds["closed_annulus"]["params"] == \
-        [pytest.approx(math.e ** -1), pytest.approx(math.e)]
-    assert kinds["open_annulus_interior"]["certainty"] == "unknown_question2"
-    assert kinds["open_annulus_interior"]["params"] == \
-        [pytest.approx(math.e ** -2), pytest.approx(math.e ** -1)]
+
+    def comp(kind, params, certainty="certified"):
+        return {"kind": kind, "params": params, "certainty": certainty}
+
+    e = math.exp
+    cases = [
+        # two repelling points: the inner disk, the outer annulus and the
+        # undecided annulus between them
+        (GammaProfile(2.0, 1.0, (-1.0, -2.0)),
+         [comp("disk", [e(-2.0)]), comp("closed_annulus", [e(-1.0), e(1.0)]),
+          comp("open_annulus_interior", [e(-2.0), e(-1.0)],
+               "unknown_question2")]),
+        # a strip (gamma2 = -inf): no inner disk, so the undecided annulus
+        # reaches down to 0
+        (GammaProfile(2.0, 0.7, (0.1,)),
+         [comp("closed_annulus", [e(0.1), e(0.7)]),
+          comp("open_annulus_interior", [0.0, e(0.1)], "unknown_question2")]),
+    ]
+    for g, expected in cases:
+        assert operator_spectrum(g, 1.0).normalized().to_json() == expected
+    # vline(-inf) holds no lambda, so it normalizes away
+    assert SpectralRegion.of(Component("vline", (NEG_INF,))) == SpectralRegion(())
 
 
 def test_operator_point_spectrum_t_zero_circle():
@@ -223,3 +236,11 @@ def test_disk_zero_component_drops():
     r = SpectralRegion.of(Component("disk", (0.0,)),
                           Component("circle", (1.0,))).normalized()
     assert [c["kind"] for c in r.to_json()] == ["circle"]
+
+
+def test_unknown_kind_raises():
+    c = Component("ellipse", (1.0, 2.0))
+    for read in (c.interval, lambda: c.contains(0j),
+                 lambda: SpectralRegion.of(c)):
+        with pytest.raises(ValueError, match="unknown component kind"):
+            read()
