@@ -36,8 +36,8 @@ from .errors import (EvaluationError, OrbitIntegralError, PetalExitError,
                      WindingError)
 from .regions import fixed_point_gamma
 # eval_v has no caller here, but perfbench/tracing.py wraps it by this name
-from .scenario import (Scenario, _continuation_invert, beta_at, eval_h,
-                       eval_h_prime, eval_hl_jets, eval_v, generator_g,
+from .scenario import (_ORBIT_LEG, Scenario, _continuation_invert, beta_at,
+                       eval_h, eval_h_prime, eval_hl_jets, eval_v, generator_g,
                        quasi_random_grid)
 
 __all__ = [
@@ -369,13 +369,16 @@ def _segment_integrals(s: Scenario, lam, f, z, tol):
 
 class _OrbitEvaluator:
     """Points phi_{sign*t}(base) for many t, warm-started from a sorted cache
-    so repeated nearby times cost only a short Newton continuation.  The
-    cache is one (times, points) pair, replaced whole, so a concurrent call
-    reads a consistent pair and at worst drops the other's new points."""
+    so repeated nearby times cost only a short Newton continuation, in legs
+    of _ORBIT_LEG that step in the log coordinate of the orbit's limit point
+    zeta.  The cache is one (times, points) pair, replaced whole, so a
+    concurrent call reads a consistent pair and at worst drops the other's
+    new points."""
 
-    def __init__(self, s: Scenario, base, sign):
+    def __init__(self, s: Scenario, base, sign, zeta):
         self.s = s
         self.sign = sign
+        self.zeta = complex(zeta)
         self.w0 = complex(eval_h(s, base))
         self.closed = s._closed_inverse is not None
         self.cache = (np.zeros(1), np.array([complex(base)]))
@@ -394,7 +397,8 @@ class _OrbitEvaluator:
         lo = np.maximum(hi - 1, 0)
         near = np.where(t - ts[lo] <= ts[hi] - t, lo, hi)
         z = _continuation_invert(self.s, w_t.ravel(), zs[near],
-                                 self.w0 + self.sign * ts[near])
+                                 self.w0 + self.sign * ts[near], self.zeta,
+                                 _ORBIT_LEG)
         # merge the new times in, each after the cached ones it equals, in
         # the order a stable sort of (cache, new) would give
         order = np.argsort(t, kind="stable")
@@ -438,7 +442,8 @@ def orbit_integral_K(s: Scenario, lam, f, anchor,
     # or the witness, warm-starts from the points walked here
     ev = s._orbits.get((base, sign_t))
     if ev is None:
-        ev = s._orbits[base, sign_t] = _OrbitEvaluator(s, base, sign_t)
+        ev = s._orbits[base, sign_t] = _OrbitEvaluator(s, base, sign_t,
+                                                       anchor.zeta)
 
     def integrand(t):
         t = np.asarray(t, dtype=float)

@@ -268,13 +268,15 @@ def operator_radius(g: GammaProfile, t):
 
 def _exp_image(region: SpectralRegion, t):
     """The components' images under lambda -> e^{lambda t}: Re lambda in
-    [lo, hi] maps onto |mu| in [e^{lo t}, e^{hi t}].  Re lambda -> -inf maps
-    to mu -> 0, which a closed image holds (lo stays -inf, as a disk reads)
-    and an open one does not (lo = 0)."""
+    [lo, hi] maps onto |mu| in [e^{lo t}, e^{hi t}].  For t > 0 Re lambda ->
+    -inf maps to mu -> 0, which a closed image holds (lo stays -inf, as a
+    disk reads) and an open one does not (lo = 0); at t = 0 every lambda
+    maps to 1."""
     out = []
     for c in region.components:
         _, closed, lo, hi = c.interval()
-        lo = (NEG_INF if closed else 0.0) if lo == NEG_INF else math.exp(lo * t)
+        lo = ((NEG_INF if closed else 0.0) if lo == NEG_INF
+              else math.exp(lo * t)) if t else 1.0
         out.append(_from_interval("r", closed, lo, math.exp(hi * t),
                                   c.certainty))
     return out

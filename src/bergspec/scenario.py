@@ -502,6 +502,7 @@ def generator_g(s: Scenario, z):
 _NEWTON_BUDGET = 16         # corrector iterations per leg
 _NEWTON_TOL = 1e-13
 _LEG = 0.25                 # longest leg of a continuation path, in w
+_ORBIT_LEG = 2.0            # longest leg of an orbit walk toward its limit
 # times a failing leg may be quartered: the truncate of an expression trident
 # needs 3 where a flow starts 1e-11 from the critical value at the slit tip
 _LEG_DEPTH = 16
@@ -517,14 +518,17 @@ def _converged(hj, target):
     return np.abs(hj.f - target) < tol
 
 
-def _newton_step_batch(s, z, target):
-    """Damped Newton toward h(z) = target on 1-D complex arrays.  A point with
-    |z| > 1/2 steps in u = -i log z, where the unit circle is the flat line
-    Im u = 0, so a step along an orbit that hugs the circle stays inside:
-    z -> z exp(-delta / (z h')), with delta = h(z) - target.  Nearer 0, where
-    that coordinate is singular, the step is the plain z - delta / h'.  A
-    point stops once it has converged, after the step its converged jet
-    already gives.  Returns z and the converged mask."""
+def _newton_step_batch(s, z, target, center):
+    """Damped Newton toward h(z) = target on 1-D complex arrays, stepping in
+    log(c - z) for the center c: z -> c - (c - z) exp(delta / ((c - z) h')),
+    with delta = h(z) - target.  Near a boundary fixed point c, h is
+    -log(c - z)/alpha plus a bounded part, so a long leg of an orbit into c
+    converges in a few steps.  At c = 0 this is the step in u = -i log z,
+    where the unit circle is the flat line Im u = 0, so a step along an
+    orbit that hugs the circle stays inside; nearer 0 than 1/2, where that
+    coordinate is singular, the step is the plain z - delta / h'.  A point
+    stops once it has converged, after the step its converged jet already
+    gives.  Returns z and the converged mask."""
     z = np.array(z, dtype=complex)
     done = np.zeros(z.shape, dtype=bool)
     live = np.arange(z.size)
@@ -534,12 +538,13 @@ def _newton_step_batch(s, z, target):
         ok = _converged(hj, target[live])
         done[live[ok]] = True
         step = (hj.f - target[live]) / hj.d1
-        polar = np.abs(zl) > 0.5
-        step[polar] /= zl[polar]
+        polar = (np.abs(zl) > 0.5) | (center != 0)
+        step[polar] /= center - zl[polar]
 
         def move(factor):
             cand = zl - factor * step
-            cand[polar] = zl[polar] * np.exp(-factor[polar] * step[polar])
+            cand[polar] = center - (center - zl[polar]) * np.exp(
+                factor[polar] * step[polar])
             return cand
 
         factor = np.ones(zl.shape)
@@ -557,15 +562,16 @@ def _newton_step_batch(s, z, target):
     return z, done
 
 
-def _continuation_invert(s, w, z0, w0):
+def _continuation_invert(s, w, z0, w0, center=0j, longest=_LEG):
     """Follow straight paths in the image domain from w0 to w, one per point,
-    in legs of its own length: equal legs of at most _LEG, except that a leg
-    whose corrector fails is retried from its start in quarters, down to
-    _LEG / 4**_LEG_DEPTH, and after the quarters the longer legs resume."""
+    in legs of its own length: equal legs of at most `longest`, except that a
+    leg whose corrector fails is retried from its start in quarters, down to
+    longest / 4**_LEG_DEPTH, and after the quarters the longer legs resume.
+    The corrector steps in log(center - z)."""
     shape = np.shape(w)
     w, w0, z = (np.array(a, dtype=complex).ravel() for a in (w, w0, z0))
     # progress along each path counts finest legs, so every leg end is exact
-    end = _LEG_UNITS * np.ceil(np.abs(w - w0) / _LEG).clip(1).astype(np.int64)
+    end = _LEG_UNITS * np.ceil(np.abs(w - w0) / longest).clip(1).astype(np.int64)
     pos = np.zeros(w.shape, dtype=np.int64)
     depth = np.zeros(w.shape, dtype=np.int64)
     live = np.arange(w.size)
@@ -573,7 +579,7 @@ def _continuation_invert(s, w, z0, w0):
         leg = _LEG_UNITS >> 2 * depth
         nxt = pos[live] + leg[live]
         target = w0[live] + (w[live] - w0[live]) * (nxt / end[live])
-        zl, ok = _newton_step_batch(s, z[live], target)
+        zl, ok = _newton_step_batch(s, z[live], target, center)
         good, bad = live[ok], live[~ok]
         z[good], pos[good] = zl[ok], nxt[ok]
         # a point that has finished the quarters of a failed leg goes back up

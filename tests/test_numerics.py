@@ -523,11 +523,37 @@ def test_a_second_orbit_integral_reuses_the_orbit(monkeypatch):
     assert abs(again - first) <= 1e-14 * abs(first)
 
 
+def test_an_orbit_walk_takes_long_legs_toward_its_limit(monkeypatch):
+    # the first tail walk of orbit_integral_K, to T = 25: thirteen legs of
+    # 2 in w, where legs of 0.25 took 100 corrector calls
+    tw = _twin("strip_flow", 0.4, 0.7, 0.15)
+    steps = _counting(monkeypatch, scenario, "_newton_step_batch")
+    numerics._OrbitEvaluator(tw, 0.0, 1.0, 1.0).points(np.linspace(2.5, 25, 17))
+    assert len(steps) <= 16
+
+
+@pytest.mark.parametrize("model, c, s, d", [
+    pytest.param("trident", 0.0, 0.1, 0.5, id="trident"),
+    pytest.param("strip_flow", 0.4, 0.7, 0.15, id="strip_flow")])
+def test_orbit_walks_match_the_closed_form_orbits(model, c, s, d):
+    # the forward orbit and each backward petal orbit, far into their limit
+    # points, where an iterate could pass the residual floor of _converged
+    # while still off the orbit
+    tw, ref = _twin(model, c, s, d), make_builtin(model, 2.0, c=c, s=s, d=d)
+    t = np.array([0.5, 1, 2, 5, 10, 15, 20, 25])
+    orbits = [(0.0, 1.0, ref.dw_point().zeta)] + [
+        (ref.petal_anchor(fp), -1.0, fp.zeta) for fp in ref.repelling_points()]
+    for base, sign, zeta in orbits:
+        got = numerics._OrbitEvaluator(tw, base, sign, zeta).points(t)
+        want = numerics._OrbitEvaluator(ref, base, sign, zeta).points(t)
+        assert np.max(np.abs(got - want)) <= 1e-15, zeta
+
+
 def test_orbit_cache_merges_as_a_stable_sort():
     # new times go in after the cached ones they equal, so every warm start
     # is the one the sorted (cache, new) pair gave
     tw = _twin("strip_flow", 0.4, 0.7, 0.15)
-    ev = numerics._OrbitEvaluator(tw, 0.0, 1.0)
+    ev = numerics._OrbitEvaluator(tw, 0.0, 1.0, 1.0)
     ts, zs = [np.zeros(1)], [np.zeros(1, dtype=complex)]
     for t in (np.array([3.0, 1.0, 2.0, 1.0]), np.array([[2.0, 0.5], [1.0, 3.0]]),
               np.linspace(0.0, 4.0, 9)):
@@ -595,8 +621,9 @@ def test_orbit_integral_fails_when_no_truncation_time_meets_tol(
 
 def test_a_backward_orbit_that_leaves_the_image_domain_raises(
         half_strip_weighted):
-    # h(0) = 0, and the half strip's image ends at Re w = -log(1 + sqrt 2)
-    ev = numerics._OrbitEvaluator(half_strip_weighted, 0.0, -1.0)
+    # h(0) = 0, and the half strip's image ends at Re w = -log(1 + sqrt 2),
+    # the image of z = 1
+    ev = numerics._OrbitEvaluator(half_strip_weighted, 0.0, -1.0, 1.0)
     with pytest.raises(PetalExitError):
         ev.points(np.array([0.5, 5.0]))
 

@@ -21,7 +21,7 @@ mp = pytest.importorskip("mpmath")
 
 from bergspec import numerics
 from bergspec.expr import Jet
-from bergspec.scenario import make_builtin
+from bergspec.scenario import make_builtin, parse_scenario
 from bergspec.truncation import build_matrix
 
 P, A, C, S = 2.0, 1.0, 0.4, 0.7
@@ -74,6 +74,31 @@ def test_orbit_integral_matches_mpmath(strip, lam, toward):
     (fp,) = [f for f in strip.fixed_points if f.zeta == toward]
     one = lambda x: np.ones_like(np.asarray(x, dtype=complex))
     cert = numerics.orbit_integral_K(strip, lam, one, fp, tol=1e-9)
+    assert abs(cert.K - ref) <= 1e-9
+
+
+def _strip_twin(c, s):
+    # the expression twin of strip_flow at a = 1, d = 0, written as the newton
+    # benchmark writes it: every orbit point comes from Newton continuation
+    h = "log(1+z) - log(1-z)"
+    return parse_scenario(
+        f"p = 2\nmodel = expression\nh_expr = {h}\n"
+        f"v_expr = exp({c:.6f}*({h})) * pow(2/(1-z^2), -{s:.6f})"
+        " * pow(1+z, 0.000000)\n"
+        f"fp = (1, 1, {c - s:.6f}, dw)\nfp = (-1, -1, {c + s:.6f}, rep)\n")
+
+
+@pytest.mark.parametrize("c,s,lam", [(0.3, 0.6, 1.0), (0.4, 0.7, 1.2)])
+def test_twin_orbit_integral_matches_mpmath(c, s, lam):
+    # slowly decaying orbits (rate gamma0 - lam = -0.3 and -0.5), so the
+    # tail loop walks far toward z = 1; the first row needs the orbit walk
+    # centered on z = 1 (in legs of 0.25 around 0 its inversion failed)
+    with mp.workdps(30):
+        ref = float(mp.quad(lambda w: mp.exp((c - lam) * w) * mp.power(
+            mp.mpf(1) / 2, s) * mp.cosh(w / 2) ** (-2 * s), [0, mp.inf]))
+    twin = _strip_twin(c, s)
+    one = lambda x: np.ones_like(np.asarray(x, dtype=complex))
+    cert = numerics.orbit_integral_K(twin, lam, one, twin.dw_point(), tol=1e-9)
     assert abs(cert.K - ref) <= 1e-9
 
 

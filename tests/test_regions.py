@@ -219,10 +219,13 @@ def test_operator_spectrum_annulus_case():
 
 
 def test_operator_point_spectrum_t_zero_circle():
-    g = GammaProfile(2.0, 1.0, (1.0,))
-    pt = operator_point_spectrum(g, 0.0).to_json()
-    assert pt[0]["kind"] == "circle" and pt[0]["params"] == [1.0]
-    assert pt[0]["certainty"] == "boundary_unresolved"
+    # T_0 = I: with or without a repelling point (gamma1 = -inf), the one
+    # candidate is mu = 1, never a certified annulus
+    for g in (GammaProfile(2.0, 1.0, (1.0,)), GammaProfile(2.0, 1.0, ())):
+        pt = operator_point_spectrum(g, 0.0).to_json()
+        assert len(pt) == 1, g
+        assert pt[0]["kind"] == "circle" and pt[0]["params"] == [1.0]
+        assert pt[0]["certainty"] == "boundary_unresolved"
 
 
 def test_to_json_neg_inf_sentinel():

@@ -217,9 +217,9 @@ def test_continuation_decides_per_point(monkeypatch):
     corrector = scenario._newton_step_batch
     calls = []
 
-    def counted(s, z, target):
+    def counted(s, z, target, center):
         calls.append(z.size)
-        return corrector(s, z, target)
+        return corrector(s, z, target, center)
 
     monkeypatch.setattr(scenario, "_newton_step_batch", counted)
     both = scenario._continuation_invert(twin, w + 1.0, z, w)
@@ -236,10 +236,10 @@ def test_continuation_gives_up_on_a_point_that_never_converges(monkeypatch):
     corrector = scenario._newton_step_batch
     calls = []
 
-    def stuck(s, z, target):
+    def stuck(s, z, target, center):
         # the first point's path is the only one at its height
         calls.append(z.size)
-        z, ok = corrector(s, z, target)
+        z, ok = corrector(s, z, target, center)
         return z, ok & (target.imag != w[0].imag)
 
     monkeypatch.setattr(scenario, "_newton_step_batch", stuck)
@@ -257,9 +257,9 @@ def test_continuation_resumes_long_legs_after_a_failed_legs_quarters(
     corrector = scenario._newton_step_batch
     calls = []
 
-    def first_leg_fails(s, z, target):
+    def first_leg_fails(s, z, target, center):
         calls.append(z.size)
-        z, ok = corrector(s, z, target)
+        z, ok = corrector(s, z, target, center)
         return z, ok & (len(calls) > 1)
 
     monkeypatch.setattr(scenario, "_newton_step_batch", first_leg_fails)
@@ -280,9 +280,9 @@ def test_near_circle_flow_takes_long_legs(monkeypatch):
     corrector = scenario._newton_step_batch
     calls = []
 
-    def counted(s, z, target):
+    def counted(s, z, target, center):
         calls.append(z.size)
-        return corrector(s, z, target)
+        return corrector(s, z, target, center)
 
     monkeypatch.setattr(scenario, "_newton_step_batch", counted)
     out = flow(twin, 1.0, z)
