@@ -212,9 +212,10 @@ def cmd_verify(args):
                        "status": "pass" if ok else "fail"})
     report["growth_exponents"] = growth
 
-    # one pass over the Taylor circle gives every lambda its membership verdict
+    # one pass over the Taylor circle and one flow per t serve every lambda
     verdicts = numerics.ap_norm_rings(s, numerics.eigenfunction(s, lams))
-    for lam, verdict in zip(lams, verdicts):
+    identity = [numerics.eigen_identity_residual(s, lams, t) for t in args.t]
+    for i, (lam, verdict) in enumerate(zip(lams, verdicts)):
         entry = {"lambda": lam, "checks": []}
         expect = _membership_expectation(g, lam.real)
         ok = expect is None or verdict.status in (expect, "inconclusive")
@@ -225,14 +226,14 @@ def cmd_verify(args):
             "fitted_exponent": verdict.fitted_exponent,
             "status": "pass" if ok else "fail"})
 
-        for t in args.t:
-            res = numerics.eigen_identity_residual(s, lam, t)
+        for t, residuals in zip(args.t, identity):
+            res = residuals[i]
             ok = res <= args.tol_identity
             failed |= not ok
             entry["checks"].append(_check(f"eigen_identity_t_{t:g}", res,
                                           args.tol_identity, ok))
 
-        anchor = None
+        anchor, held = None, []
         if lam.real > g.gamma0 + numerics._TAIL_EPS:
             anchor = s.dw_point()
         else:
@@ -244,6 +245,7 @@ def cmd_verify(args):
             try:
                 cert = numerics.orbit_integral_K(s, lam, one, anchor,
                                                  tol=args.tol_orbit)
+                held.append(cert)
                 res = numerics.residual_check(
                     s, lam, one,
                     lambda z: numerics.resolvent_apply(s, lam, one, cert, z))
@@ -261,7 +263,7 @@ def cmd_verify(args):
         if (len(s.repelling_points()) >= 2
                 and lam.real < g.gamma2 - numerics._TAIL_EPS):
             try:
-                w = numerics.nonsurjectivity_witness(s, lam, one,
+                w = numerics.nonsurjectivity_witness(s, lam, one, held,
                                                      tol=args.tol_orbit)
                 entry["checks"].append({"check": "nonsurjectivity_witness",
                                         "value": w, "magnitude": abs(w),

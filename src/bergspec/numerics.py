@@ -258,15 +258,15 @@ def eigenfunction(s: Scenario, lam):
 
 def eigen_identity_residual(s: Scenario, lam, t):
     """Max deviation in the exact identity u_t (F_lam o phi_t) = e^{lam t} F_lam
-    over `quasi_random_grid(100, 0.9)`."""
+    over `quasi_random_grid(100, 0.9)`; a list of them for a sequence of lam."""
     from .scenario import _weight_ratio, flow
-    lam = complex(lam)
+    lams = np.asarray(lam, dtype=complex)
     grid = quasi_random_grid(100, 0.9)
-    F = eigenfunction(s, lam)
+    F = eigenfunction(s, lams)
     zt = flow(s, t, grid)
     lhs = _weight_ratio(s, t, grid, zt) * F(zt)
-    rhs = np.exp(lam * t) * F(grid)
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = np.exp(lams * t)[..., None] * F(grid)
+    return np.max(np.abs(lhs - rhs), axis=-1).tolist()
 
 
 # -- adaptive quadrature ----------------------------------------------------
@@ -432,6 +432,8 @@ def orbit_integral_K(s: Scenario, lam, f, anchor,
         rate = lam.real - gamma
         sign_t, lam_t, orient = -1.0, lam, -1.0
 
+    # the orbit integrand decays at Re beta - Re lambda, not at gamma - Re lambda
+    rate -= 2.0 * abs(anchor.alpha) / s.p
     rate_eff = rate + _TAIL_EPS
     if rate_eff >= 0.0:
         raise OrbitIntegralError(
@@ -523,9 +525,10 @@ def residual_check(s: Scenario, lam, f, F):
     return float(np.max(res, initial=0.0))
 
 
-def nonsurjectivity_witness(s: Scenario, lam, f, tol=1e-9):
+def nonsurjectivity_witness(s: Scenario, lam, f, held, tol=1e-9):
     """Integral of the resolvent one-form between the first two repelling
-    fixed points; a nonzero value certifies that lam - A is not surjective."""
+    fixed points; a nonzero value certifies that lam - A is not surjective.
+    A certificate in `held` (for this f) at lam and tol is not recomputed."""
     lam = complex(lam)
     reps = s.repelling_points()
     if len(reps) < 2:
@@ -535,8 +538,9 @@ def nonsurjectivity_witness(s: Scenario, lam, f, tol=1e-9):
     if not lam.real < gamma2:
         raise OrbitIntegralError(
             f"witness requires Re lambda < gamma_2 = {gamma2}")
-    k1 = orbit_integral_K(s, lam, f, reps[0], tol=tol)
-    k2 = orbit_integral_K(s, lam, f, reps[1], tol=tol)
+    k1, k2 = (next((c for c in held if c.lam == lam and c.tol == tol
+                    and c.anchor == fp.zeta), None)
+              or orbit_integral_K(s, lam, f, fp, tol=tol) for fp in reps[:2])
     return k2.K - k1.K
 
 

@@ -7,11 +7,10 @@ its map in closed form, carries petal anchors computed from it, and builds
 its weight from the logs in its map's own tree, so the weight is one
 analytic branch on the disk and shares the map's nodes in a tape;
 `model = expression` inverts by damped Newton continuation along straight
-paths in the image domain, seeded from a precomputed grid; every point
-converges, and retries a failing leg in quarters, on its own.  The corrector
-steps in u = -i log z, where the unit circle is the flat line Im u = 0, so
-orbits near the circle stay inside without halving; within |z| <= 1/2, where
-u is singular, it steps in z.  Everything is
+paths in the image domain, walking in from the right, from near the
+Denjoy-Wolff point zeta, in steps of log(zeta - z); every point converges,
+and retries a failing leg in quarters, on its own.  A flow steps in
+u = -i log z, where the unit circle is the flat line Im u = 0.  Everything is
 immutable after construction and safe to evaluate concurrently; the only
 state filled in later is the caches of compiled evaluation tapes and of
 orbit points, where a race merely compiles a tape twice or drops points.
@@ -119,10 +118,6 @@ class Scenario:
         self._closed_inverse = closed_inverse
         self._in_omega = in_omega
         self.params = dict(params or {})
-        self._seed_z = None
-        self._seed_w = None
-        if h is not None and closed_inverse is None:
-            self._build_seed_grid()
         self._petal_anchors = _key_anchors(self.fixed_points, petal_anchors)
         if h is not None:
             self._smoke_test()
@@ -136,14 +131,6 @@ class Scenario:
     def _require_evaluable(self):
         if not self.evaluable:
             raise EvaluationError("parametric scenarios support only classification")
-
-    def _build_seed_grid(self):
-        r = 1.0 - np.geomspace(1.0, 2.0 ** -10, 64)
-        r[0] = 1e-3
-        theta = 2 * np.pi * np.arange(64) / 64 + 1e-3
-        z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-        self._seed_z = z
-        self._seed_w = self._h(z)
 
     def _smoke_test(self):
         pts = quasi_random_grid(200, 0.9)
@@ -503,6 +490,7 @@ _NEWTON_BUDGET = 16         # corrector iterations per leg
 _NEWTON_TOL = 1e-13
 _LEG = 0.25                 # longest leg of a continuation path, in w
 _ORBIT_LEG = 2.0            # longest leg of an orbit walk toward its limit
+_PROBE_EPS = 2.0 ** -6      # expression inverses start from zeta (1 - this)
 # times a failing leg may be quartered: the truncate of an expression trident
 # needs 3 where a flow starts 1e-11 from the critical value at the slit tip
 _LEG_DEPTH = 16
@@ -543,14 +531,15 @@ def _newton_step_batch(s, z, target, center):
 
         def move(factor):
             cand = zl - factor * step
-            cand[polar] = center - (center - zl[polar]) * np.exp(
-                factor[polar] * step[polar])
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand[polar] = center - (center - zl[polar]) * np.exp(
+                    factor[polar] * step[polar])
             return cand
 
         factor = np.ones(zl.shape)
         cand = move(factor)
         for _ in range(40):
-            bad = np.abs(cand) >= 1.0
+            bad = ~(np.abs(cand) < 1.0)     # an overflowed exp gives nan
             if not np.any(bad):
                 break
             factor = np.where(bad, factor / 2, factor)
@@ -606,12 +595,15 @@ def eval_h_inverse(s: Scenario, w):
     if s._closed_inverse is not None:
         z = s._closed_inverse(w_arr)
     else:
-        # start from the nearest seed, found 8 targets at a time: a table of
-        # distances to all 4,096 seeds for 32 targets raised peak memory 3 MB
-        flat = w_arr.ravel()
-        j = np.concatenate([np.argmin(np.abs(s._seed_w - part[:, None]), axis=1)
-                            for part in np.split(flat, range(8, flat.size, 8))])
-        z = _continuation_invert(s, w_arr, s._seed_z[j], s._seed_w[j])
+        # Omega + t lies in Omega for t >= 0, so [w, W] does; near zeta h is
+        # -log(zeta - z)/alpha plus a bounded part, so z0 is near h^-1(W)
+        dw = s.dw_point()
+        zp = dw.zeta * (1.0 - _PROBE_EPS)
+        wp = complex(s._h(zp))
+        W = np.maximum(w_arr.real, wp.real) + 1j * w_arr.imag
+        z0 = dw.zeta - (dw.zeta - zp) * np.exp(-dw.alpha * (W - wp))
+        z0 = _continuation_invert(s, W, z0, W, dw.zeta, _ORBIT_LEG)
+        z = _continuation_invert(s, w_arr, z0, W, dw.zeta, _ORBIT_LEG)
     return complex(z) if np.ndim(z) == 0 else z
 
 

@@ -191,11 +191,11 @@ def test_criterion_07_nonsurjectivity_witness(criterion, monkeypatch):
     # the constant-data case is pinned to zero as a consistency check.
     with criterion(7, "nonsurjectivity witness integrals", 60.0):
         s = make_builtin("trident", 2.0)
-        assert abs(nonsurjectivity_witness(s, -3.0, ONE, tol=1e-9)) < 1e-8
+        assert abs(nonsurjectivity_witness(s, -3.0, ONE, (), tol=1e-9)) < 1e-8
         ident = lambda z: np.asarray(z, dtype=complex)
-        w1 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9)
+        w1 = nonsurjectivity_witness(s, -3.0, ident, (), tol=1e-9)
         monkeypatch.setattr(numerics, "_STEP", 0.25)   # halve the panels
-        w2 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9)
+        w2 = nonsurjectivity_witness(s, -3.0, ident, (), tol=1e-9)
         assert abs(w1) > 1e-6
         assert abs(w1 - w2) < 1e-8
 

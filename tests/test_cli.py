@@ -471,6 +471,28 @@ def test_verify_records_the_nonsurjectivity_witness(tmp_path):
     assert witness["status"] == "recorded" and witness["magnitude"] > 0.1
 
 
+def test_verify_computes_each_orbit_constant_once(tmp_path, monkeypatch):
+    # left of gamma_2 the witness takes the resolvent check's K toward i and
+    # computes only the one toward -i; the identity check flows its grid
+    # once per t for every lambda
+    orbit, ident = numerics.orbit_integral_K, numerics.eigen_identity_residual
+    anchors, times = [], []
+    monkeypatch.setattr(numerics, "orbit_integral_K", lambda s, lam, f, fp, **k:
+                        anchors.append(fp.zeta) or orbit(s, lam, f, fp, **k))
+    monkeypatch.setattr(numerics, "eigen_identity_residual", lambda s, lams, t:
+                        times.append(t) or ident(s, lams, t))
+    cfg, out = tmp_path / "s.cfg", tmp_path / "v.json"
+    cfg.write_text(TRIDENT_CFG)
+    assert main(["verify", "-c", str(cfg), "--lambda", "-2.5", "-3", "--t",
+                 "0.5", "1", "--json", str(out)]) == 0
+    assert anchors == [1j, -1j] * 2
+    assert times == [0.5, 1.0]
+    for result in json.loads(out.read_text())["results"]:
+        (witness,) = [c for c in result["checks"]
+                      if c["check"] == "nonsurjectivity_witness"]
+        assert witness["status"] == "recorded"
+
+
 def test_verify_skips_orbit_checks_whose_tail_it_cannot_bound(tmp_path):
     code, checks = _orbit_checks(tmp_path, TRIDENT_CFG, "--lambda", "-2.5",
                                  "--tol-orbit", "1e-300")

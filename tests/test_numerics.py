@@ -263,6 +263,14 @@ def test_eigen_identity_residual_weighted(trident_weighted):
     assert eigen_identity_residual(trident_weighted, -1.5, 1.0) < 1e-9
 
 
+def test_stacked_identity_residuals_match_single_lambda_calls(trident_weighted):
+    # one flow of the grid serves every lambda, bitwise as one call each
+    s, lams = trident_weighted, [-1.5, 0.5 - 0.3j, 2.0]
+    single = [eigen_identity_residual(s, lam, 0.7) for lam in lams]
+    assert all(type(r) is float for r in single)
+    assert eigen_identity_residual(s, lams, 0.7) == single
+
+
 def test_eigenfunction_membership_tracks_strip(strip_unweighted):
     s = strip_unweighted  # gamma0 = 1, gamma1 = -1
     assert ap_norm_rings(s, eigenfunction(s, 0.5)).status == "convergent"
@@ -357,16 +365,16 @@ def test_orbit_integral_rejects_wrong_half_plane(strip_unweighted):
 def test_witness_step_halving_reproducible(trident_unweighted, monkeypatch):
     s = trident_unweighted
     ident = lambda z: np.asarray(z, dtype=complex)
-    w1 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9)
+    w1 = nonsurjectivity_witness(s, -3.0, ident, (), tol=1e-9)
     monkeypatch.setattr(numerics, "_STEP", 0.25)   # halve the panels
-    w2 = nonsurjectivity_witness(s, -3.0, ident, tol=1e-9)
+    w2 = nonsurjectivity_witness(s, -3.0, ident, (), tol=1e-9)
     assert abs(w1) > 1e-6
     assert abs(w1 - w2) < 1e-8
 
 
 def test_witness_degenerate_for_constant_data(trident_unweighted):
     # with v = 1 the one-form has a global primitive, so the witness vanishes
-    w = nonsurjectivity_witness(trident_unweighted, -3.0, ONE, tol=1e-9)
+    w = nonsurjectivity_witness(trident_unweighted, -3.0, ONE, (), tol=1e-9)
     assert abs(w) < 1e-8
 
 
@@ -594,6 +602,22 @@ def test_orbit_cache_shared_by_threads():
     assert ts.size == zs.size and np.all(np.diff(ts) >= 0)
 
 
+@pytest.mark.parametrize("lam", [1.0, 1 + 2j])
+def test_trident_exp_log_twin_orbit_integral_matches_the_builtin(lam):
+    # the tail decays at Re beta_0 - Re lam = -0.1 - Re lam, so the loop stops
+    # at T = 25; bounded at gamma_0 - Re lam it walked the twin's orbit until
+    # Newton lost it next to z = -1
+    h = "0.5*log(1+z^2) - log(1+z)"
+    twin = parse_scenario(
+        f"p = 2\nmodel = expression\nh_expr = {h}\n"
+        f"v_expr = exp(0.2*({h})) * exp(-0.3*(log(1-z) - log(1+z^2) - log(1+z)))\n"
+        "fp = (-1, 1, -0.1, dw)\nfp = (i, -2, 0.8, rep)\nfp = (-i, -2, 0.8, rep)\n")
+    ref = make_builtin("trident", 2.0, c=0.2, s=0.3)
+    got = orbit_integral_K(twin, lam, ONE, twin.dw_point(), tol=1e-9)
+    want = orbit_integral_K(ref, lam, ONE, ref.dw_point(), tol=1e-9)
+    assert abs(got.K - want.K) <= 1e-9
+
+
 # -- guards and failures of the orbit integrals -------------------------------
 
 def test_orbit_integral_diverges_above_gamma_at_a_repelling_point(
@@ -603,11 +627,15 @@ def test_orbit_integral_diverges_above_gamma_at_a_repelling_point(
         orbit_integral_K(strip_weighted, 0.5, ONE, rep)
 
 
-def test_orbit_integral_refuses_lambda_within_the_tail_margin(strip_weighted):
-    dw = strip_weighted.dw_point()
-    lam = fixed_point_gamma(dw, strip_weighted.p) + 0.5 * numerics._TAIL_EPS
+def test_orbit_integral_refuses_lambda_within_the_tail_margin():
+    # the tail decays at Re beta - Re lambda = gamma - 2|alpha|/p - Re lambda,
+    # so the margin is reachable above gamma only where 2|alpha|/p is below it
+    s = make_builtin("strip_flow", 50.0, c=0.4, s=0.7)
+    dw = s.dw_point()
+    assert 2.0 * abs(dw.alpha) / s.p < numerics._TAIL_EPS
+    lam = fixed_point_gamma(dw, s.p) + 0.1 * numerics._TAIL_EPS
     with pytest.raises(OrbitIntegralError, match="tail margin"):
-        orbit_integral_K(strip_weighted, lam, ONE, dw)
+        orbit_integral_K(s, lam, ONE, dw)
 
 
 def test_orbit_integral_fails_when_no_truncation_time_meets_tol(
@@ -644,13 +672,13 @@ def test_resolvent_apply_rejects_points_near_the_circle(strip_weighted):
 
 def test_the_witness_needs_two_repelling_points(strip_weighted):
     with pytest.raises(OrbitIntegralError, match="two repelling points"):
-        nonsurjectivity_witness(strip_weighted, -2.0, ONE)
+        nonsurjectivity_witness(strip_weighted, -2.0, ONE, ())
 
 
 def test_the_witness_needs_lambda_below_gamma_2(trident_weighted):
     # the trident's repelling gammas are -1 and -2
     with pytest.raises(OrbitIntegralError, match="gamma_2"):
-        nonsurjectivity_witness(trident_weighted, -1.5, ONE)
+        nonsurjectivity_witness(trident_weighted, -1.5, ONE, ())
 
 
 # -- Bergman growth bound ---------------------------------------------------
