@@ -366,16 +366,17 @@ def cmd_report(args):
 
 # -- entry point ------------------------------------------------------------
 
-def _at_least(cast, low):
-    """argparse type: a finite number parsed by cast that is at least low."""
+def _at_least(cast, low, high=math.inf):
+    """argparse type: a finite number parsed by cast in [low, high]."""
     def parse(text):
         try:
             x = cast(text)
         except ValueError:
             x = None
-        if x is None or not (math.isfinite(x) and x >= low):
+        if x is None or not (math.isfinite(x) and low <= x <= high):
+            cap = f" and <= {high}" if high < math.inf else ""
             raise argparse.ArgumentTypeError(
-                f"expected finite {cast.__name__} >= {low}, got {text!r}")
+                f"expected finite {cast.__name__} >= {low}{cap}, got {text!r}")
         return x
     return parse
 
@@ -439,7 +440,7 @@ def _build_parser():
     p = sub.add_parser("truncate", help="Galerkin oracle radius estimate")
     common(p)
     p.add_argument("--t", type=_at_least(float, 0), default=1.0)
-    p.add_argument("--N", type=_at_least(int, 1), default=60)
+    p.add_argument("--N", type=_at_least(int, 1, truncation.N_MAX), default=60)
     p.add_argument("--nmax", type=_at_least(int, 8), default=24)
     p.set_defaults(func=cmd_truncate)
 
@@ -458,7 +459,7 @@ def _build_parser():
     p.add_argument("--suite", required=True)
     p.add_argument("--out", required=True)
     times(p)
-    p.add_argument("--N", type=_at_least(int, 1), default=24)
+    p.add_argument("--N", type=_at_least(int, 1, truncation.N_MAX), default=24)
     p.add_argument("--nmax", type=_at_least(int, 8), default=8)
     p.set_defaults(func=cmd_report)
     return ap

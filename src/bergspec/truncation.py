@@ -4,8 +4,11 @@ Truncation matrices of the weighted composition operator in the monomial
 orthonormal basis e_k(z) = sqrt((k+1)/pi) z^k, Gelfand spectral-radius
 estimates via matrix powers, and dense eigenvalue clouds.  In this basis
 the entry <u_t phi_t^k e_k, e_j> is sqrt((k+1)/(j+1)) times the j-th Taylor
-coefficient of u_t phi_t^k, which one Cauchy circle |z| = e^{-1/N} gives for
-every column: n equispaced samples, one FFT per group of 16 columns.
+coefficient of u_t phi_t^k.  One FFT of n samples on the Cauchy circle
+|z| = e^{-1/N} gives the first N coefficients of u_t and phi_t, the only
+place aliasing enters; each further column is the previous one times
+phi_t, a truncated power-series product (the lower-triangular Toeplitz
+matrix of phi_t).  A section costs O(n log n + N^3).
 
 Truncation spectra of non-normal operators are indicative only: eigenvalues
 of a finite section need not approximate the spectrum of the operator, so
@@ -38,7 +41,7 @@ class TruncationMatrix:
     t: float
 
 
-_GROUP = 16     # columns per FFT: the block stays 16 x n whatever N is
+N_MAX = 256     # the largest section size `build_matrix` accepts
 
 
 def build_matrix(s: Scenario, t, N) -> TruncationMatrix:
@@ -46,18 +49,21 @@ def build_matrix(s: Scenario, t, N) -> TruncationMatrix:
 
     Entry (j, k) = <u_t phi_t^k e_k, e_j>.  Integrating over each circle
     |z| = r leaves the j-th Taylor coefficient a_j of u_t phi_t^k, so
-    M[j,k] = sqrt((k+1)/(j+1)) * a_j(u_t phi_t^k).  One Cauchy circle
-    |z| = rho gives every a_j: the FFT of n equispaced samples is
-    c_j = a_j rho^j, up to aliases c_{j+n} damped by rho^n.  With
-    rho = e^{-1/N}, dividing by rho^j amplifies rounding by at most e, and
-    n = the smallest power of two >= max(1024, 40 N) damps aliases by
-    e^{-40}.  The powers u_t phi_t^k are built one column at a time and
-    transformed _GROUP columns per FFT.
+    M[j,k] = sqrt((k+1)/(j+1)) * a_j(u_t phi_t^k).  One FFT of n equispaced
+    samples of u_t and phi_t on |z| = rho gives c_j = a_j rho^j, j < N, up
+    to aliases c_{j+n} damped by rho^n: the only place aliasing enters.
+    With rho = e^{-1/N}, dividing by rho^j amplifies rounding by at most e,
+    and n = the smallest power of two >= max(1024, 40 N) damps aliases by
+    e^{-40}.  Column 0 is a(u_t); column k+1 is T times column k, T the
+    lower-triangular Toeplitz matrix of a(phi_t), since a product's first N
+    coefficients need only the first N of each factor.  T compresses the
+    multiplication by phi_t on H^2, |phi_t| < 1, so ||T||_2 <= 1 and
+    rounding does not grow with k.  Cost: O(n log n + N^3).
     """
     if s.p != 2.0:
         raise EvaluationError("the Galerkin oracle is defined on p = 2 only")
-    if N > 256:
-        raise EvaluationError("N <= 256 required")
+    if N > N_MAX:
+        raise EvaluationError(f"N <= {N_MAX} required")
     t = float(t)
     if t == 0.0:
         return TruncationMatrix(N, np.eye(N, dtype=complex), t)
@@ -65,17 +71,16 @@ def build_matrix(s: Scenario, t, N) -> TruncationMatrix:
     n = max(1024, 1 << (40 * N - 1).bit_length())
     z = rho * np.exp(2j * math.pi * np.arange(n) / n)
     zt = flow(s, t, z)
-    col = _weight_ratio(s, t, z, zt)
+    j = np.arange(N)
+    u, phi = (np.fft.fft(np.stack([_weight_ratio(s, t, z, zt), zt]))[:, :N]
+              / (n * rho ** j))
+    T = np.tril(phi[j[:, None] - j])
 
     M = np.empty((N, N), dtype=complex)
-    for k0 in range(0, N, _GROUP):
-        block = np.empty((min(_GROUP, N - k0), n), dtype=complex)
-        for row in block:
-            row[:] = col
-            col = col * zt
-        M[:, k0:k0 + len(block)] = np.fft.fft(block, axis=1)[:, :N].T
-    j = np.arange(N)
-    M *= np.sqrt((j[None, :] + 1.0) / (j[:, None] + 1.0)) / (n * rho ** j[:, None])
+    M[:, 0] = u
+    for k in range(1, N):
+        M[:, k] = T @ M[:, k - 1]
+    M *= np.sqrt((j[None, :] + 1.0) / (j[:, None] + 1.0))
     return TruncationMatrix(N, M, t)
 
 

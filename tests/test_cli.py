@@ -129,10 +129,12 @@ def test_exit_code_coverage_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["truncate", "--nmax", "4"],
     ["truncate", "--N", "-3"],
+    ["truncate", "--N", "257"],
     ["truncate", "--t", "-1"],
     ["classify", "--t", "-1"],
     ["plot", "--svg", "r.svg", "--t", "1", "2"],
     ["report", "--suite", "s.txt", "--out", "o", "--nmax", "7"],
+    ["report", "--suite", "s.txt", "--out", "o", "--N", "300"],
 ])
 def test_exit_code_bad_argument(strip_cfg, capsys, argv):
     if argv[0] != "report":

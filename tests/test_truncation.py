@@ -111,6 +111,44 @@ _MEAN_VALUE_CASES = {
 }
 
 
+def _fft_per_column(s, t, N):
+    # the same circle |z| = e^{-1/N} and n as build_matrix, with one FFT per
+    # column of u_t phi_t^k instead of the power-series recursion
+    rho = math.exp(-1.0 / N)
+    n = max(1024, 1 << (40 * N - 1).bit_length())
+    z = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    zt = truncation.flow(s, t, z)
+    col = s._v(zt) / s._v(z)
+    M = np.empty((N, N), dtype=complex)
+    for k in range(N):
+        M[:, k] = np.fft.fft(col)[:N]
+        col = col * zt
+    j = np.arange(N)
+    return (M * np.sqrt((j[None, :] + 1.0) / (j[:, None] + 1.0))
+            / (n * rho ** j[:, None]))
+
+
+@pytest.mark.parametrize("name, N", [
+    *((name, N) for name in ("strip_flow", "half_strip", "trident")
+      for N in (24, 120, 256)),
+    ("trident_twin", 24),
+])
+def test_series_recursion_matches_one_fft_per_column(name, N, monkeypatch):
+    s = _MEAN_VALUE_CASES[name]()
+    ref = _fft_per_column(s, 1.0, N)
+    sizes = []
+    real_flow = truncation.flow
+
+    def flow(s, t, z):
+        sizes.append(z.size)
+        return real_flow(s, t, z)
+
+    monkeypatch.setattr(truncation, "flow", flow)
+    M = build_matrix(s, 1.0, N).entries
+    assert sizes == [max(1024, 1 << (40 * N - 1).bit_length())]
+    assert np.max(np.abs(M - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("t", [0.8, 1.0])
 @pytest.mark.parametrize("name", list(_MEAN_VALUE_CASES))
 def test_first_entry_is_the_cocycle_at_zero(name, t):
