@@ -333,11 +333,11 @@ def cmd_plot(args):
 # -- report -----------------------------------------------------------------
 
 def cmd_report(args):
+    suite = [ln.strip() for ln in Path(args.suite).read_text().splitlines()
+             if ln.strip() and not ln.strip().startswith("#")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK
-    suite = [ln.strip() for ln in Path(args.suite).read_text().splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
     for entry in suite:
         cfg = Path(entry)
         if not cfg.is_absolute():

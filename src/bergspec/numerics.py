@@ -18,7 +18,7 @@ Gauss-Legendre routine refines every segment and orbit panel together.
 The weight v enters only through ratios and exponentials, so it is read
 as its folded logarithm l = log v (`expr.log_of`, on no fixed branch): the
 eigenfunction is exp(lam h - l), the one-form exp(l - lam h) h' f, the orbit
-integrand exp(lam_t t + l) f (v f where the orbit lands on a zero of v),
+integrand exp(lam_t t + l) f, read only at orbit points inside the disk,
 and g = l'/h'.  Each point costs one exp, and for a built-in l reuses the
 logs inside h.
 """
@@ -407,8 +407,7 @@ class _OrbitEvaluator:
         return z.reshape(t_arr.shape)
 
 
-def orbit_integral_K(s: Scenario, lam, f, anchor,
-                     tol=1e-9) -> ResolventCertificate:
+def orbit_integral_K(s: Scenario, lam, f, anchor, tol) -> ResolventCertificate:
     """Resolvent constant K = integral of the one-form from 0 to the boundary
     fixed point `anchor`, truncated with an analytic tail bound.  To the
     attracting point it is the forward orbit of 0; to a repelling point, the
@@ -422,7 +421,7 @@ def orbit_integral_K(s: Scenario, lam, f, anchor,
                 f"divergent orbit integral: Re lambda = {lam.real} must "
                 f"exceed gamma = {gamma} at the attracting point")
         rate = gamma - lam.real
-        sign_t, lam_t, orient = 1.0, -lam, 1.0
+        sign_t = 1.0
     else:
         base = s.petal_anchor(anchor)
         if not lam.real < gamma:
@@ -430,7 +429,8 @@ def orbit_integral_K(s: Scenario, lam, f, anchor,
                 f"divergent orbit integral: Re lambda = {lam.real} must be "
                 f"below gamma = {gamma} at the repelling point")
         rate = lam.real - gamma
-        sign_t, lam_t, orient = -1.0, lam, -1.0
+        sign_t = -1.0
+    lam_t = -sign_t * lam
 
     # the orbit integrand decays at Re beta - Re lambda, not at gamma - Re lambda
     rate -= 2.0 * abs(anchor.alpha) / s.p
@@ -440,54 +440,52 @@ def orbit_integral_K(s: Scenario, lam, f, anchor,
             "tolerance failure: lambda within the tail margin of gamma",
             achieved=float("inf"))
 
-    # one evaluator per orbit and scenario: a later lambda on this anchor,
-    # or the witness, warm-starts from the points walked here
+    # one evaluator per orbit and scenario: a later lambda on this anchor
+    # warm-starts from the points walked here
     ev = s._orbits.get((base, sign_t))
     if ev is None:
         ev = s._orbits[base, sign_t] = _OrbitEvaluator(s, base, sign_t,
                                                        anchor.zeta)
 
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        z = ev.points(t)
-        # far along the orbit z collapses onto the boundary fixed point and
-        # the weight may not evaluate; the true integrand there is far below
-        # tolerance, so those samples contribute zero.  Where z lands on a
-        # zero of v, l = log v has no value: that batch reads v itself
-        with np.errstate(all="ignore"):
-            try:
-                w = np.exp(lam_t * t + s._l(z))
-            except EvaluationError:
-                w = np.exp(lam_t * t) * s._v(z)
-            vals = w * _eval_f(f, z)
-        return np.where(np.isfinite(vals), vals, 0.0)
+    def integrand(t, z):
+        return np.exp(lam_t * t + s._l(z)) * _eval_f(f, z)
 
-    # truncation time from the sampled tail constant, inflated for safety
-    tail_tol = 0.5 * tol
+    # truncation time from the sampled tail constant, inflated for safety;
+    # T stops at the last sample of the leading run inside the disk (a nan
+    # is outside), and the orbit nears zeta monotonically, so no node passes it
+    tail_tol = quad_tol = 0.5 * tol
     T = 25.0
     while True:
         ts = np.linspace(T / 10.0, T, 17)
-        samples = np.abs(integrand(ts)) * np.exp(-rate_eff * ts)
-        C = _TAIL_INFLATE * float(np.max(samples))
-        bound = C * math.exp(rate_eff * T) / abs(rate_eff)
-        if bound < tail_tol:
-            break
+        z = ev.points(ts)
+        n = int(np.sum(np.logical_and.accumulate(np.abs(z) < 1.0)))
+        bound = float("inf")
+        if n:
+            T, ts = float(ts[n - 1]), ts[:n]
+            samples = np.abs(integrand(ts, z[:n])) * np.exp(-rate_eff * ts)
+            bound = (_TAIL_INFLATE * float(np.max(samples))
+                     * math.exp(rate_eff * T) / abs(rate_eff))
+            if bound < tail_tol:
+                break
+        if n < z.size:
+            raise OrbitIntegralError(
+                f"tolerance failure: the orbit reached the unit circle before "
+                f"its tail bound met tol (bound {bound:.3e})", achieved=bound)
         if T >= _T_MAX:
             raise OrbitIntegralError(
                 f"tolerance failure: tail bound {bound:.3e} at T = {T}",
                 achieved=bound)
         T = min(T * 1.6, _T_MAX)
 
-    quad_tol = 0.5 * tol
     n_panels = max(1, int(math.ceil(T / _STEP)))
     k = np.arange(n_panels)
-    panels = _adaptive_gl(lambda t, i: integrand(t), T * k / n_panels,
-                          T * (k + 1) / n_panels,
+    panels = _adaptive_gl(lambda t, i: integrand(t, ev.points(t)),
+                          T * k / n_panels, T * (k + 1) / n_panels,
                           np.full(n_panels, quad_tol / n_panels))
     orbit_part = np.cumsum(np.append(0j, panels))[-1]   # panel by panel
 
     seg = _segment_integrals(s, lam, f, np.array([complex(base)]), quad_tol)
-    K = seg[0] + orient * np.exp(-lam * ev.w0) * orbit_part
+    K = seg[0] + sign_t * np.exp(-lam * ev.w0) * orbit_part
     return ResolventCertificate(lam, complex(K), bound, complex(anchor.zeta),
                                 tol)
 
@@ -525,7 +523,7 @@ def residual_check(s: Scenario, lam, f, F):
     return float(np.max(res, initial=0.0))
 
 
-def nonsurjectivity_witness(s: Scenario, lam, f, held, tol=1e-9):
+def nonsurjectivity_witness(s: Scenario, lam, f, held, tol):
     """Integral of the resolvent one-form between the first two repelling
     fixed points; a nonzero value certifies that lam - A is not surjective.
     A certificate in `held` (for this f) at lam and tol is not recomputed."""

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bergspec import numerics
-from bergspec.errors import EvaluationError
 from bergspec.expr import Jet, Tape, _Const, _Z, log_of, parse_expr
 from bergspec.scenario import (DENJOY_WOLFF, REPELLING, FixedPointDatum,
                                Scenario, _clamp_re, _weight_ratio,
@@ -95,35 +94,31 @@ def _strip_with_weight_vanishing_at_dw():
                     closed_inverse=inverse)
 
 
-def _no_log(z):
-    raise EvaluationError("log/pow evaluated at a branch point (argument 0)")
+def _no_v(z):
+    raise AssertionError("v read at an orbit point")
 
 
 # near gamma_0 = -1 the tail decays slowly, at Re beta - lam = -2 - lam, so
-# the tail loop walks past T = 37, where the orbit rounds onto z = 1
+# the tail loop walks far toward z = 1, where l = log v has no value
 @pytest.mark.parametrize("lam", [-0.9, -0.95])
-def test_an_orbit_onto_a_zero_of_the_weight_reads_v_there(lam, monkeypatch):
+def test_an_orbit_toward_a_zero_of_the_weight_stays_inside_the_disk(
+        lam, monkeypatch):
     # K = int_0^inf e^{-lam t} 4 / (1 + e^t)^2 dt, with x = e^{-t}
     with mp.workdps(30):
         closed = float(mp.quad(lambda x: 4 * x ** (lam + 1) / (1 + x) ** 2,
                                [0, 1]))
     s = _strip_with_weight_vanishing_at_dw()
-    one = lambda z: np.ones_like(np.asarray(z, dtype=complex))
-    v, zeros = s._v, []
+    read = []
 
-    def v_counted(z):
-        zeros.append(int(np.sum(np.asarray(z) == 1)))
-        return v(z)
+    def one(z):
+        # f is read with l at every orbit sample of the integrand
+        read.append(np.max(np.abs(z)))
+        return np.ones_like(np.asarray(z, dtype=complex))
 
-    monkeypatch.setattr(s, "_v", v_counted)
+    monkeypatch.setattr(s, "_v", _no_v)
     got = numerics.orbit_integral_K(s, lam, one, s.dw_point(), tol=1e-10)
-    assert sum(zeros) > 0   # the orbit reached z = 1
     assert abs(got.K - closed) < 1e-10
-    # every batch read through v, as before the weight was read as l
-    monkeypatch.setattr(s, "_l", _no_log)
-    ref = numerics.orbit_integral_K(s, lam, one, s.dw_point(), tol=1e-10)
-    assert abs(got.K - ref.K) <= 1e-13 * abs(ref.K)
-    assert got.tail_bound == pytest.approx(ref.tail_bound, rel=1e-12)
+    assert read and max(read) < 1.0
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))

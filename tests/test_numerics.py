@@ -359,7 +359,8 @@ def test_residual_check_fails_on_a_non_finite_value(strip_unweighted):
 def test_orbit_integral_rejects_wrong_half_plane(strip_unweighted):
     s = strip_unweighted
     with pytest.raises(OrbitIntegralError):
-        orbit_integral_K(s, 0.5, ONE, s.dw_point())  # Re lam < gamma0
+        # Re lam < gamma0
+        orbit_integral_K(s, 0.5, ONE, s.dw_point(), tol=1e-9)
 
 
 def test_witness_step_halving_reproducible(trident_unweighted, monkeypatch):
@@ -370,6 +371,33 @@ def test_witness_step_halving_reproducible(trident_unweighted, monkeypatch):
     w2 = nonsurjectivity_witness(s, -3.0, ident, (), tol=1e-9)
     assert abs(w1) > 1e-6
     assert abs(w1 - w2) < 1e-8
+
+
+def _trident_anchored_near(c, s, d):
+    """The built-in trident with its petal anchors at Re w = -1 instead of
+    -8, so the backward orbit carries a visible share of each K."""
+    b = make_builtin("trident", 2.0, c=c, s=s, d=d)
+    anchors = [b._closed_inverse(complex(-1.0, m))
+               for m in (math.pi / 4, -math.pi / 4)]
+    return b, scenario.Scenario(
+        b.p, b.kind, h=b._h, v=b._v, fixed_points=b.fixed_points,
+        weights=b.weights, closed_inverse=b._closed_inverse,
+        in_omega=b._in_omega, petal_anchors=anchors, params=b.params)
+
+
+@pytest.mark.parametrize("c,s,d,lam", [(0.0, 0.0, 0.0, -3.0),
+                                       (0.3, 0.6, 0.2, -0.6)])
+def test_a_repelling_K_does_not_depend_on_its_petal_anchor(c, s, d, lam):
+    # K runs from 0 to the fixed point on any path: a straight segment to the
+    # anchor, then its backward orbit.  From Re w = -8 the orbit part is
+    # below 1e-7 of K; from Re w = -1 it is a tenth or more, so an orbit
+    # panel that is off by 1e-8 shows here
+    ident = lambda z: np.asarray(z, dtype=complex)
+    builtin, near = _trident_anchored_near(c, s, d)
+    for fp in builtin.repelling_points():
+        ref = orbit_integral_K(builtin, lam, ident, fp, tol=1e-12).K
+        got = orbit_integral_K(near, lam, ident, fp, tol=1e-12).K
+        assert abs(got - ref) < 1e-12, fp.zeta
 
 
 def test_witness_degenerate_for_constant_data(trident_unweighted):
@@ -524,9 +552,9 @@ def test_alpha_flows_every_radius_in_one_call(monkeypatch):
 
 def test_a_second_orbit_integral_reuses_the_orbit(monkeypatch):
     tw = _twin("strip_flow", 0.4, 0.7, 0.15)
-    first = orbit_integral_K(tw, 2.0, ONE, tw.dw_point()).K
+    first = orbit_integral_K(tw, 2.0, ONE, tw.dw_point(), tol=1e-9).K
     steps = _counting(monkeypatch, scenario, "_newton_step_batch")
-    again = orbit_integral_K(tw, 2.0, ONE, tw.dw_point()).K
+    again = orbit_integral_K(tw, 2.0, ONE, tw.dw_point(), tol=1e-9).K
     assert 0 < len(steps) <= 10
     assert abs(again - first) <= 1e-14 * abs(first)
 
@@ -577,12 +605,13 @@ def test_orbit_cache_shared_by_threads():
     # matches its serial value and the cache stays a sorted, paired array
     lams = [1.6, 1.8, 2.0, 2.2, 2.4, 2.6]
     tw = _twin("strip_flow", 0.4, 0.7, 0.15)
-    serial = [orbit_integral_K(tw, lam, ONE, tw.dw_point()).K for lam in lams]
+    serial = [orbit_integral_K(tw, lam, ONE, tw.dw_point(), tol=1e-9).K
+              for lam in lams]
     tw = _twin("strip_flow", 0.4, 0.7, 0.15)
     got = {}
 
     def run(lam):
-        got[lam] = orbit_integral_K(tw, lam, ONE, tw.dw_point()).K
+        got[lam] = orbit_integral_K(tw, lam, ONE, tw.dw_point(), tol=1e-9).K
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -624,7 +653,7 @@ def test_orbit_integral_diverges_above_gamma_at_a_repelling_point(
         strip_weighted):
     rep = strip_weighted.repelling_points()[0]   # gamma = 0.1
     with pytest.raises(OrbitIntegralError, match="at the repelling point"):
-        orbit_integral_K(strip_weighted, 0.5, ONE, rep)
+        orbit_integral_K(strip_weighted, 0.5, ONE, rep, tol=1e-9)
 
 
 def test_orbit_integral_refuses_lambda_within_the_tail_margin():
@@ -635,7 +664,7 @@ def test_orbit_integral_refuses_lambda_within_the_tail_margin():
     assert 2.0 * abs(dw.alpha) / s.p < numerics._TAIL_EPS
     lam = fixed_point_gamma(dw, s.p) + 0.1 * numerics._TAIL_EPS
     with pytest.raises(OrbitIntegralError, match="tail margin"):
-        orbit_integral_K(s, lam, ONE, dw)
+        orbit_integral_K(s, lam, ONE, dw, tol=1e-9)
 
 
 def test_orbit_integral_fails_when_no_truncation_time_meets_tol(
@@ -645,6 +674,17 @@ def test_orbit_integral_fails_when_no_truncation_time_meets_tol(
         orbit_integral_K(trident_weighted, -2.5, ONE,
                          trident_weighted.repelling_points()[0], tol=1e-300)
     assert 0 < ei.value.achieved < 1e-100
+
+
+@pytest.mark.parametrize("a,tol", [(1.0, 1e-300), (20.0, 1e-9)])
+def test_orbit_integral_refuses_once_its_orbit_reaches_the_circle(a, tol):
+    # the strip's inverse rounds onto z = 1 near Re w = 37/a: at a = 1 the
+    # tail loop gets there only for a tiny tol; at a = 20 it is there before
+    # the first sample, t = 2.5, so no sample is left to bound the tail
+    s = make_builtin("strip_flow", 2.0, a=a, c=0.4, s=0.7)
+    lam = fixed_point_gamma(s.dw_point(), s.p) + 1.3
+    with pytest.raises(OrbitIntegralError, match="reached the unit circle"):
+        orbit_integral_K(s, lam, ONE, s.dw_point(), tol=tol)
 
 
 def test_a_backward_orbit_that_leaves_the_image_domain_raises(
@@ -672,13 +712,14 @@ def test_resolvent_apply_rejects_points_near_the_circle(strip_weighted):
 
 def test_the_witness_needs_two_repelling_points(strip_weighted):
     with pytest.raises(OrbitIntegralError, match="two repelling points"):
-        nonsurjectivity_witness(strip_weighted, -2.0, ONE, ())
+        nonsurjectivity_witness(strip_weighted, -2.0, ONE, (), tol=1e-9)
 
 
 def test_the_witness_needs_lambda_below_gamma_2(trident_weighted):
     # the trident's repelling gammas are -1 and -2
     with pytest.raises(OrbitIntegralError, match="gamma_2"):
-        nonsurjectivity_witness(trident_weighted, -1.5, ONE, ())
+        nonsurjectivity_witness(trident_weighted, -1.5, ONE, (),
+                                tol=1e-9)
 
 
 # -- Bergman growth bound ---------------------------------------------------
