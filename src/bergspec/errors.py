@@ -24,10 +24,6 @@ class EvaluationError(BergspecError):
 class InversionError(BergspecError):
     """Newton inversion of the conformal map failed to converge."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class OutsideOmegaError(InversionError):
     """Target point is not in the image domain of the conformal map."""

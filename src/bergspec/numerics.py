@@ -3,7 +3,8 @@
 Provides Bergman-norm membership verdicts, eigenfunction identity checks,
 orbit integrals and resolvent certificates, non-surjectivity witnesses, and
 coboundary growth exponents.  All routines are deterministic for fixed
-tolerances and grid sizes.
+tolerances and grid sizes, and keep no state between calls: an orbit point
+is found afresh by `scenario.orbit`, from next to the orbit's limit point.
 
 Membership comes from Taylor coefficients on one circle (Hedenmalm,
 Korenblum and Zhu, Theory of Bergman Spaces, ch. 1; Bornemann, Found.
@@ -32,12 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (EvaluationError, OrbitIntegralError, PetalExitError,
-                     WindingError)
+from .errors import EvaluationError, OrbitIntegralError, WindingError
 from .regions import fixed_point_gamma
-# eval_v has no caller here, but perfbench/tracing.py wraps it by this name
-from .scenario import (_ORBIT_LEG, Scenario, _continuation_invert, beta_at,
-                       eval_h, eval_h_prime, eval_hl_jets, eval_v, generator_g,
+# eval_v and _continuation_invert have no caller here, but
+# perfbench/tracing.py wraps them by these names
+from .scenario import (Scenario, _continuation_invert, beta_at, eval_h,
+                       eval_h_prime, eval_hl_jets, eval_v, generator_g, orbit,
                        quasi_random_grid)
 
 __all__ = [
@@ -367,46 +368,6 @@ def _segment_integrals(s: Scenario, lam, f, z, tol):
 
 # -- orbit integrals --------------------------------------------------------
 
-class _OrbitEvaluator:
-    """Points phi_{sign*t}(base) for many t, warm-started from a sorted cache
-    so repeated nearby times cost only a short Newton continuation, in legs
-    of _ORBIT_LEG that step in the log coordinate of the orbit's limit point
-    zeta.  The cache is one (times, points) pair, replaced whole, so a
-    concurrent call reads a consistent pair and at worst drops the other's
-    new points."""
-
-    def __init__(self, s: Scenario, base, sign, zeta):
-        self.s = s
-        self.sign = sign
-        self.zeta = complex(zeta)
-        self.w0 = complex(eval_h(s, base))
-        self.closed = s._closed_inverse is not None
-        self.cache = (np.zeros(1), np.array([complex(base)]))
-
-    def points(self, t_arr):
-        t_arr = np.asarray(t_arr, dtype=float)
-        w_t = self.w0 + self.sign * t_arr
-        if self.sign < 0 and not np.all(self.s.in_omega(w_t)):
-            raise PetalExitError("backward orbit leaves the image domain")
-        if self.closed:
-            return np.asarray(self.s._closed_inverse(w_t), dtype=complex)
-        t = t_arr.ravel()
-        ts, zs = self.cache
-        # each t starts from its nearest cached time, the earlier one on a tie
-        hi = np.minimum(np.searchsorted(ts, t), ts.size - 1)
-        lo = np.maximum(hi - 1, 0)
-        near = np.where(t - ts[lo] <= ts[hi] - t, lo, hi)
-        z = _continuation_invert(self.s, w_t.ravel(), zs[near],
-                                 self.w0 + self.sign * ts[near], self.zeta,
-                                 _ORBIT_LEG)
-        # merge the new times in, each after the cached ones it equals, in
-        # the order a stable sort of (cache, new) would give
-        order = np.argsort(t, kind="stable")
-        at = np.searchsorted(ts, t[order], side="right")
-        self.cache = (np.insert(ts, at, t[order]), np.insert(zs, at, z[order]))
-        return z.reshape(t_arr.shape)
-
-
 def orbit_integral_K(s: Scenario, lam, f, anchor, tol) -> ResolventCertificate:
     """Resolvent constant K = integral of the one-form from 0 to the boundary
     fixed point `anchor`, truncated with an analytic tail bound.  To the
@@ -440,13 +401,6 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, tol) -> ResolventCertificate:
             "tolerance failure: lambda within the tail margin of gamma",
             achieved=float("inf"))
 
-    # one evaluator per orbit and scenario: a later lambda on this anchor
-    # warm-starts from the points walked here
-    ev = s._orbits.get((base, sign_t))
-    if ev is None:
-        ev = s._orbits[base, sign_t] = _OrbitEvaluator(s, base, sign_t,
-                                                       anchor.zeta)
-
     def integrand(t, z):
         return np.exp(lam_t * t + s._l(z)) * _eval_f(f, z)
 
@@ -457,7 +411,7 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, tol) -> ResolventCertificate:
     T = 25.0
     while True:
         ts = np.linspace(T / 10.0, T, 17)
-        z = ev.points(ts)
+        z = orbit(s, base, anchor, ts)
         n = int(np.sum(np.logical_and.accumulate(np.abs(z) < 1.0)))
         bound = float("inf")
         if n:
@@ -479,13 +433,14 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, tol) -> ResolventCertificate:
 
     n_panels = max(1, int(math.ceil(T / _STEP)))
     k = np.arange(n_panels)
-    panels = _adaptive_gl(lambda t, i: integrand(t, ev.points(t)),
+    panels = _adaptive_gl(lambda t, i: integrand(t, orbit(s, base, anchor, t)),
                           T * k / n_panels, T * (k + 1) / n_panels,
                           np.full(n_panels, quad_tol / n_panels))
     orbit_part = np.cumsum(np.append(0j, panels))[-1]   # panel by panel
 
     seg = _segment_integrals(s, lam, f, np.array([complex(base)]), quad_tol)
-    K = seg[0] + sign_t * np.exp(-lam * ev.w0) * orbit_part
+    w0 = complex(eval_h(s, base))
+    K = seg[0] + sign_t * np.exp(-lam * w0) * orbit_part
     return ResolventCertificate(lam, complex(K), bound, complex(anchor.zeta),
                                 tol)
 

@@ -7,13 +7,14 @@ its map in closed form, carries petal anchors computed from it, and builds
 its weight from the logs in its map's own tree, so the weight is one
 analytic branch on the disk and shares the map's nodes in a tape;
 `model = expression` inverts by damped Newton continuation along straight
-paths in the image domain, walking in from the right, from near the
-Denjoy-Wolff point zeta, in steps of log(zeta - z); every point converges,
-and retries a failing leg in quarters, on its own.  A flow steps in
-u = -i log z, where the unit circle is the flat line Im u = 0.  Everything is
-immutable after construction and safe to evaluate concurrently; the only
-state filled in later is the caches of compiled evaluation tapes and of
-orbit points, where a race merely compiles a tape twice or drops points.
+paths in the image domain, walking in along an orbit from near its limit
+point zeta (the Denjoy-Wolff point, or a repelling point for a backward
+orbit), in steps of log(zeta - z); every point converges, and retries a
+failing leg in quarters, on its own.  A flow steps in u = -i log z, where
+the unit circle is the flat line Im u = 0.  Everything is immutable after
+construction and safe to evaluate concurrently; the only state filled in
+later is the cache of compiled evaluation tapes, where a race merely
+compiles a tape twice.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "eval_v",
     "eval_h_inverse",
     "flow",
+    "orbit",
     "cocycle",
     "generator_G",
     "generator_g",
@@ -112,7 +114,6 @@ class Scenario:
         # exp(... +- l) and l' = v'/v
         self._l = ex.log_of(v) if v is not None else None
         self._tapes = {}   # (h order, l order) -> joint Tape, compiled on first use
-        self._orbits = {}  # (base, sign) -> numerics._OrbitEvaluator, its cache
         self.fixed_points = tuple(fixed_points)
         self.weights = tuple(float(x) for x in weights)
         self._closed_inverse = closed_inverse
@@ -580,9 +581,32 @@ def _continuation_invert(s, w, z0, w0, center=0j, longest=_LEG):
         lost = depth[live] > _LEG_DEPTH
         if lost.any():
             res = float(np.max(np.abs(s._h(zl[lost]) - target[lost])))
-            raise InversionError("Newton inversion failed to converge", residual=res)
+            raise InversionError(
+                f"Newton inversion failed to converge (residual {res:.1e})")
         live = live[pos[live] < end[live]]
     return z.reshape(shape)
+
+
+def _invert_near(s, w, fp):
+    """h^-1(w) on the orbit that tends to the boundary fixed point fp: start
+    at W = Re w or Re w_p, whichever lies further toward fp, plus i Im w,
+    with w_p = h(z_p) at the probe z_p = zeta (1 - _PROBE_EPS), correct
+    there, and walk to w in legs of _ORBIT_LEG centered at zeta.  [w, W]
+    lies on the orbit through w: forward since Omega + t lies in Omega for
+    t >= 0, backward since W lies further along w's orbit into the petal.
+    Near zeta h is -log(zeta - z)/alpha plus a bounded part, so the start is
+    near h^-1(W); one that rounds onto zeta, where h is singular, stays there
+    (W = w for it), on the circle."""
+    zeta = complex(fp.zeta)
+    zp = zeta * (1.0 - _PROBE_EPS)
+    wp = complex(s._h(zp))
+    edge = np.maximum if fp.alpha > 0 else np.minimum
+    W = edge(w.real, wp.real) + 1j * w.imag
+    z = np.array(zeta - (zeta - zp) * np.exp(-fp.alpha * (W - wp)))
+    go = z != zeta
+    z0 = _continuation_invert(s, W[go], z[go], W[go], zeta, _ORBIT_LEG)
+    z[go] = _continuation_invert(s, w[go], z0, W[go], zeta, _ORBIT_LEG)
+    return z
 
 
 def eval_h_inverse(s: Scenario, w):
@@ -595,16 +619,21 @@ def eval_h_inverse(s: Scenario, w):
     if s._closed_inverse is not None:
         z = s._closed_inverse(w_arr)
     else:
-        # Omega + t lies in Omega for t >= 0, so [w, W] does; near zeta h is
-        # -log(zeta - z)/alpha plus a bounded part, so z0 is near h^-1(W)
-        dw = s.dw_point()
-        zp = dw.zeta * (1.0 - _PROBE_EPS)
-        wp = complex(s._h(zp))
-        W = np.maximum(w_arr.real, wp.real) + 1j * w_arr.imag
-        z0 = dw.zeta - (dw.zeta - zp) * np.exp(-dw.alpha * (W - wp))
-        z0 = _continuation_invert(s, W, z0, W, dw.zeta, _ORBIT_LEG)
-        z = _continuation_invert(s, w_arr, z0, W, dw.zeta, _ORBIT_LEG)
+        z = _invert_near(s, w_arr, s.dw_point())
     return complex(z) if np.ndim(z) == 0 else z
+
+
+def orbit(s: Scenario, base, fp: FixedPointDatum, t):
+    """phi_{+-t}(base) for an array of t >= 0: forward when fp is the
+    Denjoy-Wolff point, else backward into the petal of the repelling point
+    fp.  Each point is inverted from next to fp, not walked from base."""
+    sign = 1.0 if fp.role == DENJOY_WOLFF else -1.0
+    w = complex(eval_h(s, base)) + sign * np.asarray(t, dtype=float)
+    if sign < 0 and not np.all(s.in_omega(w)):
+        raise PetalExitError("backward orbit leaves the image domain")
+    if s._closed_inverse is not None:
+        return np.asarray(s._closed_inverse(w), dtype=complex)
+    return _invert_near(s, w, fp)
 
 
 def flow(s: Scenario, t, z):

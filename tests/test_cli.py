@@ -9,7 +9,7 @@ import pytest
 from bergspec import cli, errors, numerics, regions, truncation
 from bergspec.cli import main
 from bergspec.regions import gammas_from
-from bergspec.scenario import parse_scenario
+from bergspec.scenario import make_builtin, parse_scenario
 from bergspec.svgplot import Viewport, render_svg
 
 STRIP_CFG = "p = 2\nmodel = strip_flow\n"
@@ -179,7 +179,7 @@ def test_bare_t_is_a_usage_error(tmp_path, strip_cfg, capsys, cmd):
 
 
 @pytest.mark.parametrize("error", [
-    errors.InversionError("Newton inversion failed to converge", residual=1.0),
+    errors.InversionError("Newton inversion failed to converge"),
     errors.ModelInconsistencyError("alpha mismatch"),
     errors.OrbitIntegralError("tolerance not met"),
     np.linalg.LinAlgError("SVD did not converge"),
@@ -519,6 +519,37 @@ def test_a_tiny_orbit_tolerance_skips_the_strip_resolvent(tmp_path):
     assert code == 0
     assert checks["resolvent_residual"]["status"] == "skipped"
     assert "unit circle" in checks["resolvent_residual"]["reason"]
+
+
+def _strip_exp_log_twin():
+    # the weighted strip as an expression model, its weight written in logs
+    # whose arguments avoid (-inf, 0] on the disk, with the built-in's petal
+    # anchor; every orbit point is a Newton inverse
+    ref = make_builtin("strip_flow", 2.0, c=0.4, s=0.7)
+    anchor = ref.petal_anchor(ref.repelling_points()[0])
+    h = "log(1+z) - log(1-z)"
+    return (f"p = 2\nmodel = expression\nh_expr = {h}\n"
+            f"v_expr = exp(0.4*({h})) * exp(-0.7*(log(2) - log(1-z)"
+            f" - log(1+z)))\nfp = (1, 1, -0.3, dw)\nfp = (-1, -1, 1.1, rep)\n"
+            f"petal_anchor = {anchor.real!r}\n")
+
+
+@pytest.mark.parametrize("lam", ["2", "-1.5"])
+def test_the_strip_and_its_twin_skip_a_tiny_orbit_tolerance_alike(tmp_path,
+                                                                   lam):
+    # forward and backward, both orbits round onto their limit points before
+    # the tail bound meets tol; the twin's inverses used to be walked from
+    # the base point until Newton lost them there (exit 4)
+    reasons = []
+    for cfg_text in (STRIP_WEIGHTED_CFG, _strip_exp_log_twin()):
+        code, checks = _orbit_checks(tmp_path, cfg_text, f"--lambda={lam}",
+                                     "--tol-orbit", "1e-300")
+        assert code == 0
+        assert checks["resolvent_residual"]["status"] == "skipped"
+        reasons.append(checks["resolvent_residual"]["reason"])
+    # the bound each reason quotes is sampled where each orbit rounds
+    assert reasons[0].split(" (bound")[0] == reasons[1].split(" (bound")[0]
+    assert "reached the unit circle" in reasons[1]
 
 
 def test_a_tight_orbit_tolerance_certifies_the_strip_resolvent(tmp_path):

@@ -19,8 +19,8 @@ from bergspec.numerics import (MembershipVerdict, ResolventCertificate,
                                nonsurjectivity_witness, orbit_integral_K,
                                residual_check, resolvent_apply)
 from bergspec.regions import fixed_point_gamma, gammas_from
-from bergspec.scenario import (eval_h, make_builtin, parse_scenario,
-                               quasi_random_grid)
+from bergspec.scenario import (FixedPointDatum, eval_h, make_builtin,
+                               parse_scenario, quasi_random_grid)
 
 ONE = lambda z: np.ones_like(np.asarray(z, dtype=complex))
 
@@ -550,59 +550,50 @@ def test_alpha_flows_every_radius_in_one_call(monkeypatch):
         assert abs(alpha - fp.alpha) < 1e-4
 
 
-def test_a_second_orbit_integral_reuses_the_orbit(monkeypatch):
-    tw = _twin("strip_flow", 0.4, 0.7, 0.15)
-    first = orbit_integral_K(tw, 2.0, ONE, tw.dw_point(), tol=1e-9).K
-    steps = _counting(monkeypatch, scenario, "_newton_step_batch")
-    again = orbit_integral_K(tw, 2.0, ONE, tw.dw_point(), tol=1e-9).K
-    assert 0 < len(steps) <= 10
-    assert abs(again - first) <= 1e-14 * abs(first)
-
-
 def test_an_orbit_walk_takes_long_legs_toward_its_limit(monkeypatch):
-    # the first tail walk of orbit_integral_K, to T = 25: thirteen legs of
-    # 2 in w, where legs of 0.25 took 100 corrector calls
+    # the first tail samples of orbit_integral_K, to T = 25: one correction
+    # next to zeta and two legs of 2 in w back to the earliest samples, where
+    # a walk from the base point took 13 corrector calls (100 in legs of 0.25)
     tw = _twin("strip_flow", 0.4, 0.7, 0.15)
     steps = _counting(monkeypatch, scenario, "_newton_step_batch")
-    numerics._OrbitEvaluator(tw, 0.0, 1.0, 1.0).points(np.linspace(2.5, 25, 17))
-    assert len(steps) <= 16
+    z = scenario.orbit(tw, 0.0, tw.dw_point(), np.linspace(2.5, 25, 17))
+    assert np.all(np.abs(z) < 1.0)
+    assert len(steps) <= 4
 
 
 @pytest.mark.parametrize("model, c, s, d", [
     pytest.param("trident", 0.0, 0.1, 0.5, id="trident"),
-    pytest.param("strip_flow", 0.4, 0.7, 0.15, id="strip_flow")])
+    pytest.param("trident", 0.2, 0.3, 0.3, id="trident-weighted"),
+    pytest.param("strip_flow", 0.4, 0.7, 0.15, id="strip_flow"),
+    pytest.param("strip_flow", 0.3, 0.6, 0.0, id="strip_flow-d0")])
 def test_orbit_walks_match_the_closed_form_orbits(model, c, s, d):
     # the forward orbit and each backward petal orbit, far into their limit
     # points, where an iterate could pass the residual floor of _converged
     # while still off the orbit
     tw, ref = _twin(model, c, s, d), make_builtin(model, 2.0, c=c, s=s, d=d)
     t = np.array([0.5, 1, 2, 5, 10, 15, 20, 25])
-    orbits = [(0.0, 1.0, ref.dw_point().zeta)] + [
-        (ref.petal_anchor(fp), -1.0, fp.zeta) for fp in ref.repelling_points()]
-    for base, sign, zeta in orbits:
-        got = numerics._OrbitEvaluator(tw, base, sign, zeta).points(t)
-        want = numerics._OrbitEvaluator(ref, base, sign, zeta).points(t)
-        assert np.max(np.abs(got - want)) <= 1e-15, zeta
+    orbits = [(0.0, ref.dw_point())] + [
+        (ref.petal_anchor(fp), fp) for fp in ref.repelling_points()]
+    for base, fp in orbits:
+        got = scenario.orbit(tw, base, fp, t)
+        want = scenario.orbit(ref, base, fp, t)
+        assert np.max(np.abs(got - want)) <= 1e-15, fp.zeta
 
 
-def test_orbit_cache_merges_as_a_stable_sort():
-    # new times go in after the cached ones they equal, so every warm start
-    # is the one the sorted (cache, new) pair gave
+def test_an_orbit_point_rounded_onto_its_limit_stays_there(monkeypatch):
+    # far along the orbit the start next to zeta = 1 rounds onto it, where h
+    # is singular: the point is returned there, uncorrected, and the tail
+    # loop's run of samples inside the disk ends before it
     tw = _twin("strip_flow", 0.4, 0.7, 0.15)
-    ev = numerics._OrbitEvaluator(tw, 0.0, 1.0, 1.0)
-    ts, zs = [np.zeros(1)], [np.zeros(1, dtype=complex)]
-    for t in (np.array([3.0, 1.0, 2.0, 1.0]), np.array([[2.0, 0.5], [1.0, 3.0]]),
-              np.linspace(0.0, 4.0, 9)):
-        zs.append(ev.points(t).ravel())
-        ts.append(t.ravel())
-        order = np.argsort(np.concatenate(ts), kind="stable")
-        assert np.array_equal(ev.cache[0], np.concatenate(ts)[order])
-        assert np.array_equal(ev.cache[1], np.concatenate(zs)[order])
+    steps = _counting(monkeypatch, scenario, "_newton_step_batch")
+    z = scenario.orbit(tw, 0.0, tw.dw_point(), np.array([40.0, 60.0, 200.0]))
+    assert np.all(np.abs(z) <= 1.0)
+    assert np.all(z == 1.0) and not steps
 
 
-def test_orbit_cache_shared_by_threads():
-    # a lost update to the shared cache only loses warm starts: every K
-    # matches its serial value and the cache stays a sorted, paired array
+def test_orbit_integrals_on_threads_match_their_serial_values():
+    # the threads share the scenario's cache of compiled tapes, where a race
+    # only compiles a tape twice: every K matches its serial value
     lams = [1.6, 1.8, 2.0, 2.2, 2.4, 2.6]
     tw = _twin("strip_flow", 0.4, 0.7, 0.15)
     serial = [orbit_integral_K(tw, lam, ONE, tw.dw_point(), tol=1e-9).K
@@ -626,9 +617,6 @@ def test_orbit_cache_shared_by_threads():
     assert not any(th.is_alive() for th in threads)
     for lam, K in zip(lams, serial):
         assert abs(got[lam] - K) <= 1e-12 * abs(K), lam
-    (ev,) = tw._orbits.values()
-    ts, zs = ev.cache
-    assert ts.size == zs.size and np.all(np.diff(ts) >= 0)
 
 
 @pytest.mark.parametrize("lam", [1.0, 1 + 2j])
@@ -669,10 +657,27 @@ def test_orbit_integral_refuses_lambda_within_the_tail_margin():
 
 def test_orbit_integral_fails_when_no_truncation_time_meets_tol(
         trident_weighted):
-    # the tail bound at the cap T = 200 is about 6e-143
+    # the tail bound at the cap T = 200 is about 6e-143; this orbit reaches
+    # the cap only because the trident's closed inverse keeps points that
+    # rounded onto +-i inside the disk (ROADMAP item 3)
     with pytest.raises(OrbitIntegralError, match="at T = 200") as ei:
         orbit_integral_K(trident_weighted, -2.5, ONE,
                          trident_weighted.repelling_points()[0], tol=1e-300)
+    assert 0 < ei.value.achieved < 1e-100
+
+
+@pytest.mark.parametrize("anchor, shift", [(0, 1.3), (1, -1.3)],
+                         ids=["dw", "rep"])
+def test_orbit_integral_fails_at_the_cap_on_an_orbit_inside_the_disk(
+        anchor, shift):
+    # at a = 0.15 the strip's orbits reach z = +-1 only near t = 250, so
+    # every tail sample to T = 200 lies inside the disk: bounds about 3e-122
+    # forward and 5e-124 backward
+    s = make_builtin("strip_flow", 2.0, a=0.15, c=0.4, s=0.7)
+    fp = s.fixed_points[anchor]
+    lam = fixed_point_gamma(fp, s.p) + shift
+    with pytest.raises(OrbitIntegralError, match="at T = 200") as ei:
+        orbit_integral_K(s, lam, ONE, fp, tol=1e-300)
     assert 0 < ei.value.achieved < 1e-100
 
 
@@ -690,10 +695,10 @@ def test_orbit_integral_refuses_once_its_orbit_reaches_the_circle(a, tol):
 def test_a_backward_orbit_that_leaves_the_image_domain_raises(
         half_strip_weighted):
     # h(0) = 0, and the half strip's image ends at Re w = -log(1 + sqrt 2),
-    # the image of z = 1
-    ev = numerics._OrbitEvaluator(half_strip_weighted, 0.0, -1.0, 1.0)
+    # the image of z = 1, which a repelling datum there makes a backward orbit
+    rep = FixedPointDatum(1.0 + 0j, -1.0, 0.0)
     with pytest.raises(PetalExitError):
-        ev.points(np.array([0.5, 5.0]))
+        scenario.orbit(half_strip_weighted, 0.0, rep, np.array([0.5, 5.0]))
 
 
 def test_resolvent_apply_rejects_a_certificate_for_another_lambda(

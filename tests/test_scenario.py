@@ -245,7 +245,7 @@ def test_continuation_gives_up_on_a_point_that_never_converges(monkeypatch):
         return z, ok & (target.imag != w[0].imag)
 
     monkeypatch.setattr(scenario, "_newton_step_batch", stuck)
-    with pytest.raises(InversionError):
+    with pytest.raises(InversionError, match=r"\(residual \d\.\de[-+]\d+\)$"):
         scenario._continuation_invert(twin, w + 1.0, z, w)
     assert len(calls) <= scenario._LEG_DEPTH + 1
 
