@@ -98,21 +98,6 @@ class Jet:
         v2 = (f.d2 - 2 * v1 * g.d1 - v0 * g.d2) / g.f if n > 1 else None
         return Jet(v0, v1, v2, n)
 
-    def ipow(self, n: int):
-        """Integer power by repeated squaring (branch free)."""
-        if n == 0:
-            return Jet(np.ones_like(self.f), order=self.order)
-        if n < 0:
-            return self.ipow(0) / self.ipow(-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def exp(self):
         e = np.exp(self.f)
         f1, f2, n = self.d1, self.d2, self.order
@@ -210,18 +195,6 @@ class _Neg(_Node):
         return f"(-{self.children[0]})"
 
 
-class _IPow(_Node):
-    def __init__(self, base, n):
-        self.children = (base,)
-        self.n = n
-
-    def step(self, k):
-        return functools.partial(Jet.ipow, n=self.n)
-
-    def __repr__(self):
-        return f"({self.children[0]}^{self.n})"
-
-
 class _Fn(_Node):
     def __init__(self, name, args):
         self.name = name
@@ -242,7 +215,7 @@ def _structure(node, children):
     if isinstance(node, _Const):
         return _Const, repr(node.value)
     return (type(node), getattr(node, "op", None), getattr(node, "name", None),
-            getattr(node, "n", None), children)
+            children)
 
 
 def _shaped(x, shape):
@@ -256,7 +229,7 @@ class Tape:
     """Flat post-order schedule of the expression DAG under some roots.
 
     Every node appears once, and so do nodes that compute the same thing
-    (same class, op, name or exponent, equal constants and merged
+    (same class, op or name, equal constants and merged
     children), at the highest order any reader wants; a reader
     that wants fewer orders takes a truncated copy, whose slots are bitwise
     those of the lower-order computation.  Constants are fixed jets built at
@@ -497,16 +470,25 @@ class _Parser:
         return self.power()
 
     def power(self) -> _Node:
+        """base^n as products by repeated squaring, branch free: 1/base^-n
+        for n < 0 and the constant 1 for n = 0.  A tape computes each square
+        once, as it does any repeated subtree."""
         base = self.atom()
-        if self.peek() == "^":
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        neg = self.peek() == "-"
+        if neg:
             self.pos += 1
-            neg = False
-            if self.peek() == "-":
-                neg = True
-                self.pos += 1
-            n = self.integer()
-            return _IPow(base, -n if neg else n)
-        return base
+        n = self.integer()
+        node = None
+        while n:
+            if n & 1:
+                node = base if node is None else _Bin("*", node, base)
+            n >>= 1
+            base = _Bin("*", base, base)
+        node = _Const(1.0) if node is None else node
+        return _Bin("/", _Const(1.0), node) if neg else node
 
     def integer(self) -> int:
         start = self.pos

@@ -9,8 +9,7 @@ is found afresh by `scenario.orbit`, from next to the orbit's limit point.
 Membership comes from Taylor coefficients on one circle (Hedenmalm,
 Korenblum and Zhu, Theory of Bergman Spaces, ch. 1; Bornemann, Found.
 Comput. Math. 11, 2011), so a divergence at any boundary point shows, fixed
-or not, and tau can exceed 1 where the ring quadrature it replaces, whose
-increments were at least their bands' area, could not.
+or not, and tau can exceed 1 where f converges comfortably.
 
 The work is batched: `eigenfunction(s, lams)` evaluates h and l once for
 every lambda and `ap_norm_rings` gives each row its verdict; one adaptive

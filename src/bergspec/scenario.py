@@ -7,14 +7,14 @@ its map in closed form, carries petal anchors computed from it, and builds
 its weight from the logs in its map's own tree, so the weight is one
 analytic branch on the disk and shares the map's nodes in a tape;
 `model = expression` inverts by damped Newton continuation along straight
-paths in the image domain, walking in along an orbit from near its limit
-point zeta (the Denjoy-Wolff point, or a repelling point for a backward
-orbit), in steps of log(zeta - z); every point converges, and retries a
-failing leg in quarters, on its own.  A flow steps in u = -i log z, where
-the unit circle is the flat line Im u = 0.  Everything is immutable after
-construction and safe to evaluate concurrently; the only state filled in
-later is the cache of compiled evaluation tapes, where a race merely
-compiles a tape twice.
+paths in the image domain, stepping in u = -i log z, where the unit circle
+is the flat line Im u = 0; every point converges, and retries a failing leg
+in quarters, on its own.  An inverse starts next to its orbit's limit point
+zeta (the Denjoy-Wolff point, or a repelling point for a backward orbit),
+corrects that start in log(zeta - z), and walks out along the orbit, away
+from zeta.  Everything is immutable after construction and safe to evaluate
+concurrently; the only state filled in later is the cache of compiled
+evaluation tapes, where a race merely compiles a tape twice.
 """
 
 from __future__ import annotations
@@ -490,7 +490,7 @@ def generator_g(s: Scenario, z):
 _NEWTON_BUDGET = 16         # corrector iterations per leg
 _NEWTON_TOL = 1e-13
 _LEG = 0.25                 # longest leg of a continuation path, in w
-_ORBIT_LEG = 2.0            # longest leg of an orbit walk toward its limit
+_ORBIT_LEG = 2.0            # longest leg of an inverse's walk from its limit
 _PROBE_EPS = 2.0 ** -6      # expression inverses start from zeta (1 - this)
 # times a failing leg may be quartered: the truncate of an expression trident
 # needs 3 where a flow starts 1e-11 from the critical value at the slit tip
@@ -510,14 +510,14 @@ def _converged(hj, target):
 def _newton_step_batch(s, z, target, center):
     """Damped Newton toward h(z) = target on 1-D complex arrays, stepping in
     log(c - z) for the center c: z -> c - (c - z) exp(delta / ((c - z) h')),
-    with delta = h(z) - target.  Near a boundary fixed point c, h is
-    -log(c - z)/alpha plus a bounded part, so a long leg of an orbit into c
-    converges in a few steps.  At c = 0 this is the step in u = -i log z,
+    with delta = h(z) - target.  Walks use c = 0, the step in u = -i log z,
     where the unit circle is the flat line Im u = 0, so a step along an
     orbit that hugs the circle stays inside; nearer 0 than 1/2, where that
-    coordinate is singular, the step is the plain z - delta / h'.  A point
-    stops once it has converged, after the step its converged jet already
-    gives.  Returns z and the converged mask."""
+    coordinate is singular, the step is the plain z - delta / h'.  Near a
+    boundary fixed point c, h is -log(c - z)/alpha plus a bounded part, so
+    c = zeta corrects an inverse's start within 2**-6 of zeta in a few
+    steps.  A point stops once it has converged, after the step its
+    converged jet already gives.  Returns z and the converged mask."""
     z = np.array(z, dtype=complex)
     done = np.zeros(z.shape, dtype=bool)
     live = np.arange(z.size)
@@ -527,7 +527,7 @@ def _newton_step_batch(s, z, target, center):
         ok = _converged(hj, target[live])
         done[live[ok]] = True
         step = (hj.f - target[live]) / hj.d1
-        polar = (np.abs(zl) > 0.5) | (center != 0)
+        polar = np.abs(zl) > 0.5
         step[polar] /= center - zl[polar]
 
         def move(factor):
@@ -552,12 +552,12 @@ def _newton_step_batch(s, z, target, center):
     return z, done
 
 
-def _continuation_invert(s, w, z0, w0, center=0j, longest=_LEG):
+def _continuation_invert(s, w, z0, w0, longest=_LEG):
     """Follow straight paths in the image domain from w0 to w, one per point,
     in legs of its own length: equal legs of at most `longest`, except that a
     leg whose corrector fails is retried from its start in quarters, down to
     longest / 4**_LEG_DEPTH, and after the quarters the longer legs resume.
-    The corrector steps in log(center - z)."""
+    The corrector steps in u = -i log z."""
     shape = np.shape(w)
     w, w0, z = (np.array(a, dtype=complex).ravel() for a in (w, w0, z0))
     # progress along each path counts finest legs, so every leg end is exact
@@ -569,7 +569,7 @@ def _continuation_invert(s, w, z0, w0, center=0j, longest=_LEG):
         leg = _LEG_UNITS >> 2 * depth
         nxt = pos[live] + leg[live]
         target = w0[live] + (w[live] - w0[live]) * (nxt / end[live])
-        zl, ok = _newton_step_batch(s, z[live], target, center)
+        zl, ok = _newton_step_batch(s, z[live], target, 0j)
         good, bad = live[ok], live[~ok]
         z[good], pos[good] = zl[ok], nxt[ok]
         # a point that has finished the quarters of a failed leg goes back up
@@ -590,13 +590,15 @@ def _continuation_invert(s, w, z0, w0, center=0j, longest=_LEG):
 def _invert_near(s, w, fp):
     """h^-1(w) on the orbit that tends to the boundary fixed point fp: start
     at W = Re w or Re w_p, whichever lies further toward fp, plus i Im w,
-    with w_p = h(z_p) at the probe z_p = zeta (1 - _PROBE_EPS), correct
-    there, and walk to w in legs of _ORBIT_LEG centered at zeta.  [w, W]
-    lies on the orbit through w: forward since Omega + t lies in Omega for
-    t >= 0, backward since W lies further along w's orbit into the petal.
-    Near zeta h is -log(zeta - z)/alpha plus a bounded part, so the start is
-    near h^-1(W); one that rounds onto zeta, where h is singular, stays there
-    (W = w for it), on the circle."""
+    with w_p = h(z_p) at the probe z_p = zeta (1 - _PROBE_EPS).  Near zeta
+    h is -log(zeta - z)/alpha plus a bounded part, so the start
+    zeta - (zeta - z_p) exp(-alpha (W - w_p)) is near h^-1(W), and one
+    corrector call stepping in log(zeta - z) brings it there.  The walk to
+    w then goes away from zeta in legs of _ORBIT_LEG.  [w, W] lies on the
+    orbit through w: forward since Omega + t lies in Omega for t >= 0,
+    backward since W lies further along w's orbit into the petal.  A start
+    that rounds onto zeta, where h is singular, stays there (W = w for it),
+    on the circle."""
     zeta = complex(fp.zeta)
     zp = zeta * (1.0 - _PROBE_EPS)
     wp = complex(s._h(zp))
@@ -604,8 +606,9 @@ def _invert_near(s, w, fp):
     W = edge(w.real, wp.real) + 1j * w.imag
     z = np.array(zeta - (zeta - zp) * np.exp(-fp.alpha * (W - wp)))
     go = z != zeta
-    z0 = _continuation_invert(s, W[go], z[go], W[go], zeta, _ORBIT_LEG)
-    z[go] = _continuation_invert(s, w[go], z0, W[go], zeta, _ORBIT_LEG)
+    if go.any():
+        z0, _ = _newton_step_batch(s, z[go], W[go], zeta)
+        z[go] = _continuation_invert(s, w[go], z0, W[go], _ORBIT_LEG)
     return z
 
 

@@ -521,17 +521,34 @@ def test_a_tiny_orbit_tolerance_skips_the_strip_resolvent(tmp_path):
     assert "unit circle" in checks["resolvent_residual"]["reason"]
 
 
-def _strip_exp_log_twin():
-    # the weighted strip as an expression model, its weight written in logs
-    # whose arguments avoid (-inf, 0] on the disk, with the built-in's petal
-    # anchor; every orbit point is a Newton inverse
-    ref = make_builtin("strip_flow", 2.0, c=0.4, s=0.7)
-    anchor = ref.petal_anchor(ref.repelling_points()[0])
-    h = "log(1+z) - log(1-z)"
-    return (f"p = 2\nmodel = expression\nh_expr = {h}\n"
-            f"v_expr = exp(0.4*({h})) * exp(-0.7*(log(2) - log(1-z)"
-            f" - log(1+z)))\nfp = (1, 1, -0.3, dw)\nfp = (-1, -1, 1.1, rep)\n"
-            f"petal_anchor = {anchor.real!r}\n")
+# h, the log L of +-h' and the d factor of each built-in, in the built-in's
+# own logs, whose arguments avoid (-inf, 0] on the disk
+_EXP_LOG = {
+    "strip_flow": ("log(1+z) - log(1-z)", "log(2) - log(1-z) - log(1+z)",
+                   "1+z"),
+    "trident": ("0.5*log(1+z^2) - log(1+z)",
+                "log(1-z) - log(1+z^2) - log(1+z)", "z - i"),
+}
+
+
+def _exp_log_twin(model, c, s, d=0.0):
+    # a built-in as an expression model: v = e^{c h} e^{-s L} d_factor^d,
+    # each factor only where its weight is nonzero, as the built-in builds
+    # it, with the built-in's fixed points and petal anchors; every orbit
+    # point is a Newton inverse
+    ref = make_builtin(model, 2.0, c=c, s=s, d=d)
+    h, log_dh, d_factor = _EXP_LOG[model]
+    factors = [f"exp({c!r}*({h}))" if c else None,
+               f"exp({-s!r}*({log_dh}))" if s else None,
+               f"pow({d_factor}, {d!r})" if d else None]
+    v = " * ".join(f for f in factors if f) or "1"
+    roles = {"denjoy_wolff": "dw", "repelling": "rep"}
+    lines = ["p = 2", "model = expression", f"h_expr = {h}", f"v_expr = {v}"]
+    lines += [f"fp = ({f.zeta.real!r}{f.zeta.imag:+}i, {f.alpha!r}, "
+              f"{f.beta_re!r}, {roles[f.role]})" for f in ref.fixed_points]
+    lines += [f"petal_anchor = {a.real!r}{a.imag:+}i"
+              for a in map(ref.petal_anchor, ref.repelling_points())]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("lam", ["2", "-1.5"])
@@ -541,7 +558,8 @@ def test_the_strip_and_its_twin_skip_a_tiny_orbit_tolerance_alike(tmp_path,
     # the tail bound meets tol; the twin's inverses used to be walked from
     # the base point until Newton lost them there (exit 4)
     reasons = []
-    for cfg_text in (STRIP_WEIGHTED_CFG, _strip_exp_log_twin()):
+    for cfg_text in (STRIP_WEIGHTED_CFG,
+                     _exp_log_twin("strip_flow", 0.4, 0.7)):
         code, checks = _orbit_checks(tmp_path, cfg_text, f"--lambda={lam}",
                                      "--tol-orbit", "1e-300")
         assert code == 0
@@ -550,6 +568,55 @@ def test_the_strip_and_its_twin_skip_a_tiny_orbit_tolerance_alike(tmp_path,
     # the bound each reason quotes is sampled where each orbit rounds
     assert reasons[0].split(" (bound")[0] == reasons[1].split(" (bound")[0]
     assert "reached the unit circle" in reasons[1]
+
+
+# the parity table: each built-in against its exp-log twin, at lambda 0.3
+# and 0.02 below and above every finite gamma of the built-in
+PARITY_TWINS = [("strip_flow", 0.4, 0.7, 0.15), ("trident", 0.0, 0.1, 0.5)]
+
+
+def _parity_rows():
+    for model, c, s, d in PARITY_TWINS:
+        g = gammas_from(make_builtin(model, 2.0, c=c, s=s, d=d).fixed_points,
+                        2.0)
+        for gamma in (g.gamma0, *g.gammas):
+            if gamma == float("-inf"):
+                continue
+            for dx in (-0.3, -0.02, 0.02, 0.3):
+                lam = round(gamma + dx, 6)
+                yield pytest.param(model, c, s, d, lam, id=f"{model}-{lam:g}")
+
+
+def _verify_json(tmp_path, cfg_text, lam):
+    cfg, out = tmp_path / "s.cfg", tmp_path / "v.json"
+    cfg.write_text(cfg_text)
+    code = main(["verify", "-c", str(cfg), f"--lambda={lam}", "--json",
+                 str(out)])
+    report = json.loads(out.read_text())
+    (result,) = report["results"]
+    return code, result["checks"], report["growth_exponents"]
+
+
+@pytest.mark.parametrize("model, c, s, d, lam", _parity_rows())
+def test_a_builtin_and_its_exp_log_twin_verify_alike(tmp_path, model, c, s, d,
+                                                    lam):
+    # the same exit code, every check with the same status, and K within the
+    # default tol_orbit, 1e-8.  A row that comes to disagree is marked with
+    # the roadmap item that owns the defect, never dropped
+    builtin = (f"p = 2\nmodel = {model}\nc = {c!r}\ns = {s!r}\n"
+               f"d = {d!r}\n")
+    code, checks, growth = _verify_json(tmp_path, builtin, lam)
+    twin_code, twin_checks, twin_growth = _verify_json(
+        tmp_path, _exp_log_twin(model, c, s, d), lam)
+    assert twin_code == code
+    assert ([(x["check"], x["status"]) for x in twin_checks]
+            == [(x["check"], x["status"]) for x in checks])
+    assert ([x["status"] for x in twin_growth]
+            == [x["status"] for x in growth])
+    for x, y in zip(checks, twin_checks):
+        if "K" in x:
+            assert abs(complex(x["K"]["re"], x["K"]["im"])
+                       - complex(y["K"]["re"], y["K"]["im"])) <= 1e-8
 
 
 def test_a_tight_orbit_tolerance_certifies_the_strip_resolvent(tmp_path):

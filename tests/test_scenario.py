@@ -296,8 +296,8 @@ def test_near_circle_flow_takes_long_legs(monkeypatch):
 
 @pytest.mark.parametrize("radius", [1e-3, 0.49, 0.51, 0.98, 0.99, 1 - 1e-6])
 @pytest.mark.parametrize("name,w,h_text,v_text,N", TWINS)
-def test_inverse_round_trip_across_the_step_switch(name, w, h_text, v_text,
-                                                  N, radius):
+def test_inverse_round_trip_across_the_step_switch(monkeypatch, name, w,
+                                                  h_text, v_text, N, radius):
     # trident targets just above the slit whose inverse started from the
     # nearest of a grid of seeds, just below it, crossed the slit: 1 of 64
     # failed at r = 0.98 and 15-16 at r >= 0.99.  A walk in from the right
@@ -305,7 +305,19 @@ def test_inverse_round_trip_across_the_step_switch(name, w, h_text, v_text,
     ref, twin = _twin(name, w, h_text, v_text)
     z = radius * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
     w_pts = eval_h(ref, z)
+    corrector = scenario._newton_step_batch
+    calls = []
+
+    def counted(s, z, target, center):
+        calls.append(z.size)
+        return corrector(s, z, target, center)
+
+    monkeypatch.setattr(scenario, "_newton_step_batch", counted)
     assert np.max(np.abs(eval_h_inverse(twin, w_pts) - eval_h_inverse(ref, w_pts))) < 1e-10
+    # at r = 1 - 1e-6 the walk out from zeta in steps of log(zeta - z) was
+    # halved out of the disk: 741 batches on the strip twin, 420 on the
+    # trident twin; steps in u = -i log z take 6 and 36
+    assert len(calls) <= 40
 
 
 def test_an_overflowing_first_step_is_damped_into_the_disk(monkeypatch):
