@@ -452,13 +452,19 @@ def eval_hl_jets(s: Scenario, z, h_order, l_order):
     """Jets of the conformal map and of l = log v (on no fixed branch) at z,
     from one pass over their shared tape; for a built-in, l reuses the logs
     inside h, and at d = 0 needs no transcendental function of its own."""
-    s._require_evaluable()
+    tape = _hl_tape(s, h_order, l_order)
     _check_in_disk(z)
+    return tape(z)
+
+
+def _hl_tape(s: Scenario, h_order, l_order):
+    """The joint tape of h and l at these orders, compiled on first use."""
+    s._require_evaluable()
     key = (h_order, l_order)
     tape = s._tapes.get(key)
     if tape is None:
         tape = s._tapes[key] = ex.Tape((s._h, s._l), key)
-    return tape(z)
+    return tape
 
 
 def eval_h(s: Scenario, z):

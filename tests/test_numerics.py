@@ -68,18 +68,42 @@ def test_stacked_rows_match_single_lambda_calls(model, request):
     assert [len(v.ring_integrals) for v in stacked[::2]] == [14, 14]
 
 
-@pytest.mark.parametrize("p, calls", [(2.0, 16), (3.0, 32)])
-def test_the_circle_is_read_in_sixteen_parts(p, calls):
-    # one f call per sub-circle, two passes when the phase is unwrapped
-    s = make_builtin("strip_flow", p)
-    sizes = []
+@pytest.mark.parametrize("model, weights, p, lams, calls", [
+    pytest.param("strip_flow", {}, 2.0, None, 16, id="2.0-16"),
+    pytest.param("strip_flow", {}, 3.0, None, 32, id="3.0-32"),
+    pytest.param("strip_flow", {"c": 0.4, "s": 0.7}, 2.0, [0.5, 2.0, -1.5], 9,
+                 id="real-eigenfunction-9"),
+    pytest.param("strip_flow", {"c": 0.4, "s": 0.7}, 2.0,
+                 [0.5, 2.0 + 0.5j, -1.5], 16, id="one-complex-row-16"),
+    pytest.param("trident", {"d": 0.5}, 2.0, [0.5, -1.5], 16,
+                 id="trident-z-minus-i-16"),
+    pytest.param("strip_flow", {"c": 0.4, "s": 0.7}, 3.0, [0.5, 2.0, -1.5], 32,
+                 id="real-eigenfunction-p3-32")])
+def test_the_circle_is_read_in_sixteen_parts(monkeypatch, model, weights, p,
+                                             lams, calls):
+    # one f call per sub-circle, two passes when the phase is unwrapped; an
+    # eigenfunction with real Taylor coefficients at p = 2 reads sub-circles
+    # 0..8 only, where a complex lam, the trident's z - i factor or p != 2
+    # reads all 16
+    s = make_builtin(model, p, **weights)
+    if lams is None:
+        sizes = []
 
-    def f(z):
-        sizes.append(z.size)
-        return (1 - z) ** -0.6
-
+        def f(z):
+            sizes.append(z.size)
+            return (1 - z) ** -0.6
+    else:
+        f, sizes = eigenfunction(s, lams), _hl_jet_sizes(monkeypatch)
     ap_norm_rings(s, f)
     assert sizes == [4096] * calls
+
+
+def _hl_jet_sizes(monkeypatch):
+    # the point count of each call an eigenfunction makes
+    jets, sizes = numerics.eval_hl_jets, []
+    monkeypatch.setattr(numerics, "eval_hl_jets", lambda s, z, *orders: (
+        sizes.append(z.size) or jets(s, z, *orders)))
+    return sizes
 
 
 def _one_fft_blocks(f, p):
@@ -121,6 +145,78 @@ def test_blocks_match_one_fft_over_the_whole_circle(strip_weighted, p, lams):
     for v, r, fl in zip(got, ref, floor):
         b = np.array(v.ring_integrals)
         assert np.all(np.abs(b - r) <= 1e-12 * r + 1e-2 * np.sqrt(r * fl))
+
+
+# scenarios whose (h, l) tape has only real constants: at a real lam their
+# eigenfunction has real Taylor coefficients
+REAL_TAPES = {
+    "strip": lambda: make_builtin("strip_flow", 2.0, a=2.0, c=0.3, s=0.6,
+                                  d=0.2),
+    "half_strip": lambda: make_builtin("half_strip", 2.0, c=0.3, s=0.6, d=0.1),
+    "trident": lambda: make_builtin("trident", 2.0, c=0.1, s=0.2),
+    "strip_twin": lambda: _twin("strip_flow", 0.3, 0.6, 0.2),
+}
+REAL_LAMS = [-1.5, 0.5, 2.0]
+
+
+@pytest.mark.parametrize("name", sorted(REAL_TAPES))
+def test_a_real_row_reflects_exactly(name):
+    # F(conj z) == conj F(z) at 20,000 disk points and on a sub-circle of the
+    # Taylor circle, and so do the jets of h and l that F is built from:
+    # numpy's arithmetic and principal branches are conjugation-symmetric
+    # (up to the sign of a zero imaginary part at a real point), which is
+    # what lets ap_norm_rings read such a row from half the circle
+    s = REAL_TAPES[name]()
+    F = eigenfunction(s, REAL_LAMS)
+    assert F.real_rows.tolist() == [True] * 3
+    n, S = numerics._SAMPLES, numerics._SUBCIRCLES
+    sub = math.exp(-1.0 / numerics._TAYLOR_J) * np.exp(
+        2j * np.pi * (S * np.arange(n // S) + 3) / n)
+    z = np.concatenate([quasi_random_grid(20000, 0.999), sub])
+    np.testing.assert_array_equal(F(z.conj()), F(z).conj())
+    for got, ref in zip(scenario.eval_hl_jets(s, z.conj(), 2, 2),
+                        scenario.eval_hl_jets(s, z, 2, 2)):
+        for slot in ("f", "d1", "d2"):
+            np.testing.assert_array_equal(getattr(got, slot),
+                                          getattr(ref, slot).conj())
+
+
+@pytest.mark.parametrize("name", sorted(REAL_TAPES))
+def test_a_real_row_read_from_half_the_circle_matches_the_full_read(name):
+    # the same F in a plain lambda carries no mark and reads all 16
+    # sub-circles: equal statuses, and blocks within the tolerance of
+    # test_blocks_match_one_fft_over_the_whole_circle
+    s = REAL_TAPES[name]()
+    F = eigenfunction(s, REAL_LAMS)
+    half = ap_norm_rings(s, F)
+    full = ap_norm_rings(s, lambda z: F(z))
+    _, floor = _one_fft_blocks(F, 2.0)
+    for h, f, fl in zip(half, full, floor):
+        assert h.status == f.status
+        b, r = np.array(h.ring_integrals), np.array(f.ring_integrals)
+        assert b.shape == r.shape
+        assert np.all(np.abs(b - r) <= 1e-12 * r + 1e-2 * np.sqrt(r * fl))
+
+
+def test_a_row_that_is_not_real_on_the_real_axis_reads_the_whole_circle(
+        monkeypatch):
+    # half_strip's weight as a principal-branch pow(h', -0.3): h' < 0 on the
+    # real diameter, so v jumps across it and F is not real at z = +-rho,
+    # though every constant is.  Half the circle would miss that jump (tau
+    # -0.539 against -0.552 at lam = 2), so the row reads all 16 sub-circles
+    # and its verdict is bitwise that of the unmarked read
+    u = "(1-z)/(1+z)"
+    root = f"sqrt(1 + ({u})^2)"
+    h = f"log({u} + {root}) - {math.log1p(math.sqrt(2.0))!r}"
+    s = parse_scenario(f"p = 2\nmodel = expression\nh_expr = {h}\n"
+                       f"v_expr = exp(0.3*({h})) * pow(-2/((1+z)^2*{root}), "
+                       "-0.3)\nfp = (-1, 1.0, 0.0, dw)\n")
+    F = eigenfunction(s, REAL_LAMS)
+    assert F.real_rows.all()
+    full = ap_norm_rings(s, lambda z: F(z))
+    sizes = _hl_jet_sizes(monkeypatch)
+    assert ap_norm_rings(s, F) == full
+    assert sizes == [4096] * 16
 
 
 def test_a_three_row_call_stays_within_its_memory(strip_weighted):

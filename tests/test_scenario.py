@@ -320,6 +320,69 @@ def test_inverse_round_trip_across_the_step_switch(monkeypatch, name, w,
     assert len(calls) <= 40
 
 
+# next to the trident's slit tip z = 1, where h' = 0, a Newton step's basin
+# shrinks with the distance to the critical value w_c = h(1) = -log(2)/2:
+# targets on circles around w_c, targets w_c - x +- i eps just above and
+# below the slit, and backward flows that pass w_c at heights 1e-2 to 1e-8,
+# on the exp-log twin of trident c = 0, s = 0.1, d = 0.5
+_W_C = -0.5 * np.log(2.0)
+# a walk that passes w_c at distance r quarters its legs down to about r, at
+# about three corrector batches per factor 4: past the cap of
+# test_inverse_round_trip_across_the_step_switch from r ~ 1e-8 on
+_PAST_THE_CAP = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4: a walk that passes the critical "
+    "value at distance r takes about 6 corrector batches per decade of r, "
+    "over 40 from r ~ 1e-8; the images still meet 1e-10")
+
+
+@pytest.mark.parametrize("case, r", [
+    pytest.param("circle", 1e-4, id="circle-1e-4"),
+    pytest.param("circle", 1e-8, id="circle-1e-8"),
+    pytest.param("circle", 1e-10, id="circle-1e-10"),
+    pytest.param("circle", 1e-12, id="circle-1e-12", marks=_PAST_THE_CAP),
+    pytest.param("circle", 1e-14, id="circle-1e-14"),
+    pytest.param("slit", 1e-4, id="slit-1e-4"),
+    pytest.param("slit", 1e-8, id="slit-1e-8", marks=_PAST_THE_CAP),
+    pytest.param("slit", 1e-12, id="slit-1e-12", marks=_PAST_THE_CAP),
+    pytest.param("flow", None, id="flow")])
+def test_walks_next_to_the_trident_critical_value(monkeypatch, case, r):
+    # each row is one batch: every image within the twin tolerance 1e-10 of
+    # its target (and of the built-in, where the built-in is well
+    # conditioned), inside the disk, in at most 40 corrector batches
+    ref = make_builtin("trident", 2.0, s=0.1, d=0.5)
+    twin = make_expression(
+        2.0, parse_expr("0.5*log(1+z^2) - log(1+z)"),
+        parse_expr("exp(-0.1*(log(1-z) - log(1+z^2) - log(1+z)))"
+                   " * pow(z - i, 0.5)"), ref.fixed_points)
+    corrector = scenario._newton_step_batch
+    calls = []
+
+    def counted(s, z, target, center):
+        calls.append(z.size)
+        return corrector(s, z, target, center)
+
+    monkeypatch.setattr(scenario, "_newton_step_batch", counted)
+    if case == "flow":
+        heights = 10.0 ** -np.arange(2, 9)
+        w0 = _W_C + 1.0 + 1j * np.concatenate([heights, -heights])
+        z0 = eval_h_inverse(ref, w0)
+        z = flow(twin, -2.0, z0)
+        w = w0 - 2.0
+        assert np.max(np.abs(z - flow(ref, -2.0, z0))) < 1e-10
+    else:
+        if case == "circle":
+            w = _W_C + r * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        else:
+            x = np.array([1e-3, 0.1, 1.0, 3.0])[:, None]
+            w = (_W_C - x + np.array([1j, -1j]) * r).ravel()
+        z = eval_h_inverse(twin, w)
+        if case == "slit":
+            assert np.max(np.abs(z - eval_h_inverse(ref, w))) < 1e-10
+    assert np.all(np.abs(z) < 1.0)
+    assert np.max(np.abs(eval_h(twin, z) - w)) < 1e-10
+    assert len(calls) <= 40
+
+
 def test_an_overflowing_first_step_is_damped_into_the_disk(monkeypatch):
     # next to the trident's critical point z = 1, h' is small and a step in
     # log(zeta - z) overflows exp; the non-finite candidate is halved until
