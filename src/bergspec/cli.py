@@ -191,7 +191,6 @@ def cmd_verify(args):
               "gamma_profile": _gamma_json(g),
               "results": []}
     one = lambda z: np.ones_like(z)
-    failed = False
 
     # lambda-independent growth exponents; one that cannot be read is
     # skipped, as a resolvent check is, and never reads as a pass
@@ -206,7 +205,6 @@ def cmd_verify(args):
                            "reason": str(e)})
             continue
         ok = abs(slope - fp.beta_re) <= args.tol_slope * abs(fp.beta_re) + 0.02
-        failed |= not ok
         growth.append({"zeta": complex(fp.zeta), "slope": slope,
                        "declared": fp.beta_re, "tolerance": args.tol_slope,
                        "status": "pass" if ok else "fail"})
@@ -219,7 +217,6 @@ def cmd_verify(args):
         entry = {"lambda": lam, "checks": []}
         expect = _membership_expectation(g, lam.real)
         ok = expect is None or verdict.status in (expect, "inconclusive")
-        failed |= not ok
         entry["checks"].append({
             "check": "eigenfunction_membership", "verdict": verdict.status,
             "expected": expect if expect else "near_threshold",
@@ -229,7 +226,6 @@ def cmd_verify(args):
         for t, residuals in zip(args.t, identity):
             res = residuals[i]
             ok = res <= args.tol_identity
-            failed |= not ok
             entry["checks"].append(_check(f"eigen_identity_t_{t:g}", res,
                                           args.tol_identity, ok))
 
@@ -250,7 +246,6 @@ def cmd_verify(args):
                     s, lam, one,
                     lambda z: numerics.resolvent_apply(s, lam, one, cert, z))
                 ok = res <= args.tol_residual
-                failed |= not ok
                 entry["checks"].append({
                     "check": "resolvent_residual", "anchor": cert.anchor,
                     "K": cert.K, "tail_bound": cert.tail_bound,
@@ -274,6 +269,8 @@ def cmd_verify(args):
         report["results"].append(entry)
 
     _dump(report, args.json)
+    checks = growth + [c for e in report["results"] for c in e["checks"]]
+    failed = any(c["status"] == "fail" for c in checks)
     return EXIT_VERIFY if failed else EXIT_OK
 
 

@@ -236,9 +236,7 @@ class Tape:
     compile time.  A call runs one straight loop over the schedule, freeing
     each computed slot that is not returned after the op that reads it last,
     and returns one jet per root at the order asked for, every slot an
-    array shaped like z (0-d for a scalar z).  `real`: every constant is
-    real, so each root at conj z is the conjugate of its value at z, to the
-    bit but for the sign of a zero imaginary part.
+    array shaped like z (0-d for a scalar z).
     """
 
     def __init__(self, exprs, orders):
@@ -260,7 +258,6 @@ class Tape:
 
         for r in roots:
             visit(r)
-        self.real = all(n.value.imag == 0 for n in post if isinstance(n, _Const))
         need = [0] * len(post)
         for r, k in zip(roots, orders):
             need[pos[id(r)]] = max(need[pos[id(r)]], k)

@@ -36,9 +36,9 @@ from .errors import EvaluationError, OrbitIntegralError, WindingError
 from .regions import fixed_point_gamma
 # eval_v and _continuation_invert have no caller here, but
 # perfbench/tracing.py wraps them by these names
-from .scenario import (Scenario, _continuation_invert, _hl_tape, beta_at,
-                       eval_h, eval_h_prime, eval_hl_jets, eval_v, generator_g,
-                       orbit, quasi_random_grid)
+from .scenario import (Scenario, _continuation_invert, beta_at, eval_h,
+                       eval_h_prime, eval_hl_jets, eval_v, generator_g, orbit,
+                       quasi_random_grid)
 
 __all__ = [
     "MembershipVerdict",
@@ -75,9 +75,9 @@ _TAYLOR_J = 2 ** 12
 _SAMPLES = 16 * _TAYLOR_J
 _SUBCIRCLES = 16
 _ROUNDOFF = 1e-13        # a block below (this * max|f^{p/2}|)^2 is round-off
-# |Im f| / |f| at the circle's two real points still read as real: z_{n/2}
-# lies about 1e-16 rho off the axis, which moves f by about that times f'
-_REAL_AXIS_TOL = 1e-8
+# |f(conj z) - conj f(z)| / |f(z)| that still reads as real, far below the
+# e^{-16} alias of every coefficient: conj z_k is z_{n-k} to about 1e-16 rho
+_REAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,10 @@ def _eval_f(f, z):
     return out
 
 
-def _powered(f, p, half):
+def _powered(f, p):
     """(r, f^{p/2} on the sub-circle z_{r + S l}) for r = 0..S-1, where the
     S interleaved sub-circles make up the n-point circle |z| = e^{-1/J}:
-    rows by points for a stacked f, else one row; at p = 2 it stops after
-    r = S/2 if half() then holds.  For p != 2 the phase of
+    rows by points for a stacked f, else one row.  For p != 2 the phase of
     f is unwrapped at full resolution, point to next point: down each
     column z_{S l + r}, r < S, and from each column's end to the next
     column's start, whose phases a first pass over f finds.  Phase that
@@ -123,8 +122,6 @@ def _powered(f, p, half):
 
     if p == 2.0:
         for r in range(S):
-            if r > S // 2 and half():
-                return
             yield r, sample(r)
         return
     prev = sample(0)
@@ -173,30 +170,28 @@ def ap_norm_rings(s: Scenario, f):
     convergent with tau = inf.  For p != 2 a zero of f inside the circle
     raises WindingError.
 
-    At p = 2 a row marked in `f.real_rows` (as `eigenfunction` marks a real
-    lam on an (h, l) tape with real constants) has real Taylor coefficients:
-    f(conj z) = conj f(z), the Schwarz reflection.  As z_{n-k} = conj z_k,
-    sub-circle S - r is sub-circle r conjugated and reversed, and adds the
-    conjugate of r's share T_r of each c_j, so the row's c_j = Re(T_0 +
-    T_{S/2} + 2 sum_{0<r<S/2} T_r) comes from sub-circles 0..S/2; f is
-    called only on those when every row is marked.  A marked row still
-    reads all 16 unless f is real at z_0 and z_{n/2}, where the circle
-    meets the real axis (a principal log whose cut crosses it is not), and
-    so does every row at p != 2, whose phase is unwrapped in order."""
+    At p = 2 a row is real when f(conj z) = conj f(z), the Schwarz
+    reflection, holds to _REAL_TOL on sub-circle 0, whose points pair off as
+    z_{n-k} = conj z_k, z_0 and z_{n/2} on the real axis with themselves (a
+    principal log whose cut lies on the axis fails there).  Sub-circle S - r
+    then adds the conjugate of sub-circle r's share T_r of each c_j, so the
+    row's c_j = Re(T_0 + T_{S/2} + 2 sum_{0<r<S/2} T_r), and f is called on
+    sub-circles 0..S/2 only when every row is real.  At p != 2 every row
+    reads all 16, as the phase is unwrapped in order."""
     n, S, two_j = _SAMPLES, _SUBCIRCLES, 2 * _TAYLOR_J
     m, top = n // S, 0.0
     phase_u = -128j * np.pi * np.arange(m // 64)   # twiddle phases, below
     phase_v = -2j * np.pi * np.arange(64)
-    real = np.atleast_1d(getattr(f, "real_rows", False)) & (s.p == 2.0)
     with np.errstate(all="ignore"):
-        for r, g in _powered(f, s.p, lambda: real.all()):
+        for r, g in _powered(f, s.p):
             top = np.maximum(top, np.max(np.abs(g), axis=-1))
             if not r:
+                # z_{S (m - l)} = conj z_{S l}; one row at a time, as the
+                # whole stack's temporaries would outgrow the call's memory
+                real = np.array([s.p == 2.0 and np.all(
+                    np.abs(row[-np.arange(m)].conj() - row)
+                    <= _REAL_TOL * np.abs(row)) for row in g.reshape(-1, m)])
                 acc = np.zeros((np.size(top), two_j // m, m), dtype=complex)
-                ends = g[..., ::m // 2]   # f at z_0, z_{n/2}: before half()
-                real = real & np.all(np.abs(ends.imag)
-                                     <= _REAL_AXIS_TOL * np.abs(ends), axis=-1)
-                del ends
             # c_{q m + l} += w_S^{-q r} w_n^{-l r} X_r[l], X_r the FFT of g;
             # g and x are freed before the next f call (r comes from
             # _powered, since the tuple that enumerate reuses would keep g
@@ -218,6 +213,8 @@ def ap_norm_rings(s: Scenario, f):
                     x *= w
                 acc[:, q] += x
             del x
+            if r == S // 2 and real.all():
+                break            # before _powered calls f on sub-circle r + 1
         a = acc.reshape(-1, two_j)
         a.imag[real] = 0.0
         a *= np.exp(np.arange(two_j) / _TAYLOR_J) / n     # a_j = c_j rho^-j
@@ -267,8 +264,7 @@ def eigenfunction(s: Scenario, lam):
     """Eigenvector candidate z -> e^{lam h(z)} / v(z) = e^{lam h(z) - l(z)}
     of the generator, l = log v.  For a sequence of lam the values are
     stacked on a leading axis, one row per lam, from one evaluation of h
-    and l.  F.real_rows marks the rows with real Taylor coefficients: a
-    real lam on an (h, l) tape whose constants are all real."""
+    and l."""
     lams = np.asarray(lam, dtype=complex)
 
     def F(z):
@@ -282,7 +278,6 @@ def eigenfunction(s: Scenario, lam):
         np.exp(out, out=out)
         return out[()]
 
-    F.real_rows = (lams.imag == 0) & _hl_tape(s, 0, 0).real
     return F
 
 

@@ -179,11 +179,11 @@ def _key_anchors(fixed_points, anchors):
 
 # -- built-in models --------------------------------------------------------
 
-def _clamp_re(u, bound=700.0):
-    """u with Re u clamped to [-bound, bound]: far out the closed-form inverses
+def _clamp_re(u):
+    """u with Re u clamped to [-700, 700]: far out the closed-form inverses
     in e^u have rounded onto their boundary limits, and e^{+-700} is finite."""
     u = np.array(u, dtype=complex)
-    np.clip(u.real, -bound, bound, out=u.real)
+    np.clip(u.real, -700.0, 700.0, out=u.real)
     return u
 
 
@@ -281,7 +281,7 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
 
         def inside(w):
             w = np.asarray(w, dtype=complex)
-            on_slit = (np.abs(np.imag(w)) < 1e-13) & (np.real(w) <= _TRIDENT_SLIT_RE)
+            on_slit = (np.imag(w) == 0) & (np.real(w) <= _TRIDENT_SLIT_RE)
             return (np.abs(np.imag(w)) < math.pi / 2) & ~on_slit
 
         midlines = (math.pi / 4, -math.pi / 4)
@@ -435,9 +435,8 @@ def parse_scenario(config_text: str) -> Scenario:
 
 # -- point evaluation -------------------------------------------------------
 
-def _check_in_disk(z, allow_radius=1.0):
-    r = np.abs(np.asarray(z))
-    if np.any(r >= allow_radius):
+def _check_in_disk(z):
+    if np.any(np.abs(np.asarray(z)) >= 1.0):
         raise EvaluationError("evaluation requested on or outside the unit disk")
 
 
@@ -452,19 +451,13 @@ def eval_hl_jets(s: Scenario, z, h_order, l_order):
     """Jets of the conformal map and of l = log v (on no fixed branch) at z,
     from one pass over their shared tape; for a built-in, l reuses the logs
     inside h, and at d = 0 needs no transcendental function of its own."""
-    tape = _hl_tape(s, h_order, l_order)
-    _check_in_disk(z)
-    return tape(z)
-
-
-def _hl_tape(s: Scenario, h_order, l_order):
-    """The joint tape of h and l at these orders, compiled on first use."""
     s._require_evaluable()
+    _check_in_disk(z)
     key = (h_order, l_order)
     tape = s._tapes.get(key)
     if tape is None:
         tape = s._tapes[key] = ex.Tape((s._h, s._l), key)
-    return tape
+    return tape(z)
 
 
 def eval_h(s: Scenario, z):
@@ -498,8 +491,9 @@ _NEWTON_TOL = 1e-13
 _LEG = 0.25                 # longest leg of a continuation path, in w
 _ORBIT_LEG = 2.0            # longest leg of an inverse's walk from its limit
 _PROBE_EPS = 2.0 ** -6      # expression inverses start from zeta (1 - this)
-# times a failing leg may be quartered: the truncate of an expression trident
-# needs 3 where a flow starts 1e-11 from the critical value at the slit tip
+# times a failing leg may be quartered: no walk of the newton benchmark does,
+# and walks past the trident twin's critical value w_c do up to 11 times to
+# the circle |w - w_c| = 1e-12, 15 to targets 1e-12 above and below the slit
 _LEG_DEPTH = 16
 _LEG_UNITS = 4 ** _LEG_DEPTH    # finest legs in one longest leg
 

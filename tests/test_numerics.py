@@ -68,24 +68,32 @@ def test_stacked_rows_match_single_lambda_calls(model, request):
     assert [len(v.ring_integrals) for v in stacked[::2]] == [14, 14]
 
 
-@pytest.mark.parametrize("model, weights, p, lams, calls", [
-    pytest.param("strip_flow", {}, 2.0, None, 16, id="2.0-16"),
-    pytest.param("strip_flow", {}, 3.0, None, 32, id="3.0-32"),
-    pytest.param("strip_flow", {"c": 0.4, "s": 0.7}, 2.0, [0.5, 2.0, -1.5], 9,
-                 id="real-eigenfunction-9"),
-    pytest.param("strip_flow", {"c": 0.4, "s": 0.7}, 2.0,
+@pytest.mark.parametrize("make, lams, calls", [
+    pytest.param(lambda: make_builtin("strip_flow", 2.0), None, 9, id="2.0-9"),
+    pytest.param(lambda: make_builtin("strip_flow", 3.0), None, 32,
+                 id="3.0-32"),
+    pytest.param(lambda: make_builtin("strip_flow", 2.0, c=0.4, s=0.7),
+                 [0.5, 2.0, -1.5], 9, id="real-eigenfunction-9"),
+    pytest.param(lambda: make_builtin("strip_flow", 2.0, c=0.4, s=0.7),
                  [0.5, 2.0 + 0.5j, -1.5], 16, id="one-complex-row-16"),
-    pytest.param("trident", {"d": 0.5}, 2.0, [0.5, -1.5], 16,
+    pytest.param(lambda: make_builtin("strip_flow", 2.0, c=0.4, s=0.7),
+                 [0.5, 2.0 + 1e-3j, -1.5], 16, id="nearly-real-row-16"),
+    pytest.param(lambda: make_builtin("trident", 2.0, d=0.5), [0.5, -1.5], 16,
                  id="trident-z-minus-i-16"),
-    pytest.param("strip_flow", {"c": 0.4, "s": 0.7}, 3.0, [0.5, 2.0, -1.5], 32,
-                 id="real-eigenfunction-p3-32")])
-def test_the_circle_is_read_in_sixteen_parts(monkeypatch, model, weights, p,
-                                             lams, calls):
-    # one f call per sub-circle, two passes when the phase is unwrapped; an
-    # eigenfunction with real Taylor coefficients at p = 2 reads sub-circles
-    # 0..8 only, where a complex lam, the trident's z - i factor or p != 2
+    pytest.param(lambda: _twin("strip_flow", 0.4, 0.7, 0.0, " * exp(i*pi)"),
+                 [0.5, 2.0, -1.5], 9, id="complex-constant-real-row-9"),
+    pytest.param(lambda: _principal_pow_half_strip(), [-1.5, 0.5, 2.0], 16,
+                 id="principal-pow-16"),
+    pytest.param(lambda: make_builtin("strip_flow", 3.0, c=0.4, s=0.7),
+                 [0.5, 2.0, -1.5], 32, id="real-eigenfunction-p3-32")])
+def test_the_circle_is_read_in_sixteen_parts(monkeypatch, make, lams, calls):
+    # one f call per sub-circle, two passes when the phase is unwrapped.  At
+    # p = 2 an f whose every row reflects on sub-circle 0 has real Taylor
+    # coefficients and reads sub-circles 0..8 only, whatever its constants
+    # (exp(i*pi) is one); a complex lam, even 2 + 1e-3i, the trident's z - i
+    # factor, a principal pow whose cut lies on the real axis, or p != 2
     # reads all 16
-    s = make_builtin(model, p, **weights)
+    s = make()
     if lams is None:
         sizes = []
 
@@ -168,7 +176,6 @@ def test_a_real_row_reflects_exactly(name):
     # what lets ap_norm_rings read such a row from half the circle
     s = REAL_TAPES[name]()
     F = eigenfunction(s, REAL_LAMS)
-    assert F.real_rows.tolist() == [True] * 3
     n, S = numerics._SAMPLES, numerics._SUBCIRCLES
     sub = math.exp(-1.0 / numerics._TAYLOR_J) * np.exp(
         2j * np.pi * (S * np.arange(n // S) + 3) / n)
@@ -181,15 +188,26 @@ def test_a_real_row_reflects_exactly(name):
                                           getattr(ref, slot).conj())
 
 
+def _full_read(monkeypatch, s, f):
+    # ap_norm_rings(s, f) with every row read from all 16 sub-circles: no
+    # row reflects to a negative tolerance
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_REAL_TOL", -1.0)
+        return ap_norm_rings(s, f)
+
+
 @pytest.mark.parametrize("name", sorted(REAL_TAPES))
-def test_a_real_row_read_from_half_the_circle_matches_the_full_read(name):
-    # the same F in a plain lambda carries no mark and reads all 16
-    # sub-circles: equal statuses, and blocks within the tolerance of
-    # test_blocks_match_one_fft_over_the_whole_circle
+def test_a_real_row_read_from_half_the_circle_matches_the_full_read(
+        monkeypatch, name):
+    # equal statuses, and blocks within the tolerance of
+    # test_blocks_match_one_fft_over_the_whole_circle, against a read of
+    # all 16 sub-circles
     s = REAL_TAPES[name]()
     F = eigenfunction(s, REAL_LAMS)
+    sizes = _hl_jet_sizes(monkeypatch)
     half = ap_norm_rings(s, F)
-    full = ap_norm_rings(s, lambda z: F(z))
+    full = _full_read(monkeypatch, s, F)
+    assert sizes == [4096] * (9 + 16)
     _, floor = _one_fft_blocks(F, 2.0)
     for h, f, fl in zip(half, full, floor):
         assert h.status == f.status
@@ -198,22 +216,26 @@ def test_a_real_row_read_from_half_the_circle_matches_the_full_read(name):
         assert np.all(np.abs(b - r) <= 1e-12 * r + 1e-2 * np.sqrt(r * fl))
 
 
-def test_a_row_that_is_not_real_on_the_real_axis_reads_the_whole_circle(
-        monkeypatch):
-    # half_strip's weight as a principal-branch pow(h', -0.3): h' < 0 on the
-    # real diameter, so v jumps across it and F is not real at z = +-rho,
-    # though every constant is.  Half the circle would miss that jump (tau
-    # -0.539 against -0.552 at lam = 2), so the row reads all 16 sub-circles
-    # and its verdict is bitwise that of the unmarked read
+def _principal_pow_half_strip():
+    # half_strip c = 0.3, s = 0.3 with its weight as a principal-branch
+    # pow(h', -0.3): h' < 0 on the real diameter, so v jumps across it
     u = "(1-z)/(1+z)"
     root = f"sqrt(1 + ({u})^2)"
     h = f"log({u} + {root}) - {math.log1p(math.sqrt(2.0))!r}"
-    s = parse_scenario(f"p = 2\nmodel = expression\nh_expr = {h}\n"
-                       f"v_expr = exp(0.3*({h})) * pow(-2/((1+z)^2*{root}), "
-                       "-0.3)\nfp = (-1, 1.0, 0.0, dw)\n")
+    return parse_scenario(f"p = 2\nmodel = expression\nh_expr = {h}\n"
+                          f"v_expr = exp(0.3*({h})) * pow(-2/((1+z)^2*{root}), "
+                          "-0.3)\nfp = (-1, 1.0, 0.0, dw)\n")
+
+
+def test_a_row_that_is_not_real_on_the_real_axis_reads_the_whole_circle(
+        monkeypatch):
+    # the principal pow's jump makes F not real at z = +-rho, though every
+    # constant is real.  Half the circle would miss that jump (tau -0.539
+    # against -0.552 at lam = 2), so the row reads all 16 sub-circles and
+    # its verdict is bitwise that of the full read
+    s = _principal_pow_half_strip()
     F = eigenfunction(s, REAL_LAMS)
-    assert F.real_rows.all()
-    full = ap_norm_rings(s, lambda z: F(z))
+    full = _full_read(monkeypatch, s, F)
     sizes = _hl_jet_sizes(monkeypatch)
     assert ap_norm_rings(s, F) == full
     assert sizes == [4096] * 16
@@ -600,11 +622,13 @@ _TWINS = {
 }
 
 
-def _twin(model, c, s, d):
+def _twin(model, c, s, d, extra=""):
+    # extra: more factors of v, which the cocycle does not see when they are
+    # constant
     h, hprime, d_factor, fps = _TWINS[model]
     lines = ["p = 2", "model = expression", f"h_expr = {h}",
              f"v_expr = exp({c}*({h})) * pow({hprime}, -{s})"
-             f" * pow({d_factor}, {d})"]
+             f" * pow({d_factor}, {d}){extra}"]
     lines += [f"fp = ({z}, {a}, {b}, {role})" for z, a, b, role in fps(c, s, d)]
     return parse_scenario("\n".join(lines) + "\n")
 

@@ -344,11 +344,16 @@ _PAST_THE_CAP = pytest.mark.xfail(
     pytest.param("slit", 1e-4, id="slit-1e-4"),
     pytest.param("slit", 1e-8, id="slit-1e-8", marks=_PAST_THE_CAP),
     pytest.param("slit", 1e-12, id="slit-1e-12", marks=_PAST_THE_CAP),
-    pytest.param("flow", None, id="flow")])
+    pytest.param("flow", None, id="flow"),
+    pytest.param("builtin", 1e-12, id="builtin-circle-1e-12"),
+    pytest.param("builtin", 1e-14, id="builtin-circle-1e-14")])
 def test_walks_next_to_the_trident_critical_value(monkeypatch, case, r):
     # each row is one batch: every image within the twin tolerance 1e-10 of
     # its target (and of the built-in, where the built-in is well
-    # conditioned), inside the disk, in at most 40 corrector batches
+    # conditioned), inside the disk, in at most 40 corrector batches.  The
+    # builtin rows invert the circles' targets, some within 1e-15 of the
+    # slit line, in closed form and compare in w through the twin's h:
+    # z - 1 ~ sqrt(w - w_c) moves z by up to 5e-7 between the two
     ref = make_builtin("trident", 2.0, s=0.1, d=0.5)
     twin = make_expression(
         2.0, parse_expr("0.5*log(1+z^2) - log(1+z)"),
@@ -370,12 +375,12 @@ def test_walks_next_to_the_trident_critical_value(monkeypatch, case, r):
         w = w0 - 2.0
         assert np.max(np.abs(z - flow(ref, -2.0, z0))) < 1e-10
     else:
-        if case == "circle":
-            w = _W_C + r * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
-        else:
+        if case == "slit":
             x = np.array([1e-3, 0.1, 1.0, 3.0])[:, None]
             w = (_W_C - x + np.array([1j, -1j]) * r).ravel()
-        z = eval_h_inverse(twin, w)
+        else:
+            w = _W_C + r * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        z = eval_h_inverse(ref if case == "builtin" else twin, w)
         if case == "slit":
             assert np.max(np.abs(z - eval_h_inverse(ref, w))) < 1e-10
     assert np.all(np.abs(z) < 1.0)
