@@ -613,7 +613,9 @@ def _invert_near(s, w, fp):
 
 
 def eval_h_inverse(s: Scenario, w):
-    """Invert the conformal map; Newton continuation when no closed form."""
+    """Invert the conformal map; Newton continuation when no closed form.
+    A target within rounding of the boundary of Omega whose image rounded
+    onto the unit circle is an InversionError naming that target."""
     s._require_evaluable()
     w_arr = np.asarray(w, dtype=complex)
     inside = s.in_omega(w_arr)
@@ -623,6 +625,10 @@ def eval_h_inverse(s: Scenario, w):
         z = s._closed_inverse(w_arr)
     else:
         z = _invert_near(s, w_arr, s.dw_point())
+    on_circle = np.abs(z) >= 1.0
+    if np.any(on_circle):
+        raise InversionError(f"the inverse of w = {complex(w_arr[on_circle][0])} "
+                             "rounded onto the unit circle")
     return complex(z) if np.ndim(z) == 0 else z
 
 

@@ -619,6 +619,42 @@ def test_a_builtin_and_its_exp_log_twin_verify_alike(tmp_path, model, c, s, d,
                        - complex(y["K"]["re"], y["K"]["im"])) <= 1e-8
 
 
+@pytest.mark.parametrize("model, c, s, d", PARITY_TWINS,
+                         ids=[twin[0] for twin in PARITY_TWINS])
+def test_a_builtin_and_its_exp_log_twin_truncate_alike(tmp_path, monkeypatch,
+                                                      model, c, s, d):
+    # item 26's truncate row: the same exit code and section dtype, the
+    # Gelfand radius and the largest eigenvalue modulus within 1e-10 and
+    # every sequence entry within 1e-9, relative.  A row that comes to
+    # disagree is marked with the roadmap item that owns the defect, never
+    # dropped
+    dtypes = []
+    exact = truncation.build_matrix
+
+    def recorded(*args):
+        M = exact(*args)
+        dtypes.append(M.entries.dtype)
+        return M
+
+    monkeypatch.setattr(truncation, "build_matrix", recorded)
+    runs = []
+    for cfg_text in (f"p = 2\nmodel = {model}\nc = {c!r}\ns = {s!r}\n"
+                     f"d = {d!r}\n", _exp_log_twin(model, c, s, d)):
+        cfg, out = tmp_path / "s.cfg", tmp_path / "t.json"
+        cfg.write_text(cfg_text)
+        code = main(["truncate", "-c", str(cfg), "--t", "1", "--N", "60",
+                     "--json", str(out)])
+        runs.append((code, json.loads(out.read_text())))
+    (code, ref), (twin_code, twin) = runs
+    assert twin_code == code
+    assert dtypes[0] == dtypes[1]
+    for key in ("gelfand_radius", "eigenvalue_max_modulus"):
+        assert abs(twin[key] - ref[key]) <= 1e-10 * abs(ref[key])
+    assert len(twin["gelfand_sequence"]) == len(ref["gelfand_sequence"])
+    for x, y in zip(ref["gelfand_sequence"], twin["gelfand_sequence"]):
+        assert abs(x - y) <= 1e-9 * abs(x)
+
+
 def test_a_tight_orbit_tolerance_certifies_the_strip_resolvent(tmp_path):
     # near gamma_0 the tail decays slowly, so the tail loop walks far
     code, checks = _orbit_checks(tmp_path, STRIP_WEIGHTED_CFG, "--lambda",

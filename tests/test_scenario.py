@@ -1,5 +1,6 @@
 """Scenario models: flow/cocycle laws, generators, inversion, config parsing."""
 
+import re
 import warnings
 
 import numpy as np
@@ -148,10 +149,34 @@ def test_trident_inverse_stays_inside_far_along_orbits(trident_weighted):
     ("half_strip", 1000 + 0.3j, -1.0), ("trident", 1000 + 0.5j, -1.0),
     ("trident", -1000 + 0.5j, -1j), ("trident", -1000 - 0.5j, 1j)])
 def test_closed_inverse_tends_to_the_boundary_limit(name, w, limit):
+    # the closed form rounds onto the limit (the trident's 2^-53 inside it);
+    # eval_h_inverse hands back no image on the circle
     s = make_builtin(name, 2.0)
-    z = eval_h_inverse(s, w)
+    z = complex(s._closed_inverse(np.asarray(w)))
     assert abs(z) <= 1.0 and abs(z - limit) < 1e-15
+    if abs(z) < 1.0:
+        assert eval_h_inverse(s, w) == z
+    else:
+        with pytest.raises(InversionError, match="rounded onto the unit circle"):
+            eval_h_inverse(s, w)
     assert np.isfinite(flow(s, 1000.0, 0.3 + 0.2j))
+
+
+@pytest.mark.parametrize("name, params, w", [
+    ("strip_flow", dict(c=0.4, s=0.7), -3 + 1j * (np.pi / 2 - 1e-15)),
+    ("trident", dict(c=0.0, s=0.1, d=0.5),
+     -0.5 * np.log(2.0) - 3 + 1e-14j)])
+def test_an_image_rounded_onto_the_circle_is_an_inversion_error(name, params,
+                                                                w):
+    # targets in Omega within rounding of its boundary: the closed inverse
+    # gives 1 - |z| = 0, and the next eval_h would raise "on or outside the
+    # unit disk", a config error, instead of a numerical failure
+    s = make_builtin(name, 2.0, **params)
+    assert abs(s._closed_inverse(np.asarray(w))) == 1.0
+    for target in (w, np.array([0.1, w])):
+        with pytest.raises(InversionError,
+                           match=re.escape(f"w = {complex(w)} rounded")):
+            eval_h_inverse(s, target)
 
 
 def test_trident_petal_anchors_are_conjugate(trident_weighted):

@@ -8,14 +8,16 @@ import pytest
 from bergspec import truncation
 from bergspec.errors import EvaluationError, InversionError
 from bergspec.regions import gammas_from, operator_radius
-from bergspec.scenario import cocycle, make_builtin
+from bergspec.scenario import cocycle, make_builtin, parse_scenario
 from bergspec.truncation import (TruncationMatrix, build_matrix, eigen_cloud,
                                  gelfand_radius, resolution_horizon)
+from test_cli import _exp_log_twin
 from test_scenario import TWINS, _twin
 
 
 def test_identity_at_t_zero(strip_unweighted):
     M = build_matrix(strip_unweighted, 0.0, 24)
+    assert M.entries.dtype == np.float64
     assert np.max(np.abs(M.entries - np.eye(24))) < 1e-12
 
 
@@ -232,3 +234,47 @@ def test_eigen_cloud_sorted_and_bounded(strip_unweighted):
     mags = [abs(v) for v in cloud]
     assert all(a <= b + 1e-12 for a, b in zip(mags, mags[1:]))
     assert mags[-1] <= 1.5  # indicative cloud stays near the unit scale
+
+
+# the section is float64 exactly when u_t and phi_t have real Taylor
+# coefficients: real-parameter strips, half_strips, the trident without its
+# complex d factor, and an expression twin with real coefficients
+_STRIP_TWIN = _exp_log_twin("strip_flow", 0.4, 0.7, 0.15)
+_REAL_SECTIONS = {
+    "strip": lambda: make_builtin("strip_flow", 2.0, c=0.4, s=0.7),
+    "strip_a3": lambda: make_builtin("strip_flow", 2.0, a=3.0, c=0.4, s=0.7,
+                                     d=0.2),
+    "half_strip": lambda: make_builtin("half_strip", 2.0, c=0.3, s=0.3),
+    "half_strip_d": lambda: make_builtin("half_strip", 2.0, c=0.3, s=0.3,
+                                         d=0.3),
+    "trident_d0": lambda: make_builtin("trident", 2.0, c=0.2, s=0.3),
+    "strip_twin": lambda: parse_scenario(_STRIP_TWIN),
+}
+_COMPLEX_SECTIONS = {
+    "trident_d": lambda: make_builtin("trident", 2.0, c=0.0, s=0.1, d=0.5),
+    # an imaginary part of 5e-10 of the largest coefficient stays complex
+    "strip_twin_tilted": lambda: parse_scenario(_STRIP_TWIN.replace(
+        "v_expr = ", "v_expr = exp(1e-9*i*z) * ")),
+}
+
+
+@pytest.mark.parametrize("name", list(_REAL_SECTIONS) + list(_COMPLEX_SECTIONS))
+def test_a_real_coefficient_model_gives_a_float64_section(name):
+    real = name in _REAL_SECTIONS
+    s = (_REAL_SECTIONS if real else _COMPLEX_SECTIONS)[name]()
+    for N in (24, 60):
+        dtype = build_matrix(s, 1.0, N).entries.dtype
+        assert dtype == (np.float64 if real else np.complex128)
+
+
+@pytest.mark.parametrize("N", [24, 60])
+@pytest.mark.parametrize("name", list(_REAL_SECTIONS))
+def test_a_real_section_powers_and_factors_as_its_complex_copy(name, N):
+    M = build_matrix(_REAL_SECTIONS[name](), 1.0, N)
+    Mc = TruncationMatrix(N, M.entries.astype(complex), M.t)
+    r, seq = gelfand_radius(M, 24)
+    rc, seq_c = gelfand_radius(Mc, 24)
+    assert abs(r - rc) <= 1e-13 * rc
+    assert all(abs(x - y) <= 1e-13 * y for x, y in zip(seq, seq_c))
+    top, top_c = abs(eigen_cloud(M)[-1]), abs(eigen_cloud(Mc)[-1])
+    assert abs(top - top_c) <= 1e-13 * top_c
