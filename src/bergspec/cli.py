@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -47,37 +47,42 @@ _NUMERICAL_ERRORS = (BergspecError, np.linalg.LinAlgError, ArithmeticError)
 
 def _jnum(x):
     x = float(x)
-    if x == float("-inf"):
-        return "-inf"
-    if x == float("inf"):
-        return "inf"
-    if x != x:
-        return "nan"
-    return float(format(x, ".12g"))
+    if math.isfinite(x):
+        return float(format(x, ".12g"))
+    return "nan" if x != x else "inf" if x > 0 else "-inf"
 
 
-def _jsonable(obj):
+def _json(obj, pad="\n"):
+    """JSON text of obj in one pass, as json.dumps(obj, indent=2) writes it,
+    floats through _jnum, complex numbers as {"re", "im"}, keys strings only;
+    pad is the newline and indent of obj's line.  (Python's C encoder cannot
+    indent, and its pure-Python one costs more than this.)"""
+    if isinstance(obj, (float, np.floating)):
+        x = _jnum(obj)
+        return _quote(x) if isinstance(x, str) else repr(x)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    if obj is None:
+        return "null"
+    if isinstance(obj, (complex, np.complexfloating)):
+        obj = {"re": obj.real, "im": obj.imag}
+    inner, ends = pad + "  ", "{}" if isinstance(obj, dict) else "[]"
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"re": _jnum(obj.real), "im": _jnum(obj.imag)}
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
-        return obj
-    if isinstance(obj, float):
-        return _jnum(obj)
-    if isinstance(obj, np.floating):
-        return _jnum(float(obj))
-    if isinstance(obj, np.complexfloating):
-        return _jsonable(complex(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return (ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+            if items else ends)
 
 
 def _dump(report, path):
-    text = json.dumps(_jsonable(report), indent=2) + "\n"
+    text = _json(report) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

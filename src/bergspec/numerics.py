@@ -462,7 +462,8 @@ def orbit_integral_K(s: Scenario, lam, f, anchor, tol) -> ResolventCertificate:
                           np.full(n_panels, quad_tol / n_panels))
     orbit_part = np.cumsum(np.append(0j, panels))[-1]   # panel by panel
 
-    seg = _segment_integrals(s, lam, f, np.array([complex(base)]), quad_tol)
+    seg = (_segment_integrals(s, lam, f, np.array([complex(base)]), quad_tol)
+           if base != 0 else [0j])        # the segment [0, 0] integrates to 0
     w0 = complex(eval_h(s, base))
     K = seg[0] + sign_t * np.exp(-lam * w0) * orbit_part
     return ResolventCertificate(lam, complex(K), bound, complex(anchor.zeta),

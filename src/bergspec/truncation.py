@@ -46,6 +46,7 @@ class TruncationMatrix:
 
 N_MAX = 256     # the largest section size `build_matrix` accepts
 _REAL_TOL = 1e-13   # max |Im c_j| / max |c_j| below which a series is real
+_CHUNK = 8          # matrix powers per batched SVD in `gelfand_radius`
 
 
 def build_matrix(s: Scenario, t, N) -> TruncationMatrix:
@@ -116,15 +117,23 @@ def gelfand_radius(M: TruncationMatrix, n_max):
     The full sequence up to n_max is returned; the reported minimum is taken
     over powers up to the section's resolution horizon (see
     `resolution_horizon`), since later terms under-run the true radius.
-    The powers keep M's dtype, so a real section stays in real LAPACK.
+    The powers keep M's dtype, so a real section stays in real LAPACK, and
+    are formed in place, _CHUNK to a stack, whose 2-norms come from one SVD
+    call: the LAPACK call of `np.linalg.norm(P, 2)`, so each is bitwise one
+    norm per power, and memory stays at _CHUNK sections whatever n_max is.
     """
     if n_max < 8:
         raise ValueError("n_max >= 8 required")
     A = P = M.entries
-    seq = [np.linalg.norm(P, 2)]
-    for n in range(2, n_max + 1):
-        P = P @ A
-        seq.append(np.linalg.norm(P, 2) ** (1.0 / n))
+    stack = np.empty((_CHUNK,) + A.shape, A.dtype)
+    stack[0] = A                           # power 1; the loops make the rest
+    seq = []
+    for n0 in range(0, n_max, _CHUNK):     # powers n0 + 1 ... n0 + m
+        m = min(_CHUNK, n_max - n0)
+        for i in range(n0 == 0, m):
+            P = np.matmul(P, A, out=stack[i])
+        top = np.linalg.svd(stack[:m], compute_uv=False).max(axis=-1)
+        seq += [top[i] ** (1.0 / (n0 + i + 1)) for i in range(m)]
     n_eff = min(n_max, resolution_horizon(M))
     return min(seq[:n_eff]), seq
 

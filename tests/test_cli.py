@@ -1,6 +1,7 @@
 """CLI contract: JSON round-trip, determinism, exit codes, suite reports."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -58,6 +59,75 @@ def test_classify_byte_determinism(tmp_path, strip_cfg):
         outs.append((out.read_bytes(), svg.read_bytes()))
     assert outs[0] == outs[1]
 
+
+
+def _plain(obj):
+    """The report as json.dumps takes it: floats to 12 significant digits or
+    "inf", "-inf", "nan"; complex numbers as {"re", "im"}."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": _plain(float(obj.real)), "im": _plain(float(obj.imag))}
+    if isinstance(obj, (bool, str)) or obj is None:
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    x = float(obj)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return float(format(x, ".12g"))
+
+
+_AWKWARD_REPORT = {
+    "zeros": [0.0, -0.0, np.float64(-0.0)],
+    "limits": [float("inf"), float("-inf"), float("nan"),
+               np.float64("-inf"), np.float32("nan")],
+    "complex": [1 - 2j, complex(-0.0, float("inf")), np.complex128(0.25j),
+                np.complex64(1.5 - 0.1j)],
+    "ints": [0, -7, 10 ** 20, np.int64(-3), np.uint8(200), True, False],
+    "floats": [1 / 3, 1e-300, 2.5e16, np.float64(math.pi),
+               np.float32(0.1)],
+    "tuple": (1, (2.0, "x"), ()),
+    "empty": {"dict": {}, "list": [], "nested": [[], [{}], {"a": []}]},
+    "deep": {"a": {"b": {"c": [{"d": None}]}}},
+    "text": "gamma \u03b3\u2080 = \"-inf\"\\ caf\u00e9\n\t\x01",
+}
+
+
+def test_the_report_writer_matches_json_dumps_indent_2(tmp_path):
+    out = tmp_path / "r.json"
+    cli._dump(_AWKWARD_REPORT, out)
+    text = out.read_text()
+    assert text == json.dumps(_plain(_AWKWARD_REPORT), indent=2) + "\n"
+    assert '"zeros": [\n    0.0,\n    -0.0,\n    -0.0\n  ]' in text
+    assert '"dict": {},' in text and text.isascii()
+
+
+# every report key is a string, so the writer takes no other key
+@pytest.mark.parametrize("bad", [np.bool_(True), np.array([1.0]), object(),
+                                 {"x"}, {1: 2.0}])
+def test_the_report_writer_refuses_an_unsupported_type(tmp_path, bad):
+    with pytest.raises(TypeError):
+        cli._dump({"ok": 1.0, "bad": [bad]}, tmp_path / "r.json")
+
+
+def test_every_command_writes_the_text_json_dumps_would(tmp_path, strip_cfg):
+    # a report read back and dumped again with indent=2 is the same text
+    trident = tmp_path / "trident.cfg"
+    trident.write_text(TRIDENT_CFG)
+    runs = [("classify", strip_cfg),
+            ("verify", trident, "--lambda", "0.5", "2+1i"),
+            ("truncate", strip_cfg, "--N", "13", "--nmax", "9"),
+            ("truncate", trident, "--N", "24")]
+    for i, (cmd, cfg, *rest) in enumerate(runs):
+        out = tmp_path / f"{i}.json"
+        main([cmd, "-c", str(cfg), *rest, "--json", str(out)])
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 def test_verify_pass_and_tolerance_flags(tmp_path, strip_cfg):
     out = tmp_path / "v.json"

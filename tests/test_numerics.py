@@ -408,6 +408,23 @@ def test_forward_orbit_integral_closed_form(strip_unweighted):
         assert cert.tail_bound < 1e-9
 
 
+
+@pytest.mark.parametrize("lam", [2.0, 0.8 + 1.5j])
+def test_a_denjoy_wolff_K_integrates_no_segment(lam, monkeypatch):
+    # the segment from 0 to the base 0 integrates to exactly +0 + 0j, so
+    # skipping it leaves K's bits as they were; a petal anchor still pays it
+    s = make_builtin("strip_flow", 2.0, c=0.4, s=0.7)
+    assert numerics._segment_integrals(s, lam, ONE, np.array([0j]),
+                                       5e-9)[0].tobytes() == bytes(16)
+    calls = []
+    segment = numerics._segment_integrals
+    monkeypatch.setattr(numerics, "_segment_integrals",
+                        lambda *a: calls.append(a) or segment(*a))
+    orbit_integral_K(s, lam, ONE, s.dw_point(), tol=1e-8)
+    assert calls == []
+    orbit_integral_K(s, -2.0, ONE, s.repelling_points()[0], tol=1e-8)
+    assert len(calls) == 1
+
 def test_resolvent_constant_right_of_gamma0(strip_unweighted):
     s = strip_unweighted
     lam = 2.0

@@ -278,3 +278,30 @@ def test_a_real_section_powers_and_factors_as_its_complex_copy(name, N):
     assert all(abs(x - y) <= 1e-13 * y for x, y in zip(seq, seq_c))
     top, top_c = abs(eigen_cloud(M)[-1]), abs(eigen_cloud(Mc)[-1])
     assert abs(top - top_c) <= 1e-13 * top_c
+
+
+def _per_power_sequence(A, n_max):
+    """||A^n||_2^{1/n}, n = 1..n_max, each power one product from the last
+    and each norm its own `np.linalg.norm` call."""
+    P, seq = A, [np.linalg.norm(A, 2)]
+    for n in range(2, n_max + 1):
+        P = P @ A
+        seq.append(np.linalg.norm(P, 2) ** (1.0 / n))
+    return seq
+
+
+# batched SVDs of in-place powers read the same LAPACK singular values as one
+# norm per power, for float64 and complex sections and a partial last chunk
+@pytest.mark.parametrize("n_max", [8, 13, 24])
+@pytest.mark.parametrize("name, dtype", [("strip", np.float64),
+                                         ("trident_d", np.complex128)])
+@pytest.mark.parametrize("N, t", [(60, 1.0), (13, 0.5), (24, 0.0)])
+def test_gelfand_sequence_is_bitwise_the_per_power_norms(name, dtype, N, t,
+                                                         n_max):
+    s = {**_REAL_SECTIONS, **_COMPLEX_SECTIONS}[name]()
+    M = build_matrix(s, t, N)
+    assert M.entries.dtype == (np.float64 if t == 0.0 else dtype)
+    r, seq = gelfand_radius(M, n_max)
+    ref = _per_power_sequence(M.entries, n_max)
+    assert np.array(seq).tobytes() == np.array(ref).tobytes()
+    assert r == min(ref[:min(n_max, resolution_horizon(M))])

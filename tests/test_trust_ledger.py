@@ -154,3 +154,16 @@ def test_a_flow_rounded_onto_the_circle_fails_the_trident_truncate(
                         "truncate", "--t", "40", "--N", "24")
     assert code == 4
     assert "the time-40 flow rounded a point onto the unit circle" in err
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "item 3: at a = 20 the time-1 flow moves the grid by 20 in a*w, so the "
+    "weight ratio is read from a flow image that rounded next to z = 1; "
+    "read from w, the eigen-identity holds at tol 1e-9 as it does at "
+    "lambda = -1"))
+def test_a_steep_strip_keeps_the_eigen_identity(tmp_path, capsys):
+    code, report, _ = _run(tmp_path, capsys,
+                           "p = 2\nmodel = strip_flow\na = 20\nc = 0.4\n"
+                           "s = 0.7\n", "verify", "--lambda", "6.9")
+    assert code == 0
+    assert _checks(report)["eigen_identity_t_1"]["status"] == "pass"
