@@ -314,20 +314,16 @@ def _truncate(s, t, N, nmax, json_path):
 def cmd_plot(args):
     s = _load_scenario(args.config)
     g = gammas_from(s.fixed_points, s.p)
-    try:
-        if args.what == "generator":
-            region = regions.generator_spectrum(g)
-        elif args.what == "essential":
-            region = regions.essential_spectrum(g)
-        elif args.what == "point":
-            region = regions.generator_point_spectrum(g)
-        elif not args.t > 0:
-            raise ConfigError("--what operator needs --t > 0")
-        else:
-            region = regions.operator_spectrum(g, args.t)
-    except CoverageError as e:
-        sys.stderr.write(f"coverage error: {e}\n")
-        return EXIT_COVERAGE
+    if args.what == "generator":
+        region = regions.generator_spectrum(g)
+    elif args.what == "essential":
+        region = regions.essential_spectrum(g)
+    elif args.what == "point":
+        region = regions.generator_point_spectrum(g)
+    elif not args.t > 0:
+        raise ConfigError("--what operator needs --t > 0")
+    else:
+        region = regions.operator_spectrum(g, args.t)
     Path(args.svg).write_text(render_svg(region, args.viewport))
     return EXIT_OK
 

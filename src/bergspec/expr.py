@@ -18,20 +18,20 @@ h' reads it from the jet of h.  `log_of(e)` folds log e at compile time
 differences), so a weight's logarithm reuses the logs already in its tree.
 A `Tape` compiles the DAG under one or more roots into a flat post-order
 schedule in which each node, and each set of structurally equal nodes (as
-an expression model's v_expr repeats the logs of its h_expr), appears once,
-at the highest order any of its readers wants; a lower-order reader takes a
-truncated copy, which is bitwise the lower-order computation.  Evaluating
-at a point is one straight loop over the schedule, so a shared subtree is
-computed once per point however many roots read it.  Each intermediate
-slot is freed after its last reader, from a liveness list made at compile
-time, so a call holds only the live intermediates.  Constants are scalar
-jets, broadcast to the shape of the points only in the returned slots.
+an expression model's v_expr repeats the logs of its h_expr), appears once.
+Every node is computed at the tape's order, the highest order any root asks
+for, and each root is returned truncated to its own order: its slots are
+bitwise those of a tape at that order.  Evaluating at a point is one
+straight loop over the schedule, so a shared subtree is computed once per
+point however many roots read it.  Each intermediate slot is freed after
+its last reader, from a liveness list made at compile time, so a call holds
+only the live intermediates.  Constants are scalar jets, broadcast to the
+shape of the points only in the returned slots.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import operator
 
 import numpy as np
@@ -59,10 +59,6 @@ class Jet:
     def variable(z, order):
         return Jet(z, np.ones_like(z) if order > 0 else None,
                    np.zeros_like(z) if order > 1 else None, order)
-
-    def truncated(self, order):
-        """The same jet without the slots above `order`."""
-        return Jet(self.f, self.d1, self.d2, order)
 
     def __add__(self, o):
         n = min(self.order, o.order)
@@ -144,9 +140,9 @@ class Jet:
 
 # --- expression nodes -------------------------------------------------------
 #
-# Nodes only describe the DAG; `Tape` evaluates it.  A node computed at order
-# k reads its children at order k and maps their jets to its own with
-# `step(k)`.
+# Nodes only describe the DAG; `Tape` evaluates it.  A tape computes every
+# node at its one order k: the node reads its children at order k and maps
+# their jets to its own with `step(k)`.
 
 class _Node:
     children = ()
@@ -229,74 +225,47 @@ class Tape:
     """Flat post-order schedule of the expression DAG under some roots.
 
     Every node appears once, and so do nodes that compute the same thing
-    (same class, op or name, equal constants and merged
-    children), at the highest order any reader wants; a reader
-    that wants fewer orders takes a truncated copy, whose slots are bitwise
-    those of the lower-order computation.  Constants are fixed jets built at
-    compile time.  A call runs one straight loop over the schedule, freeing
-    each computed slot that is not returned after the op that reads it last,
-    and returns one jet per root at the order asked for, every slot an
-    array shaped like z (0-d for a scalar z).
+    (same class, op or name, equal constants and merged children).  Each is
+    computed at the tape's order, the highest order any root asks for; a
+    slot's value does not depend on the order it is computed at, so a root
+    truncated to its own order is bitwise that root on a tape of its own.
+    Constants are fixed jets built at compile time.  A call runs one
+    straight loop over the schedule, freeing each computed slot that is not
+    returned after the op that reads it last, and returns one jet per root
+    at the order asked for, every slot an array shaped like z (0-d for a
+    scalar z).
     """
 
     def __init__(self, exprs, orders):
-        if max(orders) > 2:
+        self._orders = tuple(orders)
+        self._order = k = max(self._orders)
+        if k > 2:
             raise ValueError("jets carry derivatives up to order 2")
-        roots = [e._root for e in exprs]
-        post, pos = [], {}   # nodes in post-order; id -> index while compiling
-        first = {}           # structural key -> index of its first node
-
-        def visit(node):
-            if id(node) not in pos:
-                for c in node.children:
-                    visit(c)
-                key = _structure(node, tuple(pos[id(c)] for c in node.children))
-                if key not in first:
-                    first[key] = len(post)
-                    post.append(node)
-                pos[id(node)] = first[key]
-
-        for r in roots:
-            visit(r)
-        need = [0] * len(post)
-        for r, k in zip(roots, orders):
-            need[pos[id(r)]] = max(need[pos[id(r)]], k)
-        for i in reversed(range(len(post))):   # every reader before its inputs
-            for c in post[i].children:
-                need[pos[id(c)]] = max(need[pos[id(c)]], need[i])
-
-        self._static = [None]   # slot 0: the variable; fixed jets elsewhere
+        self._static = [None]   # slot 0: the variable; constant jets elsewhere
         # (output slot, step, input slot, second input or None), and below
         # the slots freed after the op
         self._ops = []
-        self._var_order = need[pos[id(_Z)]] if id(_Z) in pos else 0
-        slot = {}               # (node index, order) -> slot
+        slot, first = {}, {}    # node id -> slot; structural key -> slot
 
-        def new_slot(jet=None):
-            self._static.append(jet)
-            return len(self._static) - 1
+        def visit(node):
+            if id(node) not in slot:
+                for c in node.children:
+                    visit(c)
+                ins = tuple(slot[id(c)] for c in node.children)
+                key = _structure(node, ins)
+                if key not in first:
+                    first[key] = 0 if node is _Z else len(self._static)
+                    if isinstance(node, _Const):
+                        self._static.append(Jet(node.value, 0j, 0j, k))
+                    elif node is not _Z:
+                        self._static.append(None)
+                        # a unary step has no second input
+                        self._ops.append((first[key], node.step(k), *ins, None)[:4])
+                slot[id(node)] = first[key]
 
-        def read(i, k):
-            if (i, k) not in slot:
-                if isinstance(post[i], _Const):
-                    slot[i, k] = new_slot(Jet(post[i].value, 0j, 0j, k))
-                else:
-                    s = new_slot()
-                    self._ops.append((s, functools.partial(Jet.truncated, order=k),
-                                      slot[i, need[i]], None))
-                    slot[i, k] = s
-            return slot[i, k]
-
-        for i, node in enumerate(post):
-            if node is _Z:
-                slot[i, need[i]] = 0
-            elif not isinstance(node, _Const):
-                ins = [read(pos[id(c)], need[i]) for c in node.children]
-                ins.append(None)   # a unary step has no second input
-                s = new_slot()
-                self._ops.append((s, node.step(need[i]), ins[0], ins[1]))
-                slot[i, need[i]] = s
-        self._out = [read(pos[id(r)], k) for r, k in zip(roots, orders)]
+        for e in exprs:
+            visit(e._root)
+        self._out = [slot[id(e._root)] for e in exprs]
 
         # liveness: a computed slot that is not returned is freed after the
         # op that reads it last (or writes it, if none reads it), so a call
@@ -313,13 +282,14 @@ class Tape:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         vals = self._static.copy()
-        vals[0] = Jet.variable(z.ravel(), self._var_order)
+        vals[0] = Jet.variable(z.ravel(), self._order)
         for out, step, a, b, dead in self._ops:
             vals[out] = step(vals[a]) if b is None else step(vals[a], vals[b])
             for s in dead:
                 vals[s] = None
-        return [Jet(*(_shaped(x, z.shape) for x in (j.f, j.d1, j.d2)), j.order)
-                for j in (vals[i] for i in self._out)]
+        return [Jet(*(_shaped(x, z.shape) for x in (j.f, j.d1, j.d2)[:k + 1]),
+                    order=k)
+                for j, k in zip((vals[i] for i in self._out), self._orders)]
 
 
 class AnalyticExpr:

@@ -298,6 +298,7 @@ def eigen_identity_residual(s: Scenario, lam, t):
 
 _GL_ORDER = 12           # Gauss-Legendre points per panel
 _GL_MAX_DEPTH = 48       # halvings of an interval before a panel must pass
+_GL_BUDGET = 2 ** 18     # panel estimates per call: bounds its time and memory
 _GL_CHUNK = 128          # panels per integrand call: bounds the batch's memory
 # the rule is made on first use: leggauss calls LAPACK, whose first call costs
 # memory that a run with no quadrature (truncate, report) need not pay
@@ -314,7 +315,8 @@ def _adaptive_gl(func, a, b, tol):
     its tolerance (tol_k, halved with each split).  An interval's accepted
     panels are summed left to right, as a depth-first recursion adds them, so
     its value does not depend on the other intervals.  A non-finite estimate,
-    or a panel not accepted at depth _GL_MAX_DEPTH, raises OrbitIntegralError."""
+    a panel not accepted at depth _GL_MAX_DEPTH, or a depth that would take
+    the call past _GL_BUDGET panel estimates raises OrbitIntegralError."""
     xg, wg = _gl_rule()
 
     def estimate(lo, hi, i):
@@ -331,8 +333,16 @@ def _adaptive_gl(func, a, b, tol):
     n = lo.size
     i = np.arange(n)
     coarse = estimate(lo, hi, i)
+    spent = n
     done_i, done_lo, done_val = [], [], []
     for depth in range(_GL_MAX_DEPTH + 1):
+        spent += 2 * i.size
+        if spent > _GL_BUDGET:
+            k = int(i.min())
+            raise OrbitIntegralError(
+                f"tolerance failure: the quadrature would pass its budget of "
+                f"{_GL_BUDGET} panel estimates, with interval {k} "
+                f"[{np.ravel(a)[k]:g}, {np.ravel(b)[k]:g}] unfinished")
         mid = 0.5 * (lo + hi)
         halves = estimate(np.concatenate([lo, mid]), np.concatenate([mid, hi]),
                           np.concatenate([i, i]))

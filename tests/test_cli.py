@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -327,6 +329,28 @@ def test_plot_subcommand(tmp_path, strip_cfg):
     assert svg.read_text().startswith('<?xml')
 
 
+@pytest.mark.parametrize("argv", [["--what", "point"],
+                                  ["--what", "operator", "--t", "0.5"]],
+                         ids=["point", "operator"])
+def test_the_readme_plots_write_an_svg(tmp_path, argv):
+    cfg, svg = tmp_path / "strip.cfg", tmp_path / "r.svg"
+    cfg.write_text("p = 2\nmodel = strip_flow\na = 1.0\nc = 0.4\ns = 0.7\n")
+    assert main(["plot", "-c", str(cfg), *argv, "--svg", str(svg)]) == 0
+    assert svg.read_text().startswith('<?xml')
+
+
+def test_an_unsupported_plot_is_a_coverage_error(tmp_path, capsys):
+    cfg, svg = tmp_path / "half.cfg", tmp_path / "r.svg"
+    cfg.write_text("p = 2\nmodel = half_strip\n")
+    assert main(["plot", "-c", str(cfg), "--what", "essential",
+                 "--svg", str(svg)]) == 3
+    assert not svg.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == ("coverage error: essential spectrum unsupported when "
+                        "gamma0 or gamma1 is -inf")
+    assert len(lines) == 2 and lines[1].startswith("wall time")
+
+
 def test_operator_plot_at_t_zero_is_a_config_error(tmp_path, strip_cfg, capsys):
     svg = tmp_path / "r.svg"
     assert main(["plot", "-c", str(strip_cfg), "--what", "operator",
@@ -591,6 +615,25 @@ def test_a_tiny_orbit_tolerance_skips_the_strip_resolvent(tmp_path):
     assert "unit circle" in checks["resolvent_residual"]["reason"]
 
 
+def test_a_quadrature_past_its_budget_skips_the_resolvent(tmp_path):
+    # at lambda = 10 the segment quadrature of the strip's residual check
+    # splits without end; it grew past 2 GB before it had a budget
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, checks = _orbit_checks(tmp_path, STRIP_WEIGHTED_CFG,
+                                     "--lambda", "10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 5.0
+    assert peak < 100e6
+    assert code in (0, 1)
+    assert checks["resolvent_residual"]["status"] == "skipped"
+    assert ("budget of 262144 panel estimates"
+            in checks["resolvent_residual"]["reason"])
+
+
 # h, the log L of +-h' and the d factor of each built-in, in the built-in's
 # own logs, whose arguments avoid (-inf, 0] on the disk
 _EXP_LOG = {
@@ -751,6 +794,17 @@ def test_growth_check_needs_no_petal_anchor(tmp_path):
     assert [g["status"] for g in growth.values()] == ["pass", "pass"]
     assert abs(growth[-1.0, 0.0]["slope"]) < 1e-9
     assert "direction" not in growth[-1.0, 0.0]
+
+
+def test_a_fixed_point_with_beta_minus_inf_has_no_growth_check(tmp_path):
+    cfg = tmp_path / "twin.cfg"
+    cfg.write_text(STRIP_TWIN_CFG.replace("-1.0, 0.0, rep", "-1.0, -inf, rep"))
+    out = tmp_path / "v.json"
+    assert main(["verify", "-c", str(cfg), "--lambda", "0.5",
+                 "--json", str(out)]) == 0
+    growth = _growth(out)
+    assert list(growth) == [(1.0, 0.0)]
+    assert growth[1.0, 0.0]["status"] == "pass"
 
 
 def test_a_wrong_declared_beta_fails_verify(tmp_path):

@@ -177,6 +177,40 @@ def test_the_strip_twin_takes_each_log_once():
     assert sum(op[1] is Jet.log for op in tape._ops) == 3
 
 
+def _merged_nodes(roots):
+    """Structural keys of the distinct nodes under roots that a tape
+    computes: all but the constants and the variable."""
+    keys, memo = set(), {}
+
+    def key(node):
+        if id(node) not in memo:
+            if isinstance(node, _Const):
+                memo[id(node)] = ("const", repr(node.value))
+            else:
+                memo[id(node)] = (type(node).__name__,
+                                  getattr(node, "op", None),
+                                  getattr(node, "name", None),
+                                  tuple(key(c) for c in node.children))
+                if node is not _Z:
+                    keys.add(memo[id(node)])
+        return memo[id(node)]
+
+    for r in roots:
+        key(r._root)
+    return keys
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_tape_computes_each_merged_node_once_at_its_order(name):
+    # the resolvent one-form reads h at order 1 and l at order 0: its tape
+    # is the (1, 1) tape, with no copies that drop l's derivative
+    s = SCENARIOS[name]
+    roots = (s._h, s._l)
+    joint, full = Tape(roots, (1, 0)), Tape(roots, (1, 1))
+    assert joint._ops == full._ops
+    assert len(joint._ops) == len(_merged_nodes(roots))
+
+
 # -- subtraction --------------------------------------------------------------
 
 ZEROS = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0),

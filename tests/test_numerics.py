@@ -595,6 +595,23 @@ def test_adaptive_gl_raises_at_the_depth_cap():
                               [0.0], [1.0], [1e-9])
 
 
+def test_adaptive_gl_raises_past_its_budget():
+    # an absolute tolerance below the round-off of the estimates: nearly
+    # every panel splits at every depth, so the live panels double until the
+    # next depth would pass the budget, which refuses before evaluating it
+    panels = []
+
+    def f(x, i):
+        panels.append(x.shape[0])
+        return np.exp(30j * x)
+
+    with pytest.raises(OrbitIntegralError,
+                       match=r"budget of 262144 panel estimates, with "
+                             r"interval 0 \[0, 1\] unfinished"):
+        numerics._adaptive_gl(f, [0.0], [1.0], [1e-300])
+    assert numerics._GL_BUDGET // 2 < sum(panels) <= numerics._GL_BUDGET
+
+
 # -- growth exponents -------------------------------------------------------
 
 def test_growth_exponents_strip(strip_weighted):

@@ -167,3 +167,16 @@ def test_a_steep_strip_keeps_the_eigen_identity(tmp_path, capsys):
                            "s = 0.7\n", "verify", "--lambda", "6.9")
     assert code == 0
     assert _checks(report)["eigen_identity_t_1"]["status"] == "pass"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "item 30: at p = 3 the membership ring unwraps the phase of "
+    "exp(lambda h - l) point to point on 65,536 samples, and next to z = 1 "
+    "it turns by more than pi between samples, so a zero-free eigenfunction "
+    "reads as winding twice (WindingError, exit 4)"))
+def test_a_zero_free_eigenfunction_at_p_3_reads_divergent(tmp_path, capsys):
+    code, report, _ = _run(tmp_path, capsys,
+                           "p = 3\nmodel = strip_flow\nc = 0.4\ns = 0.7\n",
+                           "verify", "--lambda", "9")
+    assert code in (0, 1)
+    assert _checks(report)["eigenfunction_membership"]["verdict"] == "divergent"
