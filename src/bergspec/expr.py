@@ -1,10 +1,9 @@
 """Analytic expression trees with forward-mode derivative propagation.
 
-A Jet carries the value of an analytic function together with its
-derivatives up to a requested order (0 to 2) at a point, so one evaluation
-yields h, h', h'' simultaneously, or only the value when that is all the
-caller reads.  Every slot is computed by the same truncated Taylor
-formula at every order, so its value does not depend on the order asked for.
+A Jet carries the value of an analytic function at a point and, at order 1,
+its first derivative, so one evaluation yields h and h' together, or only
+the value when that is all the caller reads.  Each slot is computed by the
+same formula at both orders, so its value does not depend on the order.
 One arithmetic, numpy's, serves every point: a tape evaluates a point set
 as a flat complex array (a scalar as one element), and jets combine only
 with jets, so a point's jet has the same bits however it arrives.  log,
@@ -43,62 +42,49 @@ __all__ = ["Jet", "Tape", "AnalyticExpr", "parse_expr", "const", "var", "apply_f
 
 
 class Jet:
-    """Value plus the first `order` derivatives of an analytic function at a
-    point; the slots above `order` are None.  Operations take jets only and
+    """Value, and at order 1 the first derivative, of an analytic function
+    at a point; at order 0 d1 is None.  Operations take jets only and
     compute to the lower order of their operands."""
 
-    __slots__ = ("f", "d1", "d2", "order")
+    __slots__ = ("f", "d1", "order")
 
-    def __init__(self, f, d1=0.0, d2=0.0, order=2):
+    def __init__(self, f, d1=0.0, order=1):
         self.f = f
         self.d1 = d1 if order > 0 else None
-        self.d2 = d2 if order > 1 else None
         self.order = order
 
     @staticmethod
     def variable(z, order):
-        return Jet(z, np.ones_like(z) if order > 0 else None,
-                   np.zeros_like(z) if order > 1 else None, order)
+        return Jet(z, np.ones_like(z) if order > 0 else None, order)
 
     def __add__(self, o):
         n = min(self.order, o.order)
-        return Jet(self.f + o.f,
-                   self.d1 + o.d1 if n > 0 else None,
-                   self.d2 + o.d2 if n > 1 else None, n)
+        return Jet(self.f + o.f, self.d1 + o.d1 if n > 0 else None, n)
 
     def __neg__(self):
         n = self.order
-        return Jet(-self.f, -self.d1 if n > 0 else None,
-                   -self.d2 if n > 1 else None, n)
+        return Jet(-self.f, -self.d1 if n > 0 else None, n)
 
     def __sub__(self, o):
         # IEEE defines a - b as a + (-b), signed zeros included, so this is
         # bitwise the sum with a negated operand, without the negation pass
         n = min(self.order, o.order)
-        return Jet(self.f - o.f,
-                   self.d1 - o.d1 if n > 0 else None,
-                   self.d2 - o.d2 if n > 1 else None, n)
+        return Jet(self.f - o.f, self.d1 - o.d1 if n > 0 else None, n)
 
     def __mul__(self, o):
         f, g = self, o
         n = min(f.order, g.order)
-        return Jet(f.f * g.f,
-                   f.d1 * g.f + f.f * g.d1 if n > 0 else None,
-                   f.d2 * g.f + 2 * f.d1 * g.d1 + f.f * g.d2 if n > 1 else None, n)
+        return Jet(f.f * g.f, f.d1 * g.f + f.f * g.d1 if n > 0 else None, n)
 
     def __truediv__(self, o):
         f, g = self, o
         n = min(f.order, g.order)
         v0 = f.f / g.f
-        v1 = (f.d1 - v0 * g.d1) / g.f if n > 0 else None
-        v2 = (f.d2 - 2 * v1 * g.d1 - v0 * g.d2) / g.f if n > 1 else None
-        return Jet(v0, v1, v2, n)
+        return Jet(v0, (f.d1 - v0 * g.d1) / g.f if n > 0 else None, n)
 
     def exp(self):
         e = np.exp(self.f)
-        f1, f2, n = self.d1, self.d2, self.order
-        return Jet(e, e * f1 if n > 0 else None,
-                   e * (f1 * f1 + f2) if n > 1 else None, n)
+        return Jet(e, e * self.d1 if self.order > 0 else None, self.order)
 
     def log(self):
         """Principal log in real arithmetic, log|f| + i·atan2(Im f, Re f):
@@ -106,7 +92,7 @@ class Jet:
         The cut is np.log's, signed zeros included: -1 - 0i maps to -πi and
         -1 + 0i to +πi.  |f| = 0 exactly when f = 0, so the modulus also
         serves the branch-point check."""
-        f0, f1, f2, n = self.f, self.d1, self.d2, self.order
+        f0, f1, n = self.f, self.d1, self.order
         a = np.abs(f0)
         if not a.all():
             raise EvaluationError("log/pow evaluated at a branch point (argument 0)")
@@ -114,23 +100,19 @@ class Jet:
         np.log(a, out=out.real)
         if a.sum() >= 2.0 ** 1023:
             # at a finite f with |f| >= 2^1023, |f| or the |Re f| + |Im f| of
-            # numpy's complex division can overflow: halve f, f' and f''
-            # there (exact), so log|f| = log|f/2| + log 2 and f'/f, f''/f hold
+            # numpy's complex division can overflow: halve f and f' there
+            # (exact), so log|f| = log|f/2| + log 2 and f'/f hold
             two = np.where(np.isfinite(f0) & (a >= 2.0 ** 1023), 2.0, 1.0)
-            f0, f1, f2 = (x if x is None else x / two for x in (f0, f1, f2))
+            f0, f1 = (x if x is None else x / two for x in (f0, f1))
             out.real[...] = np.log(np.abs(f0)) + np.log(two)
         np.arctan2(f0.imag, f0.real, out=out.imag)
-        q1 = f1 / f0 if n > 0 else None
-        return Jet(out[()], q1, f2 / f0 - q1 * q1 if n > 1 else None, n)
+        return Jet(out[()], f1 / f0 if n > 0 else None, n)
 
     def sqrt(self):
         if not np.all(self.f):
             raise EvaluationError("sqrt evaluated at a branch point (argument 0)")
-        n = self.order
         s0 = np.sqrt(self.f)
-        s1 = self.d1 / (2 * s0) if n > 0 else None
-        s2 = (self.d2 - 2 * s1 * s1) / (2 * s0) if n > 1 else None
-        return Jet(s0, s1, s2, n)
+        return Jet(s0, self.d1 / (2 * s0) if self.order > 0 else None, self.order)
 
     def pow(self, w):
         """Principal-branch power exp(w log f) with the exponent w a jet, so
@@ -141,8 +123,8 @@ class Jet:
 # --- expression nodes -------------------------------------------------------
 #
 # Nodes only describe the DAG; `Tape` evaluates it.  A tape computes every
-# node at its one order k: the node reads its children at order k and maps
-# their jets to its own with `step(k)`.
+# node at its one order: the node reads its children at that order and maps
+# their jets to its own with `step()`.
 
 class _Node:
     children = ()
@@ -172,7 +154,7 @@ class _Bin(_Node):
         self.op = op
         self.children = (left, right)
 
-    def step(self, k):
+    def step(self):
         return _BIN_OPS[self.op]
 
     def __repr__(self):
@@ -184,7 +166,7 @@ class _Neg(_Node):
     def __init__(self, child):
         self.children = (child,)
 
-    def step(self, k):
+    def step(self):
         return operator.neg
 
     def __repr__(self):
@@ -196,7 +178,7 @@ class _Fn(_Node):
         self.name = name
         self.children = tuple(args)
 
-    def step(self, k):
+    def step(self):
         return getattr(Jet, self.name)
 
     def __repr__(self):
@@ -226,9 +208,9 @@ class Tape:
 
     Every node appears once, and so do nodes that compute the same thing
     (same class, op or name, equal constants and merged children).  Each is
-    computed at the tape's order, the highest order any root asks for; a
-    slot's value does not depend on the order it is computed at, so a root
-    truncated to its own order is bitwise that root on a tape of its own.
+    computed at the tape's order, 0 or 1, the highest order any root asks
+    for; a slot's value does not depend on that order, so a root truncated
+    to its own order is bitwise that root on a tape of its own.
     Constants are fixed jets built at compile time.  A call runs one
     straight loop over the schedule, freeing each computed slot that is not
     returned after the op that reads it last, and returns one jet per root
@@ -239,8 +221,8 @@ class Tape:
     def __init__(self, exprs, orders):
         self._orders = tuple(orders)
         self._order = k = max(self._orders)
-        if k > 2:
-            raise ValueError("jets carry derivatives up to order 2")
+        if k > 1:
+            raise ValueError("jets carry derivatives up to order 1")
         self._static = [None]   # slot 0: the variable; constant jets elsewhere
         # (output slot, step, input slot, second input or None), and below
         # the slots freed after the op
@@ -256,11 +238,11 @@ class Tape:
                 if key not in first:
                     first[key] = 0 if node is _Z else len(self._static)
                     if isinstance(node, _Const):
-                        self._static.append(Jet(node.value, 0j, 0j, k))
+                        self._static.append(Jet(node.value, 0j, k))
                     elif node is not _Z:
                         self._static.append(None)
                         # a unary step has no second input
-                        self._ops.append((first[key], node.step(k), *ins, None)[:4])
+                        self._ops.append((first[key], node.step(), *ins, None)[:4])
                 slot[id(node)] = first[key]
 
         for e in exprs:
@@ -287,7 +269,7 @@ class Tape:
             vals[out] = step(vals[a]) if b is None else step(vals[a], vals[b])
             for s in dead:
                 vals[s] = None
-        return [Jet(*(_shaped(x, z.shape) for x in (j.f, j.d1, j.d2)[:k + 1]),
+        return [Jet(*(_shaped(x, z.shape) for x in (j.f, j.d1)[:k + 1]),
                     order=k)
                 for j, k in zip((vals[i] for i in self._out), self._orders)]
 

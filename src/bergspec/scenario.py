@@ -696,21 +696,22 @@ _RADII_K = range(4, 15)
 
 
 def alpha_at(s: Scenario, fp: FixedPointDatum) -> float:
-    """Flow exponent at a declared fixed point, computed two ways; both must
-    agree with each other and with fp.alpha to within 1e-4.  Every radius
-    is flowed in one call, each point on its own path."""
+    """Flow exponent at a declared fixed point, computed two ways: the flow
+    quotient -log((zeta - phi_1(z)) / (zeta - z)), and the radial limit of
+    1/((zeta - z) h'(z)), the angular derivative by Julia-Caratheodory.
+    Both must agree with each other and with fp.alpha to within 1e-4.
+    Every radius is flowed in one call, each point on its own path."""
     s._require_evaluable()
     zeta = complex(fp.zeta)
     z = (1.0 - 2.0 ** -np.array(_RADII_K)) * zeta
     quot = -np.log((zeta - flow(s, 1.0, z)) / (zeta - z))
-    hj = s._h.jet(z, 2)
-    gprime = hj.d2 / hj.d1 ** 2  # -G'(z) for G = 1/h'
+    radial = 1.0 / ((zeta - z) * eval_h_prime(s, z))
     a_quot = richardson(quot[-4:]).real
-    a_gp = richardson(gprime[-4:]).real
-    if abs(a_quot - a_gp) > 1e-4 or abs(a_quot - fp.alpha) > 1e-4:
+    a_rad = richardson(radial[-4:]).real
+    if abs(a_quot - a_rad) > 1e-4 or abs(a_quot - fp.alpha) > 1e-4:
         raise ModelInconsistencyError(
-            f"alpha mismatch at {zeta}: quotient {a_quot:.6g}, "
-            f"generator {a_gp:.6g}, declared {fp.alpha:.6g}")
+            f"alpha mismatch at {zeta}: flow quotient {a_quot:.6g}, radial "
+            f"limit of 1/((zeta - z) h') {a_rad:.6g}, declared {fp.alpha:.6g}")
     return a_quot
 
 

@@ -49,11 +49,10 @@ def test_deriv_matches_finite_difference(text):
 def test_third_order_jet_chain_rule():
     e = parse_expr("exp(z^2)")
     z = 0.3 + 0.2j
-    j = e.jet(z, 2)
+    j = e.jet(z, 1)
     f = cmath.exp(z * z)
     assert abs(j.f - f) < 1e-13
     assert abs(j.d1 - 2 * z * f) < 1e-12
-    assert abs(j.d2 - (2 + 4 * z * z) * f) < 1e-12
 
 
 def test_vectorized_evaluation():
@@ -85,19 +84,17 @@ def test_branch_point_evaluation_error():
 
 
 def _zz(z):
-    f, q = z ** z, cmath.log(z) + 1
-    return f, f * q, f * (q * q + 1 / z)
+    f = z ** z
+    return f, f * (cmath.log(z) + 1)
 
 
 def _one_plus_z_iz(z):
     # (1+z)^{iz} = exp(u), u = iz log(1+z)
     f = cmath.exp(1j * z * cmath.log(1 + z))
-    u1 = 1j * cmath.log(1 + z) + 1j * z / (1 + z)
-    u2 = 1j * (2 + z) / (1 + z) ** 2
-    return f, f * u1, f * (u1 * u1 + u2)
+    return f, f * (1j * cmath.log(1 + z) + 1j * z / (1 + z))
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1])
 @pytest.mark.parametrize("text,ref", [
     pytest.param("pow(z, z)", _zz, id="z^z"),
     pytest.param("pow(1+z, i*z)", _one_plus_z_iz, id="(1+z)^(iz)")])
@@ -106,7 +103,7 @@ def test_pow_carries_the_exponents_derivatives(text, ref, order):
     for z in [0.5 + 0.1j] + POINTS[:3]:
         j = e.jet(z, order)
         want = ref(z)
-        for got, exact in zip((j.f, j.d1, j.d2)[:order + 1], want):
+        for got, exact in zip((j.f, j.d1)[:order + 1], want):
             assert abs(got - exact) < 1e-12 * (1 + abs(exact)), (z, order)
 
 
@@ -118,7 +115,7 @@ def test_integer_power_vs_general_power():
         assert abs(a.jet(z, 1).d1 - b.jet(z, 1).d1) < 1e-11
 
 
-@pytest.mark.parametrize("order", range(3))
+@pytest.mark.parametrize("order", range(2))
 def test_negative_and_zero_integer_powers(order):
     # z^-n is 1 / z^n bitwise, as a constant numerator's jet computes it;
     # z^0 is one with zero derivatives
@@ -126,9 +123,9 @@ def test_negative_and_zero_integer_powers(order):
     for n in (1, 2, 3, 7):
         got = parse_expr(f"(1+z)^-{n}").jet(z, order)
         ref = parse_expr(f"1/(1+z)^{n}").jet(z, order)
-        for slot in ("f", "d1", "d2")[:order + 1]:
+        for slot in ("f", "d1")[:order + 1]:
             assert getattr(got, slot).tobytes() == getattr(ref, slot).tobytes()
     j = parse_expr("(1+z)^0").jet(z, order)
     assert np.all(j.f == 1)
-    for slot in ("d1", "d2")[:order]:
-        assert np.all(getattr(j, slot) == 0)
+    if order:
+        assert np.all(j.d1 == 0)

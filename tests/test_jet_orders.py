@@ -1,5 +1,5 @@
 """Order-aware jets: a jet of order k computes exactly the slots 0..k of the
-order-2 jet, bit for bit, and nothing above them."""
+order-1 jet, bit for bit, and nothing above them."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from bergspec.expr import log_of, parse_expr
 from bergspec.scenario import (eval_h, eval_h_prime, eval_v, make_builtin,
                                quasi_random_grid)
 
-SLOTS = ("f", "d1", "d2")
+SLOTS = ("f", "d1")
 C, S, D = 0.4, 0.7, 0.3
 
 
@@ -44,9 +44,9 @@ def _same(a, b):
 def test_each_order_matches_order_three_bitwise(name):
     e = EXPRS[name]
     for z in [POINTS, *SCALARS]:
-        full = e.jet(z, 2)
-        assert full.order == 2
-        for k in range(3):
+        full = e.jet(z, 1)
+        assert full.order == 1
+        for k in range(2):
             j = e.jet(z, k)
             assert j.order == k
             for i, slot in enumerate(SLOTS):
@@ -56,12 +56,11 @@ def test_each_order_matches_order_three_bitwise(name):
                     assert getattr(j, slot) is None, (k, slot)
         assert _same(e(z), full.f)
         assert _same(e.jet(z, 1).d1, full.d1)
-        assert _same(e.jet(z, 2).d2, full.d2)
 
 
 def test_jets_stop_at_order_two():
     with pytest.raises(ValueError):
-        EXPRS["trident.v"].jet(POINTS, 3)
+        EXPRS["trident.v"].jet(POINTS, 2)
 
 
 def _f(z):

@@ -14,7 +14,7 @@ from bergspec.scenario import (DENJOY_WOLFF, REPELLING, FixedPointDatum,
                                parse_scenario, quasi_random_grid)
 
 C, S, D = 0.4, 0.7, 0.3
-SLOTS = ("f", "d1", "d2")
+SLOTS = ("f", "d1")
 
 BUILTINS = {name: make_builtin(name, 2.0, c=C, s=S, d=D)
             for name in ("strip_flow", "half_strip", "trident")}
@@ -153,11 +153,11 @@ def _direct(node, z, k):
     if node is _Z:
         return Jet.variable(z, k)
     if isinstance(node, _Const):
-        return Jet(node.value, 0j, 0j, k)
-    return node.step(k)(*(_direct(c, z, k) for c in node.children))
+        return Jet(node.value, 0j, k)
+    return node.step()(*(_direct(c, z, k) for c in node.children))
 
 
-@pytest.mark.parametrize("kh,kl", [(kh, kl) for kh in range(3) for kl in range(3)])
+@pytest.mark.parametrize("kh,kl", [(kh, kl) for kh in range(2) for kl in range(2)])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_merged_tape_is_bitwise_each_root_on_its_own(name, kh, kl):
     s = SCENARIOS[name]
@@ -224,11 +224,11 @@ def _old_sub(self, o):
 def test_subtraction_is_bitwise_the_negated_sum_on_signed_zeros():
     a = np.repeat(ZEROS, ZEROS.size)
     b = np.tile(ZEROS, ZEROS.size)
-    for ka in range(3):
+    for ka in range(2):
         # a constant as a tape holds it: a fixed jet at its reader's order
-        c = Jet(2.5 + 0j, 0j, 0j, ka)
-        for kb in range(3):
-            x, y = Jet(a, b, a, ka), Jet(b, a, b, kb)
+        c = Jet(2.5 + 0j, 0j, ka)
+        for kb in range(2):
+            x, y = Jet(a, b, ka), Jet(b, a, kb)
             for got, ref in ((x - y, x + (-y)), (c - x, (-x) + c),
                              (x - c, x + (-c))):
                 assert got.order == ref.order
@@ -240,7 +240,7 @@ def test_subtraction_is_bitwise_the_negated_sum_on_signed_zeros():
 def test_tapes_subtract_as_they_did_with_a_negation_pass(name, monkeypatch):
     s = SCENARIOS[name]
     z = np.concatenate([GRID[:32], [0.0, complex(0.0, -0.0), -0.5]])
-    tapes = [Tape((s._h, e), (2, 2)) for e in (s._v, s._l)]
+    tapes = [Tape((s._h, e), (1, 1)) for e in (s._v, s._l)]
     new = [t(z) for t in tapes]
     monkeypatch.setattr(Jet, "__sub__", _old_sub)
     for t, jets in zip(tapes, new):

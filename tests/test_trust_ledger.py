@@ -99,7 +99,9 @@ def test_a_wrong_declared_alpha_fails_verify(tmp_path, capsys):
 @pytest.mark.parametrize("v_expr, argv, winds", [
     pytest.param("z - 0.5", ("verify", "--lambda", "2"), 1, id="zero-verify"),
     pytest.param("1/(z - 0.5)", ("truncate", "--N", "60"), -1,
-                 id="pole-truncate")])
+                 id="pole-truncate"),
+    pytest.param("1/(z - 0.5)", ("verify", "--lambda", "2"), -1,
+                 id="pole-verify")])
 def test_a_weight_that_winds_is_a_config_error(tmp_path, capsys, v_expr, argv,
                                                winds):
     code, _, err = _run(tmp_path, capsys,
@@ -180,3 +182,16 @@ def test_a_zero_free_eigenfunction_at_p_3_reads_divergent(tmp_path, capsys):
                            "verify", "--lambda", "9")
     assert code in (0, 1)
     assert _checks(report)["eigenfunction_membership"]["verdict"] == "divergent"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "item 32: eigen_identity_residual is an absolute max deviation, so at "
+    "lambda = 8, where |e^(lambda t) F| reaches 2.2e12 on the grid, round-off "
+    "reads 0.021 against tol 1e-9 although the relative deviation is about "
+    "5e-15; measured against the size of its terms, the identity passes"))
+def test_a_large_eigenfunction_passes_the_eigen_identity(tmp_path, capsys):
+    code, report, _ = _run(tmp_path, capsys,
+                           "p = 2\nmodel = strip_flow\nc = 0.4\ns = 0.7\n",
+                           "verify", "--lambda", "8")
+    assert code == 0
+    assert _checks(report)["eigen_identity_t_1"]["status"] == "pass"
