@@ -331,16 +331,19 @@ def cmd_plot(args):
 # -- report -----------------------------------------------------------------
 
 def cmd_report(args):
-    suite = [ln.strip() for ln in Path(args.suite).read_text().splitlines()
+    # an absolute entry stays as it is under the suite's directory
+    suite = [Path(args.suite).parent / ln.strip()
+             for ln in Path(args.suite).read_text().splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
+    stems = [cfg.stem for cfg in suite]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise ConfigError(f"suite entries share the file stem {stem!r}, "
+                              "so their outputs would overwrite each other")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK
-    for entry in suite:
-        cfg = Path(entry)
-        if not cfg.is_absolute():
-            cfg = Path(args.suite).parent / cfg
-        stem = cfg.stem
+    for cfg, stem in zip(suite, stems):
         s = _load_scenario(cfg)     # one parse serves both commands
         code = max(code, _classify(s, args.t, out / f"{stem}.classify.json",
                                    out / f"{stem}.svg", None),

@@ -3,7 +3,7 @@
 A scenario bundles the conformal representation of the flow (the univalent
 map conjugating the flow to a unit-speed translation), a weight function,
 and the declared boundary fixed-point data.  Every built-in model inverts
-its map in closed form, carries petal anchors computed from it, and builds
+its map in closed form, anchors each petal at zeta (1 - 2^-6), and builds
 its weight from the logs in its map's own tree, so the weight is one
 analytic branch on the disk and shares the map's nodes in a tape;
 `model = expression` inverts by damped Newton continuation along straight
@@ -211,7 +211,6 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
     z = ex.var()
     log = functools.partial(ex.apply_fn, "log")
     params = None
-    midlines = ()   # heights of the petal anchors, placed at Re w = -8
     if name == "strip_flow":
         if a <= 0:
             raise ConfigError("strip_flow parameter a must be positive")
@@ -234,7 +233,6 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
         def inside(w):
             return np.abs(np.imag(w)) < half_height
 
-        midlines = (0.0,)
         params = {"a": a}
 
     elif name == "half_strip":
@@ -275,22 +273,18 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
             W = np.exp(_clamp_re(2.0 * np.asarray(w, dtype=complex)))
             r = np.sqrt(2.0 * W - 1.0)
             q = np.where(np.abs(r - W) > np.abs(r + W), r - W, -r - W)
-            zw = (W - 1.0) / q
-            # far along an orbit z rounds onto a boundary fixed point
-            return np.where(np.abs(zw) < 1.0, zw, zw * (1.0 - 2.0 ** -53))
+            return (W - 1.0) / q
 
         def inside(w):
             w = np.asarray(w, dtype=complex)
             on_slit = (np.imag(w) == 0) & (np.real(w) <= _TRIDENT_SLIT_RE)
             return (np.abs(np.imag(w)) < math.pi / 2) & ~on_slit
 
-        midlines = (math.pi / 4, -math.pi / 4)
-
     else:
         raise ConfigError(f"unknown built-in model {name!r}")
     if a != 1.0 and name != "strip_flow":
         raise ConfigError(f"model {name} does not read parameter a")
-    anchors = [inverse(complex(-8.0, m)) for m in midlines]
+    anchors = [f.zeta * (1.0 - _PROBE_EPS) for f in fps if f.role == REPELLING]
     return Scenario(p, name, h=h, v=v, fixed_points=fps, weights=(c, s, d),
                     closed_inverse=inverse, in_omega=inside,
                     petal_anchors=anchors, params=params)
@@ -490,7 +484,7 @@ _NEWTON_BUDGET = 16         # corrector iterations per leg
 _NEWTON_TOL = 1e-13
 _LEG = 0.25                 # longest leg of a continuation path, in w
 _ORBIT_LEG = 2.0            # longest leg of an inverse's walk from its limit
-_PROBE_EPS = 2.0 ** -6      # expression inverses start from zeta (1 - this)
+_PROBE_EPS = 2.0 ** -6      # inverses and built-in petals start at zeta (1 - this)
 # times a failing leg may be quartered: no walk of the newton benchmark does,
 # and walks past the trident twin's critical value w_c do up to 11 times to
 # the circle |w - w_c| = 1e-12, 15 to targets 1e-12 above and below the slit

@@ -476,7 +476,8 @@ def test_report_with_a_missing_suite_makes_no_output_directory(tmp_path):
 
 def test_report_goes_on_after_a_numerical_failure(tmp_path, capsys):
     # at t = 40 the strip's flow rounds a point onto the unit circle; the
-    # trident after it truncates as it does on its own
+    # trident after it still gets its classification, and its own flow
+    # fails there too
     (tmp_path / "strip.cfg").write_text(STRIP_WEIGHTED_CFG)
     (tmp_path / "tri.cfg").write_text("p = 2\nmodel = trident\nc = 0\n"
                                       "s = 0.1\nd = 0.5\n")
@@ -487,15 +488,29 @@ def test_report_goes_on_after_a_numerical_failure(tmp_path, capsys):
                  "--t", "40"]) == 4
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if not line.startswith("wall time")] == [
-        "numerical failure in strip: FloatingPointError: the time-40 flow "
-        "rounded a point onto the unit circle"]
-    trunc = json.loads((out / "strip.truncate.json").read_text())
-    assert trunc == {"command": "truncate", "error": "the time-40 flow "
-                     "rounded a point onto the unit circle"}
-    for name in ("tri.classify.json", "tri.svg", "tri.truncate.json"):
+        f"numerical failure in {stem}: FloatingPointError: the time-40 flow "
+        "rounded a point onto the unit circle" for stem in ("strip", "tri")]
+    for stem in ("strip", "tri"):
+        trunc = json.loads((out / f"{stem}.truncate.json").read_text())
+        assert trunc == {"command": "truncate", "error": "the time-40 flow "
+                         "rounded a point onto the unit circle"}
+    for name in ("tri.classify.json", "tri.svg"):
         assert (out / name).exists()
-    assert "gelfand_radius" in json.loads(
-        (out / "tri.truncate.json").read_text())
+
+
+def test_report_refuses_entries_that_share_a_file_stem(tmp_path, capsys):
+    # a/m.cfg and b/m.cfg would both write m.classify.json: the suite is
+    # refused before anything is written
+    for sub, model in (("a", "strip_flow"), ("b", "trident")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "m.cfg").write_text(f"p = 2\nmodel = {model}\n")
+    suite = tmp_path / "suite.txt"
+    suite.write_text("a/m.cfg\nb/m.cfg\n")
+    out = tmp_path / "rpt"
+    assert main(["report", "--suite", str(suite), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: suite entries share the file stem 'm'" in err
+    assert not out.exists()
 
 
 def _membership(path):
@@ -602,7 +617,7 @@ def test_verify_skips_orbit_checks_whose_tail_it_cannot_bound(tmp_path):
     assert code == 0
     for name in ("resolvent_residual", "nonsurjectivity_witness"):
         assert checks[name]["status"] == "skipped"
-        assert "at T = 200" in checks[name]["reason"]
+        assert "reached the unit circle" in checks[name]["reason"]
 
 
 def test_a_tiny_orbit_tolerance_skips_the_strip_resolvent(tmp_path):

@@ -509,31 +509,39 @@ def test_witness_step_halving_reproducible(trident_unweighted, monkeypatch):
     assert abs(w1 - w2) < 1e-8
 
 
-def _trident_anchored_near(c, s, d):
-    """The built-in trident with its petal anchors at Re w = -1 instead of
-    -8, so the backward orbit carries a visible share of each K."""
+def _trident_anchored_at(re, c, s, d):
+    """The built-in trident with its petal anchors at Re w = re on the
+    petal midlines Im w = +-pi/4, in place of zeta (1 - 2^-6)."""
     b = make_builtin("trident", 2.0, c=c, s=s, d=d)
-    anchors = [b._closed_inverse(complex(-1.0, m))
+    anchors = [b._closed_inverse(complex(re, m))
                for m in (math.pi / 4, -math.pi / 4)]
-    return b, scenario.Scenario(
+    return scenario.Scenario(
         b.p, b.kind, h=b._h, v=b._v, fixed_points=b.fixed_points,
         weights=b.weights, closed_inverse=b._closed_inverse,
         in_omega=b._in_omega, petal_anchors=anchors, params=b.params)
 
 
+# the weighted rows are item 3's criterion at tol 1e-12: from an anchor
+# within about 1e-7 of -i, K toward -i passes the budget of 2^18 panel
+# estimates on its first orbit panel
 @pytest.mark.parametrize("c,s,d,lam", [(0.0, 0.0, 0.0, -3.0),
-                                       (0.3, 0.6, 0.2, -0.6)])
+                                       (0.3, 0.6, 0.2, -0.6)] + [
+    (c, s, d, lam) for c, s, d in ((0.0, 0.1, 0.5), (0.2, 0.3, 0.3))
+    for lam in (-2.0, -2.4, -2.8)])
 def test_a_repelling_K_does_not_depend_on_its_petal_anchor(c, s, d, lam):
     # K runs from 0 to the fixed point on any path: a straight segment to the
-    # anchor, then its backward orbit.  From Re w = -8 the orbit part is
-    # below 1e-7 of K; from Re w = -1 it is a tenth or more, so an orbit
-    # panel that is off by 1e-8 shows here
+    # anchor, then its backward orbit.  The built-in anchor zeta (1 - 2^-6)
+    # maps to Re w = -2.08, inside each petal and off the slit; from
+    # Re w = -1 the orbit part is a larger share of K and from Re w = -4 a
+    # smaller one, so an orbit panel that is off by 1e-8 shows here
     ident = lambda z: np.asarray(z, dtype=complex)
-    builtin, near = _trident_anchored_near(c, s, d)
+    builtin = make_builtin("trident", 2.0, c=c, s=s, d=d)
     for fp in builtin.repelling_points():
         ref = orbit_integral_K(builtin, lam, ident, fp, tol=1e-12).K
-        got = orbit_integral_K(near, lam, ident, fp, tol=1e-12).K
-        assert abs(got - ref) < 1e-12, fp.zeta
+        for re in (-1.0, -4.0):
+            got = orbit_integral_K(_trident_anchored_at(re, c, s, d), lam,
+                                   ident, fp, tol=1e-12).K
+            assert abs(got - ref) < 1e-12, (fp.zeta, re)
 
 
 def test_witness_degenerate_for_constant_data(trident_unweighted):
@@ -834,13 +842,13 @@ def test_orbit_integral_refuses_lambda_within_the_tail_margin():
 
 def test_orbit_integral_fails_when_no_truncation_time_meets_tol(
         trident_weighted):
-    # the tail bound at the cap T = 200 is about 6e-143; this orbit reaches
-    # the cap only because the trident's closed inverse keeps points that
-    # rounded onto +-i inside the disk (ROADMAP item 3)
-    with pytest.raises(OrbitIntegralError, match="at T = 200") as ei:
+    # the backward orbit rounds onto +-i long before the cap T = 200, which
+    # only slow orbits reach (the strip at a = 0.15 below); the tail loop
+    # stops at its first sample on the circle, with the bound it had there
+    with pytest.raises(OrbitIntegralError, match="reached the unit circle") as ei:
         orbit_integral_K(trident_weighted, -2.5, ONE,
                          trident_weighted.repelling_points()[0], tol=1e-300)
-    assert 0 < ei.value.achieved < 1e-100
+    assert 1e-300 < ei.value.achieved < 1e-20
 
 
 @pytest.mark.parametrize("anchor, shift", [(0, 1.3), (1, -1.3)],

@@ -136,29 +136,18 @@ def test_trident_inverse_round_trip_to_the_slit_tip(trident_weighted):
     assert np.max(np.abs(eval_h_inverse(s, eval_h(s, z)) - z)) < 1e-12
 
 
-def test_trident_inverse_stays_inside_far_along_orbits(trident_weighted):
-    w = np.array([x + 1j * y for x in (300.0, -300.0)
-                  for y in (np.pi / 4, -np.pi / 4, 0.7)])
-    z = eval_h_inverse(trident_weighted, w)
-    assert np.all(np.isfinite(z))
-    assert np.all(np.abs(z) < 1.0)
-
-
 @pytest.mark.parametrize("name,w,limit", [
     ("strip_flow", 1000 + 0.3j, 1.0), ("strip_flow", -1000 + 0.3j, -1.0),
     ("half_strip", 1000 + 0.3j, -1.0), ("trident", 1000 + 0.5j, -1.0),
     ("trident", -1000 + 0.5j, -1j), ("trident", -1000 - 0.5j, 1j)])
 def test_closed_inverse_tends_to_the_boundary_limit(name, w, limit):
-    # the closed form rounds onto the limit (the trident's 2^-53 inside it);
-    # eval_h_inverse hands back no image on the circle
+    # the closed form rounds onto the limit; eval_h_inverse hands back no
+    # image on the circle
     s = make_builtin(name, 2.0)
     z = complex(s._closed_inverse(np.asarray(w)))
     assert abs(z) <= 1.0 and abs(z - limit) < 1e-15
-    if abs(z) < 1.0:
-        assert eval_h_inverse(s, w) == z
-    else:
-        with pytest.raises(InversionError, match="rounded onto the unit circle"):
-            eval_h_inverse(s, w)
+    with pytest.raises(InversionError, match="rounded onto the unit circle"):
+        eval_h_inverse(s, w)
     assert np.isfinite(flow(s, 1000.0, 0.3 + 0.2j))
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from bergspec import numerics, truncation
 from bergspec.cli import main
+from test_cli import _exp_log_twin
 
 STRIP_TWIN_FPS = "fp = (1, 1.0, 0.0, dw)\nfp = (-1, -1.0, 0.0, rep)\n"
 STRIP_TWIN_H = "h_expr = log((1+z)/(1-z))\n"
@@ -145,14 +146,26 @@ def test_a_principal_branch_weight_is_refused(tmp_path, capsys):
     assert "exp(s*log(" in err
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "item 3: the trident's closed inverse keeps points that rounded onto "
-    "the circle 1.1e-16 inside it, so truncate --t 40 reads flow images off "
-    "the orbit and exits 0 where strip and half_strip exit 4"))
 def test_a_flow_rounded_onto_the_circle_fails_the_trident_truncate(
         tmp_path, capsys):
     code, _, err = _run(tmp_path, capsys,
                         "p = 2\nmodel = trident\nc = 0\ns = 0.1\nd = 0.5\n",
+                        "truncate", "--t", "40", "--N", "24")
+    assert code == 4
+    assert "the time-40 flow rounded a point onto the unit circle" in err
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "item 3: the Newton corrector's damping keeps every image inside the "
+    "disk, so the twin's time-40 flow images sit within 4.4e-16 of the "
+    "circle, off the orbit, where the built-in's closed form rounds onto "
+    "it, and truncate --t 40 exits 0 where the built-in exits 4"))
+@pytest.mark.parametrize("model, c, s, d", [
+    ("strip_flow", 0.4, 0.7, 0.0), ("trident", 0.0, 0.1, 0.5)],
+    ids=["strip", "trident"])
+def test_a_flow_rounded_onto_the_circle_fails_the_twin_truncate(
+        tmp_path, capsys, model, c, s, d):
+    code, _, err = _run(tmp_path, capsys, _exp_log_twin(model, c, s, d),
                         "truncate", "--t", "40", "--N", "24")
     assert code == 4
     assert "the time-40 flow rounded a point onto the unit circle" in err
