@@ -9,12 +9,13 @@ analytic branch on the disk and shares the map's nodes in a tape;
 `model = expression` inverts by damped Newton continuation along straight
 paths in the image domain, stepping in u = -i log z, where the unit circle
 is the flat line Im u = 0; every point converges, and retries a failing leg
-in quarters, on its own.  An inverse starts next to its orbit's limit point
-zeta (the Denjoy-Wolff point, or a repelling point for a backward orbit),
-corrects that start in log(zeta - z), and walks out along the orbit, away
-from zeta.  Everything is immutable after construction and safe to evaluate
-concurrently; the only state filled in later is the cache of compiled
-evaluation tapes, where a race merely compiles a tape twice.
+in quarters, on its own.  An inverse, a flow h^-1(h(z) + t) among them,
+starts next to its orbit's limit point zeta (the Denjoy-Wolff point, or a
+repelling point for a backward orbit), corrects that start in log(zeta - z)
+and walks out along the orbit, away from zeta, in legs of 2.  Everything is
+immutable after construction and safe to evaluate concurrently; the only
+state filled in later is the cache of compiled evaluation tapes, where a
+race merely compiles a tape twice.
 """
 
 from __future__ import annotations
@@ -482,14 +483,13 @@ def generator_g(s: Scenario, z):
 
 _NEWTON_BUDGET = 16         # corrector iterations per leg
 _NEWTON_TOL = 1e-13
-_LEG = 0.25                 # longest leg of a continuation path, in w
-_ORBIT_LEG = 2.0            # longest leg of an inverse's walk from its limit
+_LEG = 2.0                  # a walk's full leg, in w
 _PROBE_EPS = 2.0 ** -6      # inverses and built-in petals start at zeta (1 - this)
 # times a failing leg may be quartered: no walk of the newton benchmark does,
 # and walks past the trident twin's critical value w_c do up to 11 times to
 # the circle |w - w_c| = 1e-12, 15 to targets 1e-12 above and below the slit
 _LEG_DEPTH = 16
-_LEG_UNITS = 4 ** _LEG_DEPTH    # finest legs in one longest leg
+_LEG_UNITS = 4 ** _LEG_DEPTH    # finest legs in one full leg
 
 
 def _converged(hj, target):
@@ -546,16 +546,16 @@ def _newton_step_batch(s, z, target, center):
     return z, done
 
 
-def _continuation_invert(s, w, z0, w0, longest=_LEG):
+def _continuation_invert(s, w, z0, w0):
     """Follow straight paths in the image domain from w0 to w, one per point,
-    in legs of its own length: equal legs of at most `longest`, except that a
+    in legs of its own length: equal legs of at most _LEG, except that a
     leg whose corrector fails is retried from its start in quarters, down to
-    longest / 4**_LEG_DEPTH, and after the quarters the longer legs resume.
+    _LEG / 4**_LEG_DEPTH, and after the quarters the longer legs resume.
     The corrector steps in u = -i log z."""
     shape = np.shape(w)
     w, w0, z = (np.array(a, dtype=complex).ravel() for a in (w, w0, z0))
     # progress along each path counts finest legs, so every leg end is exact
-    end = _LEG_UNITS * np.ceil(np.abs(w - w0) / longest).clip(1).astype(np.int64)
+    end = _LEG_UNITS * np.ceil(np.abs(w - w0) / _LEG).clip(1).astype(np.int64)
     pos = np.zeros(w.shape, dtype=np.int64)
     depth = np.zeros(w.shape, dtype=np.int64)
     live = np.arange(w.size)
@@ -576,7 +576,8 @@ def _continuation_invert(s, w, z0, w0, longest=_LEG):
         if lost.any():
             res = float(np.max(np.abs(s._h(zl[lost]) - target[lost])))
             raise InversionError(
-                f"Newton inversion failed to converge (residual {res:.1e})")
+                f"Newton inversion failed to converge toward "
+                f"w = {complex(w[live[lost]][0])} (residual {res:.1e})")
         live = live[pos[live] < end[live]]
     return z.reshape(shape)
 
@@ -588,9 +589,10 @@ def _invert_near(s, w, fp):
     h is -log(zeta - z)/alpha plus a bounded part, so the start
     zeta - (zeta - z_p) exp(-alpha (W - w_p)) is near h^-1(W), and one
     corrector call stepping in log(zeta - z) brings it there.  The walk to
-    w then goes away from zeta in legs of _ORBIT_LEG.  [w, W] lies on the
-    orbit through w: forward since Omega + t lies in Omega for t >= 0,
-    backward since W lies further along w's orbit into the petal.  A start
+    w then goes away from zeta in legs of _LEG.  [w, W] lies on the orbit
+    through w: forward since Omega + t lies in Omega for t >= 0, backward
+    since W lies further along w's orbit into the petal.  A flow's target
+    h(z) + t is such a w too, so a flow is one more inverse.  A start
     that rounds onto zeta, where h is singular, stays there (W = w for it),
     on the circle."""
     zeta = complex(fp.zeta)
@@ -602,8 +604,15 @@ def _invert_near(s, w, fp):
     go = z != zeta
     if go.any():
         z0, _ = _newton_step_batch(s, z[go], W[go], zeta)
-        z[go] = _continuation_invert(s, w[go], z0, W[go], _ORBIT_LEG)
+        z[go] = _continuation_invert(s, w[go], z0, W[go])
     return z
+
+
+def _inverse(s, w, fp):
+    """h^-1(w): a built-in's closed form, else the walk out from next to fp."""
+    if s._closed_inverse is not None:
+        return np.asarray(s._closed_inverse(w), dtype=complex)
+    return _invert_near(s, w, fp)
 
 
 def eval_h_inverse(s: Scenario, w):
@@ -615,10 +624,7 @@ def eval_h_inverse(s: Scenario, w):
     inside = s.in_omega(w_arr)
     if not np.all(inside):
         raise OutsideOmegaError("target point outside the image domain")
-    if s._closed_inverse is not None:
-        z = s._closed_inverse(w_arr)
-    else:
-        z = _invert_near(s, w_arr, s.dw_point())
+    z = _inverse(s, w_arr, s.dw_point())
     on_circle = np.abs(z) >= 1.0
     if np.any(on_circle):
         raise InversionError(f"the inverse of w = {complex(w_arr[on_circle][0])} "
@@ -634,27 +640,20 @@ def orbit(s: Scenario, base, fp: FixedPointDatum, t):
     w = complex(eval_h(s, base)) + sign * np.asarray(t, dtype=float)
     if sign < 0 and not np.all(s.in_omega(w)):
         raise PetalExitError("backward orbit leaves the image domain")
-    if s._closed_inverse is not None:
-        return np.asarray(s._closed_inverse(w), dtype=complex)
-    return _invert_near(s, w, fp)
+    return _inverse(s, w, fp)
 
 
 def flow(s: Scenario, t, z):
-    """Time-t image of z under the semiflow; t < 0 allowed inside a petal."""
+    """Time-t image h^-1(h(z) + t) of z, inverted from next to the
+    Denjoy-Wolff point as every inverse is; t < 0 allowed inside a petal."""
     s._require_evaluable()
     _check_in_disk(z)
     if t == 0:
         return z
-    z_arr = np.asarray(z, dtype=complex)
-    w0 = np.asarray(s._h(z_arr), dtype=complex)
-    w1 = w0 + t
+    w1 = np.asarray(s._h(np.asarray(z, dtype=complex)), dtype=complex) + t
     if t < 0 and not np.all(s.in_omega(w1)):
         raise PetalExitError("backward flow leaves the image domain")
-    if s._closed_inverse is not None:
-        out = s._closed_inverse(w1)
-    else:
-        # the horizontal path from w0 to w0 + t stays in the image domain
-        out = _continuation_invert(s, w1, z_arr, w0)
+    out = _inverse(s, w1, s.dw_point())
     return complex(out) if np.ndim(out) == 0 else out
 
 

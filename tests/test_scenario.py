@@ -259,8 +259,9 @@ def test_continuation_gives_up_on_a_point_that_never_converges(monkeypatch):
         return z, ok & (target.imag != w[0].imag)
 
     monkeypatch.setattr(scenario, "_newton_step_batch", stuck)
-    with pytest.raises(InversionError, match=r"\(residual \d\.\de[-+]\d+\)$"):
+    with pytest.raises(InversionError, match=r"\(residual \d\.\de[-+]\d+\)$") as err:
         scenario._continuation_invert(twin, w + 1.0, z, w)
+    assert f"converge toward w = {complex(w[0] + 1.0)} (" in str(err.value)
     assert len(calls) <= scenario._LEG_DEPTH + 1
 
 
@@ -269,7 +270,7 @@ def test_continuation_resumes_long_legs_after_a_failed_legs_quarters(
     _, twin = _trident_twin()
     z = quasi_random_grid(30, 0.9)
     w = eval_h(twin, z)
-    want = scenario._continuation_invert(twin, w + 1.0, z, w)
+    want = scenario._continuation_invert(twin, w + 8.0, z, w)
     corrector = scenario._newton_step_batch
     calls = []
 
@@ -279,7 +280,7 @@ def test_continuation_resumes_long_legs_after_a_failed_legs_quarters(
         return z, ok & (len(calls) > 1)
 
     monkeypatch.setattr(scenario, "_newton_step_batch", first_leg_fails)
-    got = scenario._continuation_invert(twin, w + 1.0, z, w)
+    got = scenario._continuation_invert(twin, w + 8.0, z, w)
     # the failed first leg in four quarters, then the three long legs left
     assert calls == [30] * 8
     assert np.max(np.abs(got - want)) < 1e-12
@@ -302,10 +303,32 @@ def test_near_circle_flow_takes_long_legs(monkeypatch):
 
     monkeypatch.setattr(scenario, "_newton_step_batch", counted)
     out = flow(twin, 1.0, z)
-    # four 0.25 legs and a few retries, where steps in z took 340 calls
-    assert len(calls) <= 8
+    # the points passed to the corrector: 4,111 in five calls walking legs
+    # of 0.25 from z, where steps in z took 340 calls of 1,024
+    assert sum(calls) <= 4111
     assert np.max(np.abs(out - flow(ref, 1.0, z))) < 1e-10
     assert np.all(np.abs(out) < 1.0)
+
+
+@pytest.mark.parametrize("t", [5.0, 25.0])
+@pytest.mark.parametrize("name,w,h_text,v_text,N", TWINS)
+def test_a_long_flow_costs_a_bounded_number_of_corrector_calls(
+        monkeypatch, name, w, h_text, v_text, N, t):
+    # a flow is inverted from next to the Denjoy-Wolff point, so its
+    # corrector calls do not grow with t
+    ref, twin = _twin(name, w, h_text, v_text)
+    z = quasi_random_grid(64, 0.9)
+    corrector = scenario._newton_step_batch
+    calls = []
+
+    def counted(s, z, target, center):
+        calls.append(z.size)
+        return corrector(s, z, target, center)
+
+    monkeypatch.setattr(scenario, "_newton_step_batch", counted)
+    out = flow(twin, t, z)
+    assert len(calls) <= 4
+    assert np.max(np.abs(out - flow(ref, t, z))) < 1e-12
 
 
 @pytest.mark.parametrize("radius", [1e-3, 0.49, 0.51, 0.98, 0.99, 1 - 1e-6])
