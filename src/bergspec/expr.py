@@ -2,13 +2,14 @@
 
 A Jet carries the value of an analytic function at a point and, at order 1,
 its first derivative, so one evaluation yields h and h' together, or only
-the value when that is all the caller reads.  Each slot is computed by the
-same formula at both orders, so its value does not depend on the order.
-One arithmetic, numpy's, serves every point: a tape evaluates a point set
-as a flat complex array (a scalar as one element), and jets combine only
-with jets, so a point's jet has the same bits however it arrives.  log,
-sqrt and pow take np.log's principal branch; log is computed in real
-arithmetic as log|f| + i·atan2(Im f, Re f), and pow(f, w) as exp(w·log f).
+the value when that is all the caller reads; d1 is None at order 0.  Each
+slot is computed by the same formula at both orders, so its value does not
+depend on the order.  One arithmetic, numpy's, serves every point: a tape
+evaluates a point set as a flat complex array (a scalar as one element),
+and jets combine only with jets, so a point's jet has the same bits however
+it arrives.  log, sqrt and pow take np.log's principal branch; log is
+computed in real arithmetic as log|f| + i·atan2(Im f, Re f), and pow(f, w)
+as exp(w·log f).
 
 Expressions are DAGs: the built-in weights reuse the logs inside the
 conformal map's own tree.  There is no derivative node; a caller that needs
@@ -18,14 +19,15 @@ differences), so a weight's logarithm reuses the logs already in its tree.
 A `Tape` compiles the DAG under one or more roots into a flat post-order
 schedule in which each node, and each set of structurally equal nodes (as
 an expression model's v_expr repeats the logs of its h_expr), appears once.
-Every node is computed at the tape's order, the highest order any root asks
-for, and each root is returned truncated to its own order: its slots are
-bitwise those of a tape at that order.  Evaluating at a point is one
-straight loop over the schedule, so a shared subtree is computed once per
-point however many roots read it.  Each intermediate slot is freed after
-its last reader, from a liveness list made at compile time, so a call holds
-only the live intermediates.  Constants are scalar jets, broadcast to the
-shape of the points only in the returned slots.
+A tape has one truncation order, as forward-mode tapes do (Griewank and
+Walther, Evaluating Derivatives, 2008): it builds its variable and its
+constants at that order and computes and returns every node at it.
+Evaluating at a point is one straight loop over the schedule, so a shared
+subtree is computed once per point however many roots read it.  Each
+intermediate slot is freed after its last reader, from a liveness list made
+at compile time, so a call holds only the live intermediates.  Constants
+are scalar jets, broadcast to the shape of the points only in the returned
+slots.
 """
 
 from __future__ import annotations
@@ -43,48 +45,38 @@ __all__ = ["Jet", "Tape", "AnalyticExpr", "parse_expr", "const", "var", "apply_f
 
 class Jet:
     """Value, and at order 1 the first derivative, of an analytic function
-    at a point; at order 0 d1 is None.  Operations take jets only and
-    compute to the lower order of their operands."""
+    at a point; at order 0 d1 is None.  Operations take jets of one order,
+    as a tape builds its variable and its constants at its one order."""
 
-    __slots__ = ("f", "d1", "order")
+    __slots__ = ("f", "d1")
 
-    def __init__(self, f, d1=0.0, order=1):
+    def __init__(self, f, d1=None):
         self.f = f
-        self.d1 = d1 if order > 0 else None
-        self.order = order
-
-    @staticmethod
-    def variable(z, order):
-        return Jet(z, np.ones_like(z) if order > 0 else None, order)
+        self.d1 = d1
 
     def __add__(self, o):
-        n = min(self.order, o.order)
-        return Jet(self.f + o.f, self.d1 + o.d1 if n > 0 else None, n)
+        return Jet(self.f + o.f, None if self.d1 is None else self.d1 + o.d1)
 
     def __neg__(self):
-        n = self.order
-        return Jet(-self.f, -self.d1 if n > 0 else None, n)
+        return Jet(-self.f, None if self.d1 is None else -self.d1)
 
     def __sub__(self, o):
         # IEEE defines a - b as a + (-b), signed zeros included, so this is
         # bitwise the sum with a negated operand, without the negation pass
-        n = min(self.order, o.order)
-        return Jet(self.f - o.f, self.d1 - o.d1 if n > 0 else None, n)
+        return Jet(self.f - o.f, None if self.d1 is None else self.d1 - o.d1)
 
     def __mul__(self, o):
         f, g = self, o
-        n = min(f.order, g.order)
-        return Jet(f.f * g.f, f.d1 * g.f + f.f * g.d1 if n > 0 else None, n)
+        return Jet(f.f * g.f, None if f.d1 is None else f.d1 * g.f + f.f * g.d1)
 
     def __truediv__(self, o):
         f, g = self, o
-        n = min(f.order, g.order)
         v0 = f.f / g.f
-        return Jet(v0, (f.d1 - v0 * g.d1) / g.f if n > 0 else None, n)
+        return Jet(v0, None if f.d1 is None else (f.d1 - v0 * g.d1) / g.f)
 
     def exp(self):
         e = np.exp(self.f)
-        return Jet(e, e * self.d1 if self.order > 0 else None, self.order)
+        return Jet(e, None if self.d1 is None else e * self.d1)
 
     def log(self):
         """Principal log in real arithmetic, log|f| + i·atan2(Im f, Re f):
@@ -92,7 +84,7 @@ class Jet:
         The cut is np.log's, signed zeros included: -1 - 0i maps to -πi and
         -1 + 0i to +πi.  |f| = 0 exactly when f = 0, so the modulus also
         serves the branch-point check."""
-        f0, f1, n = self.f, self.d1, self.order
+        f0, f1 = self.f, self.d1
         a = np.abs(f0)
         if not a.all():
             raise EvaluationError("log/pow evaluated at a branch point (argument 0)")
@@ -106,13 +98,13 @@ class Jet:
             f0, f1 = (x if x is None else x / two for x in (f0, f1))
             out.real[...] = np.log(np.abs(f0)) + np.log(two)
         np.arctan2(f0.imag, f0.real, out=out.imag)
-        return Jet(out[()], f1 / f0 if n > 0 else None, n)
+        return Jet(out[()], None if f1 is None else f1 / f0)
 
     def sqrt(self):
         if not np.all(self.f):
             raise EvaluationError("sqrt evaluated at a branch point (argument 0)")
         s0 = np.sqrt(self.f)
-        return Jet(s0, self.d1 / (2 * s0) if self.order > 0 else None, self.order)
+        return Jet(s0, None if self.d1 is None else self.d1 / (2 * s0))
 
     def pow(self, w):
         """Principal-branch power exp(w log f) with the exponent w a jet, so
@@ -208,20 +200,19 @@ class Tape:
 
     Every node appears once, and so do nodes that compute the same thing
     (same class, op or name, equal constants and merged children).  Each is
-    computed at the tape's order, 0 or 1, the highest order any root asks
-    for; a slot's value does not depend on that order, so a root truncated
-    to its own order is bitwise that root on a tape of its own.
-    Constants are fixed jets built at compile time.  A call runs one
-    straight loop over the schedule, freeing each computed slot that is not
-    returned after the op that reads it last, and returns one jet per root
-    at the order asked for, every slot an array shaped like z (0-d for a
-    scalar z).
+    computed at the tape's one order, 0 or 1; a slot's value does not
+    depend on that order, so a caller that reads a root only to a lower
+    order reads the bits of that lower order's tape.  The variable and the
+    constants are jets at that order, the constants built at compile time.
+    A call runs one straight loop over the schedule, freeing each computed
+    slot that is not returned after the op that reads it last, and returns
+    one jet per root at the tape's order, every slot an array shaped like z
+    (0-d for a scalar z).
     """
 
-    def __init__(self, exprs, orders):
-        self._orders = tuple(orders)
-        self._order = k = max(self._orders)
-        if k > 1:
+    def __init__(self, exprs, order):
+        self._order = order
+        if order > 1:
             raise ValueError("jets carry derivatives up to order 1")
         self._static = [None]   # slot 0: the variable; constant jets elsewhere
         # (output slot, step, input slot, second input or None), and below
@@ -238,7 +229,7 @@ class Tape:
                 if key not in first:
                     first[key] = 0 if node is _Z else len(self._static)
                     if isinstance(node, _Const):
-                        self._static.append(Jet(node.value, 0j, k))
+                        self._static.append(Jet(node.value, 0j if order else None))
                     elif node is not _Z:
                         self._static.append(None)
                         # a unary step has no second input
@@ -264,14 +255,13 @@ class Tape:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         vals = self._static.copy()
-        vals[0] = Jet.variable(z.ravel(), self._order)
+        vals[0] = Jet(z.ravel(), np.ones(z.size, complex) if self._order else None)
         for out, step, a, b, dead in self._ops:
             vals[out] = step(vals[a]) if b is None else step(vals[a], vals[b])
             for s in dead:
                 vals[s] = None
-        return [Jet(*(_shaped(x, z.shape) for x in (j.f, j.d1)[:k + 1]),
-                    order=k)
-                for j, k in zip((vals[i] for i in self._out), self._orders)]
+        return [Jet(_shaped(vals[i].f, z.shape), _shaped(vals[i].d1, z.shape))
+                for i in self._out]
 
 
 class AnalyticExpr:
@@ -287,7 +277,7 @@ class AnalyticExpr:
         array shaped like z (0-d for a scalar z)."""
         tape = self._tapes.get(order)
         if tape is None:
-            tape = self._tapes[order] = Tape((self,), (order,))
+            tape = self._tapes[order] = Tape((self,), order)
         return tape(z)[0]
 
     def __call__(self, z):

@@ -268,7 +268,7 @@ def eigenfunction(s: Scenario, lam):
     lams = np.asarray(lam, dtype=complex)
 
     def F(z):
-        hj, lj = eval_hl_jets(s, z, 0, 0)
+        hj, lj = eval_hl_jets(s, z, 0)
         # in place, so a call holds one array of the result's size, and row
         # by row, since a broadcast update takes numpy iterator buffers of
         # two rows' size
@@ -384,7 +384,7 @@ def _adaptive_gl(func, a, b, tol):
 def _omega_form(s: Scenario, lam, f, z):
     """The resolvent one-form density e^{-lam h} h' v f = e^{l - lam h} h' f
     at z."""
-    hj, lj = eval_hl_jets(s, z, 1, 0)
+    hj, lj = eval_hl_jets(s, z, 1)
     return np.exp(lj.f - lam * hj.f) * hj.d1 * _eval_f(f, z)
 
 

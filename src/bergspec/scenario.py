@@ -114,7 +114,7 @@ class Scenario:
         # l = log v on no fixed branch (expr.log_of), read only through
         # exp(... +- l) and l' = v'/v
         self._l = ex.log_of(v) if v is not None else None
-        self._tapes = {}   # (h order, l order) -> joint Tape, compiled on first use
+        self._tapes = {}   # order -> joint Tape of h and l, compiled on first use
         self.fixed_points = tuple(fixed_points)
         self.weights = tuple(float(x) for x in weights)
         self._closed_inverse = closed_inverse
@@ -136,11 +136,13 @@ class Scenario:
 
     def _smoke_test(self):
         pts = quasi_random_grid(200, 0.9)
-        back = eval_h_inverse(self, self._h(pts))
-        err = np.max(np.abs(back - pts))
+        hint = "check branch cuts of the supplied expressions"
+        try:
+            err = np.max(np.abs(eval_h_inverse(self, self._h(pts)) - pts))
+        except InversionError as e:
+            raise ConfigError(f"round-trip smoke test failed ({e}); {hint}") from e
         if err > 1e-9:
-            raise ConfigError(f"round-trip smoke test failed (max error {err:.2e}); "
-                              "check branch cuts of the supplied expressions")
+            raise ConfigError(f"round-trip smoke test failed (max error {err:.2e}); {hint}")
 
     def in_omega(self, w):
         """Membership in the image domain, where known."""
@@ -158,7 +160,8 @@ class Scenario:
         """Base point on the backward orbit into the petal attached to fp."""
         key = _fp_key(fp.zeta)
         if key not in self._petal_anchors:
-            raise EvaluationError(f"no petal anchor available for fixed point {fp.zeta}")
+            raise EvaluationError(f"no petal anchor available for fixed point "
+                                  f"{fp.zeta}: add a petal_anchor line near it")
         return self._petal_anchors[key]
 
 
@@ -442,16 +445,15 @@ def eval_h_jet(s: Scenario, z, order):
     return s._h.jet(z, order)
 
 
-def eval_hl_jets(s: Scenario, z, h_order, l_order):
-    """Jets of the conformal map and of l = log v (on no fixed branch) at z,
-    from one pass over their shared tape; for a built-in, l reuses the logs
+def eval_hl_jets(s: Scenario, z, order):
+    """Jets of h and of l = log v (on no fixed branch) at z to `order`, from
+    one pass over their shared tape; for a built-in, l reuses the logs
     inside h, and at d = 0 needs no transcendental function of its own."""
     s._require_evaluable()
     _check_in_disk(z)
-    key = (h_order, l_order)
-    tape = s._tapes.get(key)
+    tape = s._tapes.get(order)
     if tape is None:
-        tape = s._tapes[key] = ex.Tape((s._h, s._l), key)
+        tape = s._tapes[order] = ex.Tape((s._h, s._l), order)
     return tape(z)
 
 
@@ -475,7 +477,7 @@ def generator_G(s: Scenario, z):
 
 def generator_g(s: Scenario, z):
     """g = v'/(v h') = l'/h'."""
-    hj, lj = eval_hl_jets(s, z, 1, 1)
+    hj, lj = eval_hl_jets(s, z, 1)
     return lj.d1 / hj.d1
 
 

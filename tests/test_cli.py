@@ -339,6 +339,26 @@ def test_the_readme_plots_write_an_svg(tmp_path, argv):
     assert svg.read_text().startswith('<?xml')
 
 
+def test_a_one_point_spectral_circle_is_drawn_as_a_circle(tmp_path):
+    # strip_flow at s = 1 (c = 0) has gamma0 = gamma1 = 0: at t = 1 the
+    # operator spectrum holds the circle |z| = e^0 beside the hatched annulus
+    cfg = tmp_path / "strip.cfg"
+    cfg.write_text("p = 2\nmodel = strip_flow\ns = 1\n")
+    svgs = []
+    for name in ("a.svg", "b.svg"):
+        assert main(["plot", "-c", str(cfg), "--what", "operator", "--t", "1",
+                     "--svg", str(tmp_path / name)]) == 0
+        svgs.append((tmp_path / name).read_bytes())
+    assert svgs[0] == svgs[1]
+    circles = [ln for ln in svgs[0].decode().splitlines()
+               if ln.startswith("<circle")]
+    assert circles == ['<circle cx="400.0000" cy="300.0000" r="100.0000" '
+                       'fill="none" stroke="#3465a4" stroke-width="1" '
+                       'data-fill="#3465a4" fill-opacity="0.8000" '
+                       'class="certified"/>']
+    assert 'fill="url(#hatch-unknown)"' in svgs[0].decode()
+
+
 def test_an_unsupported_plot_is_a_coverage_error(tmp_path, capsys):
     cfg, svg = tmp_path / "half.cfg", tmp_path / "r.svg"
     cfg.write_text("p = 2\nmodel = half_strip\n")
@@ -795,6 +815,38 @@ def test_a_tight_orbit_tolerance_certifies_the_strip_resolvent(tmp_path):
 def _growth(path):
     return {(g["zeta"]["re"], g["zeta"]["im"]): g
             for g in json.loads(path.read_text())["growth_exponents"]}
+
+
+def test_a_missing_petal_anchor_names_the_key(tmp_path, capsys):
+    # left of gamma0 the resolvent is anchored at the repelling point -1,
+    # whose backward orbit starts from a petal anchor the config lacks
+    cfg = tmp_path / "twin.cfg"
+    cfg.write_text("".join(ln for ln in _exp_log_twin("strip_flow", 0.4, 0.7)
+                           .splitlines(keepends=True)
+                           if not ln.startswith("petal_anchor")))
+    assert main(["verify", "-c", str(cfg), "--lambda", "-1"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == ("config error: no petal anchor available for fixed "
+                        "point (-1+0j): add a petal_anchor line near it")
+    assert len(lines) == 2 and lines[1].startswith("wall time")
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["verify", "--lambda", "0.5"]],
+                         ids=["classify", "verify"])
+def test_a_map_newton_cannot_invert_fails_the_smoke_test(tmp_path, capsys,
+                                                         argv):
+    # h' = 2/(1-z^2) + 6z vanishes at z = -0.39 and -0.74, so h is not
+    # conformal and Newton inversion fails on the smoke test's grid: a
+    # config error (exit 2), not a numerical failure (exit 4)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("p = 2\nmodel = expression\n"
+                   "h_expr = log(1+z) - log(1-z) + 3*z^2\n"
+                   "fp = (1, 1, 0, dw)\nfp = (-1, -1, 0, rep)\n")
+    assert main([argv[0], "-c", str(cfg), *argv[1:]]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("config error: round-trip smoke test failed "
+                               "(Newton inversion failed to converge")
+    assert len(lines) == 2 and lines[1].startswith("wall time")
 
 
 def test_growth_check_needs_no_petal_anchor(tmp_path):

@@ -1,5 +1,5 @@
-"""Order-aware jets: a jet of order k computes exactly the slots 0..k of the
-order-1 jet, bit for bit, and nothing above them."""
+"""Jets at each order: a jet of order k computes exactly the slots 0..k of
+the order-1 jet, bit for bit, and nothing above them."""
 
 import numpy as np
 import pytest
@@ -45,10 +45,8 @@ def test_each_order_matches_order_three_bitwise(name):
     e = EXPRS[name]
     for z in [POINTS, *SCALARS]:
         full = e.jet(z, 1)
-        assert full.order == 1
         for k in range(2):
             j = e.jet(z, k)
-            assert j.order == k
             for i, slot in enumerate(SLOTS):
                 if i <= k:
                     assert _same(getattr(j, slot), getattr(full, slot)), (k, slot)

@@ -110,8 +110,8 @@ def test_the_circle_is_read_in_sixteen_parts(monkeypatch, make, lams, calls):
 def _hl_jet_sizes(monkeypatch):
     # the point count of each call an eigenfunction makes
     jets, sizes = numerics.eval_hl_jets, []
-    monkeypatch.setattr(numerics, "eval_hl_jets", lambda s, z, *orders: (
-        sizes.append(z.size) or jets(s, z, *orders)))
+    monkeypatch.setattr(numerics, "eval_hl_jets", lambda s, z, order: (
+        sizes.append(z.size) or jets(s, z, order)))
     return sizes
 
 
@@ -182,8 +182,8 @@ def test_a_real_row_reflects_exactly(name):
         2j * np.pi * (S * np.arange(n // S) + 3) / n)
     z = np.concatenate([quasi_random_grid(20000, 0.999), sub])
     np.testing.assert_array_equal(F(z.conj()), F(z).conj())
-    for got, ref in zip(scenario.eval_hl_jets(s, z.conj(), 1, 1),
-                        scenario.eval_hl_jets(s, z, 1, 1)):
+    for got, ref in zip(scenario.eval_hl_jets(s, z.conj(), 1),
+                        scenario.eval_hl_jets(s, z, 1)):
         for slot in ("f", "d1"):
             np.testing.assert_array_equal(getattr(got, slot),
                                           getattr(ref, slot).conj())
@@ -452,14 +452,15 @@ def test_resolvent_gap_anchor_trident(trident_weighted):
     assert np.max(np.abs(F(pts) - each) / np.abs(each)) < 1e-15
 
 
-def _resolvent_residual(s, lam):
-    """Residual of the resolvent certified at lam, anchored as `verify` does."""
+def _resolvent(s, lam, f=ONE):
+    """K and residual of the resolvent of f certified at lam, anchored as
+    `verify` does."""
     if lam > gammas_from(s.fixed_points, s.p).gamma0:
         anchor = s.dw_point()
     else:
         anchor = max(s.repelling_points(), key=lambda fp: fixed_point_gamma(fp, s.p))
-    cert = orbit_integral_K(s, lam, ONE, anchor, tol=1e-9)
-    return residual_check(s, lam, ONE, lambda z: resolvent_apply(s, lam, ONE, cert, z))
+    cert = orbit_integral_K(s, lam, f, anchor, tol=1e-9)
+    return cert.K, residual_check(s, lam, f, lambda z: resolvent_apply(s, lam, f, cert, z))
 
 
 @pytest.mark.parametrize("s_", [0.3, 0.7])
@@ -473,7 +474,17 @@ def test_weighted_resolvent_on_both_sides(name, weights, sides, s_):
     g = gammas_from(s.fixed_points, s.p)
     for side in sides:
         lam = g.gamma0 + 1.0 if side == "right" else g.gamma2 - 1.0
-        assert _resolvent_residual(s, lam) < 1e-5, (side, lam)
+        assert _resolvent(s, lam)[1] < 1e-5, (side, lam)
+
+
+@pytest.mark.parametrize("lam", [2.0, -1.0])
+def test_a_scalar_valued_f_is_broadcast_to_the_points(strip_weighted, lam):
+    # f = 1 returned as one Python float, not an array of the points' shape:
+    # the one-form and the residual broadcast it, so K and the residual are
+    # bitwise those of np.ones_like, right of gamma0 and in the gap
+    got = _resolvent(strip_weighted, lam, lambda z: 1.0)
+    ref = _resolvent(strip_weighted, lam)
+    assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in ref]
 
 
 @pytest.mark.parametrize("s_", [0.3, 0.7])

@@ -35,7 +35,7 @@ POINTS = np.concatenate([quasi_random_grid(320, 0.99),
 @pytest.mark.parametrize("order", range(2))
 @pytest.mark.parametrize("name", sorted(ROOTS))
 def test_a_scalar_point_gets_the_bits_it_gets_in_an_array(name, order):
-    tape = Tape(ROOTS[name], (order, order))
+    tape = Tape(ROOTS[name], order)
     in_array = tape(POINTS)
     for i, z in enumerate(POINTS.tolist()):
         for j, ref in zip(tape(z), in_array):

@@ -170,11 +170,11 @@ def test_a_flow_rounded_onto_the_circle_fails_the_twin_truncate(
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "item 3, the damping bullet: at t = 34 the built-ins' closed forms round "
-    "215 (strip) and 162 (trident) of the 1,024 Cauchy-circle images onto "
-    "the circle and exit 4; the twins' corrector halves every step that "
-    "leaves the disk, so their images stay inside, the nearest 1.1e-16 "
-    "from it, off the orbit, and truncate --t 34 exits 0"))
+    "item 3, the t = 33-34 bullet: at t = 34 the built-ins' closed forms "
+    "round 215 (strip) and 162 (trident) of the 1,024 Cauchy-circle images "
+    "onto the circle and exit 4; the twins' Newton flow halves no step "
+    "there, yet its images all end inside, the nearest 1.1e-16 from the "
+    "circle, off the orbit, and truncate --t 34 exits 0"))
 @TWIN_TRUNCATES
 def test_a_time_34_flow_rounded_onto_the_circle_fails_the_twin_truncate(
         tmp_path, capsys, model, c, s, d):
