@@ -11,14 +11,17 @@ it arrives.  log, sqrt and pow take np.log's principal branch; log is
 computed in real arithmetic as log|f| + i·atan2(Im f, Re f), and pow(f, w)
 as exp(w·log f).
 
-Expressions are DAGs: the built-in weights reuse the logs inside the
-conformal map's own tree.  There is no derivative node; a caller that needs
-h' reads it from the jet of h.  `log_of(e)` folds log e at compile time
-(exp(x) -> x, pow(f, w) -> log(f)*w, products and quotients -> sums and
-differences), so a weight's logarithm reuses the logs already in its tree.
-A `Tape` compiles the DAG under one or more roots into a flat post-order
-schedule in which each node, and each set of structurally equal nodes (as
-an expression model's v_expr repeats the logs of its h_expr), appears once.
+Every expression is parsed from formula text by `parse_expr`, the built-in
+models' too.  Parentheses, calls and signs nest at most _MAX_DEPTH = 100
+deep, and so does the tree, where a chain of sums or products adds a level
+per operator.  There is no derivative node; a caller that needs h' reads it
+from the jet of h.  `log_of(e)` folds log e at compile time (exp(x) -> x,
+pow(f, w) -> log(f)*w, products and quotients -> sums and differences), so
+a weight's logarithm reuses the logs already in its tree.  A `Tape`
+compiles the DAG under one or more roots into a flat post-order schedule in
+which each node, and each set of structurally equal nodes, appears once: a
+weight's text that repeats the logs of its map's text, as every built-in's
+does, computes them once.
 A tape has one truncation order, as forward-mode tapes do (Griewank and
 Walther, Evaluating Derivatives, 2008): it builds its variable and its
 constants at that order and computes and returns every node at it.
@@ -39,8 +42,7 @@ import numpy as np
 
 from .errors import EvaluationError, ExprSyntaxError
 
-__all__ = ["Jet", "Tape", "AnalyticExpr", "parse_expr", "const", "var", "apply_fn",
-           "log_of"]
+__all__ = ["Jet", "Tape", "AnalyticExpr", "parse_expr", "log_of"]
 
 
 class Jet:
@@ -116,26 +118,20 @@ class Jet:
 #
 # Nodes only describe the DAG; `Tape` evaluates it.  A tape computes every
 # node at its one order: the node reads its children at that order and maps
-# their jets to its own with `step()`.
+# their jets to its own with `step()`.  A node's depth is its longest path
+# down to a leaf.
 
 class _Node:
     children = ()
+    depth = 0
 
 
 class _Const(_Node):
     def __init__(self, value):
         self.value = complex(value)
 
-    def __repr__(self):
-        return f"{self.value}"
 
-
-class _Var(_Node):
-    def __repr__(self):
-        return "z"
-
-
-_Z = _Var()  # every tree shares one variable node, so a tape computes it once
+_Z = _Node()    # the variable z: one node, shared by every tree
 
 _BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
             "/": operator.truediv}
@@ -145,36 +141,29 @@ class _Bin(_Node):
     def __init__(self, op, left, right):
         self.op = op
         self.children = (left, right)
+        self.depth = 1 + max(left.depth, right.depth)
 
     def step(self):
         return _BIN_OPS[self.op]
-
-    def __repr__(self):
-        left, right = self.children
-        return f"({left} {self.op} {right})"
 
 
 class _Neg(_Node):
     def __init__(self, child):
         self.children = (child,)
+        self.depth = 1 + child.depth
 
     def step(self):
         return operator.neg
-
-    def __repr__(self):
-        return f"(-{self.children[0]})"
 
 
 class _Fn(_Node):
     def __init__(self, name, args):
         self.name = name
         self.children = tuple(args)
+        self.depth = 1 + max(c.depth for c in self.children)
 
     def step(self):
         return getattr(Jet, self.name)
-
-    def __repr__(self):
-        return f"{self.name}({', '.join(map(repr, self.children))})"
 
 
 def _structure(node, children):
@@ -284,31 +273,7 @@ class AnalyticExpr:
         return self.jet(z, 0).f
 
     def __repr__(self):
-        return f"AnalyticExpr({self._text or self._root!r})"
-
-
-# --- programmatic constructors (used for built-in models) -------------------
-
-def const(c) -> AnalyticExpr:
-    return AnalyticExpr(_Const(c))
-
-
-def var() -> AnalyticExpr:
-    return AnalyticExpr(_Z)
-
-
-def _wrap(x):
-    if isinstance(x, AnalyticExpr):
-        return x._root
-    return _Const(x)
-
-
-def combine(op, a, b) -> AnalyticExpr:
-    return AnalyticExpr(_Bin(op, _wrap(a), _wrap(b)))
-
-
-def apply_fn(name, *args) -> AnalyticExpr:
-    return AnalyticExpr(_Fn(name, [_wrap(a) for a in args]))
+        return f"AnalyticExpr({self._text!r})"
 
 
 def log_of(e: AnalyticExpr) -> AnalyticExpr:
@@ -336,35 +301,19 @@ def _log_node(node):
     return _Fn("log", [node])
 
 
-def _add_ops():
-    def mk(op):
-        def f(self, other):
-            return combine(op, self, other)
-
-        def rf(self, other):
-            return combine(op, other, self)
-
-        return f, rf
-
-    for op, name in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv")):
-        f, rf = mk(op)
-        setattr(AnalyticExpr, f"__{name}__", f)
-        setattr(AnalyticExpr, f"__r{name}__", rf)
-    AnalyticExpr.__neg__ = lambda self: AnalyticExpr(_Neg(self._root))
-
-
-_add_ops()
-
-
 # --- parser -----------------------------------------------------------------
 
 _FUNCS = {"exp": 1, "log": 1, "sqrt": 1, "pow": 2}
+# how deep parentheses, calls and signs, and a tree, may nest: the parser
+# takes some six frames a level, the walks over a tree one, of Python's 1,000
+_MAX_DEPTH = 100
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
         raise ExprSyntaxError(msg, self.pos + 1)
@@ -383,33 +332,37 @@ class _Parser:
         node = self.expr()
         if self.peek():
             self.error(f"unexpected character '{self.peek()}'")
+        if node.depth > _MAX_DEPTH:
+            self.error(f"expression nested deeper than {_MAX_DEPTH} levels")
         return node
 
     def expr(self) -> _Node:
         node = self.term()
-        while self.peek() and self.peek() in "+-":
-            op = self.text[self.pos]
+        while (op := self.peek()) in ("+", "-"):
             self.pos += 1
             node = _Bin(op, node, self.term())
         return node
 
     def term(self) -> _Node:
         node = self.unary()
-        while self.peek() and self.peek() in "*/":
-            op = self.text[self.pos]
+        while (op := self.peek()) in ("*", "/"):
             self.pos += 1
             node = _Bin(op, node, self.unary())
         return node
 
     def unary(self) -> _Node:
+        if self.depth > _MAX_DEPTH:     # every nesting passes through here
+            self.error(f"expression nested deeper than {_MAX_DEPTH} levels")
+        self.depth += 1
         ch = self.peek()
-        if ch == "-":
+        if ch in ("-", "+"):
             self.pos += 1
-            return _Neg(self.unary())
-        if ch == "+":
-            self.pos += 1
-            return self.unary()
-        return self.power()
+            node = self.unary()
+            node = _Neg(node) if ch == "-" else node
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> _Node:
         """base^n as products by repeated squaring, branch free: 1/base^-n

@@ -25,12 +25,10 @@ logs inside h.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import EvaluationError, OrbitIntegralError, WindingError
 from .regions import fixed_point_gamma
@@ -296,20 +294,24 @@ def eigen_identity_residual(s: Scenario, lam, t):
 
 # -- adaptive quadrature ----------------------------------------------------
 
-_GL_ORDER = 12           # Gauss-Legendre points per panel
 _GL_MAX_DEPTH = 48       # halvings of an interval before a panel must pass
 _GL_BUDGET = 2 ** 18     # panel estimates per call: bounds its time and memory
 _GL_CHUNK = 128          # panels per integrand call: bounds the batch's memory
-# the rule is made on first use: leggauss calls LAPACK, whose first call costs
-# memory that a run with no quadrature (truncate, report) need not pay
-_gl_rule = functools.cache(lambda: leggauss(_GL_ORDER))
+# the 12-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(12) bit for
+# bit, from its positive nodes and their weights: the nodes are odd, the
+# weights even
+_GL_X = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                  0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_W = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                  0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+_GL_X, _GL_W = np.r_[-_GL_X[::-1], _GL_X], np.r_[_GL_W[::-1], _GL_W]
 
 
 def _adaptive_gl(func, a, b, tol):
     """Adaptive composite Gauss-Legendre on many intervals a_k < b_k at once;
     returns one complex value per interval.
 
-    func(x, i) gives the integrand at nodes x, one row of _GL_ORDER nodes per
+    func(x, i) gives the integrand at nodes x, one row of 12 nodes per
     panel, of panels on intervals i.  Every live panel is halved in one
     batched pass, and accepted once its halves change its estimate by at most
     its tolerance (tol_k, halved with each split).  An interval's accepted
@@ -317,12 +319,10 @@ def _adaptive_gl(func, a, b, tol):
     its value does not depend on the other intervals.  A non-finite estimate,
     a panel not accepted at depth _GL_MAX_DEPTH, or a depth that would take
     the call past _GL_BUDGET panel estimates raises OrbitIntegralError."""
-    xg, wg = _gl_rule()
-
     def estimate(lo, hi, i):
         half = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[:, None] + half[:, None] * xg
-        w = half[:, None] * wg
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_X
+        w = half[:, None] * _GL_W
         out = np.empty(lo.size, dtype=complex)
         for c in range(0, lo.size, _GL_CHUNK):
             part = slice(c, c + _GL_CHUNK)

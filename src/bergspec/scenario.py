@@ -2,10 +2,11 @@
 
 A scenario bundles the conformal representation of the flow (the univalent
 map conjugating the flow to a unit-speed translation), a weight function,
-and the declared boundary fixed-point data.  Every built-in model inverts
-its map in closed form, anchors each petal at zeta (1 - 2^-6), and builds
-its weight from the logs in its map's own tree, so the weight is one
-analytic branch on the disk and shares the map's nodes in a tape;
+and the declared boundary fixed-point data.  Every model's map and weight
+are formula text, parsed by `expr.parse_expr`.  A built-in model writes its
+weight in the logs of its map's formula, so the weight is one analytic
+branch on the disk and a tape computes those logs once; it inverts its map
+in closed form and anchors each petal at zeta (1 - 2^-6).
 `model = expression` inverts by damped Newton continuation along straight
 paths in the image domain, stepping in u = -i log z, where the unit circle
 is the flat line Im u = 0; every point converges, and retries a failing leg
@@ -21,7 +22,6 @@ race merely compiles a tape twice.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +31,7 @@ from . import expr as ex
 from .errors import (
     ConfigError,
     EvaluationError,
+    ExprSyntaxError,
     InversionError,
     ModelInconsistencyError,
     OutsideOmegaError,
@@ -191,38 +192,39 @@ def _clamp_re(u):
     return u
 
 
-def _weight_exprs(h, log_dh, d_factor, c, s, d):
-    """v = e^{c h} (+-h')^{-s} d_factor^d, the middle factor as exp(-s L)
-    with L = log_dh an analytic log of +-h' on the disk: a principal-branch
-    pow(h', -s) jumps where h' is negative real.  The sign of +-h' scales v
-    by a constant, which cancels in the cocycle, in g = v'/(v h') and in the
-    resolvent."""
-    v = None
+def _lit(x):
+    """x as formula text that parses to the constant x bit for bit: a
+    negative x as (0-|x|), since a unary minus would also flip the sign of
+    the zero imaginary part."""
+    x = float(x)
+    return repr(x) if x >= 0 else f"(0-{-x!r})"
 
-    def mul(acc, f):
-        return f if acc is None else acc * f
 
-    if c != 0.0:
-        v = mul(v, ex.apply_fn("exp", h * c))
-    if s != 0.0:
-        v = mul(v, ex.apply_fn("exp", log_dh * -s))
-    if d != 0.0:
-        v = mul(v, ex.apply_fn("pow", d_factor, d))
-    return v if v is not None else ex.const(1.0)
+def _weight_text(h, log_dh, d_factor, c, s, d):
+    """v = e^{c h} (+-h')^{-s} d_factor^d as formula text, the middle factor
+    as exp(-s L) with L = log_dh an analytic log of +-h' on the disk: a
+    principal-branch pow(h', -s) jumps where h' is negative real.  The sign
+    of +-h' scales v by a constant, which cancels in the cocycle, in
+    g = v'/(v h') and in the resolvent."""
+    factors = [f"exp(({h}) * {_lit(c)})" if c else "",
+               f"exp(({log_dh}) * {_lit(-s)})" if s else "",
+               f"pow({d_factor}, {_lit(d)})" if d else ""]
+    return " * ".join(f for f in factors if f) or "1"
 
 
 def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
-    z = ex.var()
-    log = functools.partial(ex.apply_fn, "log")
+    """A built-in model: h and v as formula text, parsed as an expression
+    model's h_expr and v_expr are, with the closed-form inverse, the image
+    domain's membership test and the fixed points.  v is written in the
+    logs of h's formula, which the (h, l) tape merges and computes once."""
     params = None
     if name == "strip_flow":
-        if a <= 0:
-            raise ConfigError("strip_flow parameter a must be positive")
-        zp = 1 + z
-        log_p, log_m = log(zp), log(1 - z)
-        h = (log_p - log_m) * (1.0 / a)
+        if not (a > 0 and math.isfinite(1.0 / a)):
+            raise ConfigError("strip_flow parameter a must be positive, with 1/a finite")
+        h = f"(log(1 + z) - log(1 - z)) * {_lit(1.0 / a)}"
         # h' = 2 / (a (1-z)(1+z))
-        v = _weight_exprs(h, math.log(2.0 / a) - log_m - log_p, zp, c, s, d)
+        v = _weight_text(h, f"{_lit(math.log(2.0 / a))} - log(1 - z) - log(1 + z)",
+                         "1 + z", c, s, d)
         fps = (
             FixedPointDatum(1.0 + 0j, a, c - s * a, role=DENJOY_WOLFF),
             FixedPointDatum(-1.0 + 0j, -a, c + a * (s + d), role=REPELLING),
@@ -240,16 +242,16 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
         params = {"a": a}
 
     elif name == "half_strip":
-        zp, zm = 1 + z, 1 - z
-        u = zm / zp
-        root = ex.apply_fn("sqrt", 1 + u * u)
-        h = log(u + root) - _LOG_SQRT2P1
+        u = "((1 - z) / (1 + z))"
+        root = f"sqrt(1 + {u}^2)"
+        h = f"log({u} + {root}) - {_lit(_LOG_SQRT2P1)}"
         # -h' = 2 / ((1+z)^2 root), and (1+z)^2 root = sqrt2 (1+z) sqrt(1+z^2)
         # has its argument in (-3pi/4, 3pi/4), so one principal log serves.
         # No repelling point here: the d factor anchors at the regular
         # boundary point z = 1, where it stays bounded and leaves the
         # invariants untouched
-        v = _weight_exprs(h, math.log(2.0) - log(zp * zp * root), zm, c, s, d)
+        v = _weight_text(h, f"{_lit(math.log(2.0))} - log((1 + z)^2 * {root})",
+                         "1 - z", c, s, d)
         fps = (FixedPointDatum(-1.0 + 0j, 1.0, c - s, role=DENJOY_WOLFF),)
 
         def inverse(w):
@@ -260,10 +262,10 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
             return (np.abs(np.imag(w)) < math.pi / 2) & (np.real(w) > -_LOG_SQRT2P1)
 
     elif name == "trident":
-        log_sq, log_p = log(1 + z * z), log(1 + z)
-        h = log_sq * 0.5 - log_p
+        h = "log(1 + z^2) * 0.5 - log(1 + z)"
         # -h' = (1-z) / ((1+z^2)(1+z))
-        v = _weight_exprs(h, log(1 - z) - log_sq - log_p, z - 1j, c, s, d)
+        v = _weight_text(h, "log(1 - z) - log(1 + z^2) - log(1 + z)", "z - i",
+                         c, s, d)
         fps = (
             FixedPointDatum(-1.0 + 0j, 1.0, c - s, role=DENJOY_WOLFF),
             FixedPointDatum(1j, -2.0, c + 2 * (s + d), role=REPELLING),
@@ -289,7 +291,8 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
     if a != 1.0 and name != "strip_flow":
         raise ConfigError(f"model {name} does not read parameter a")
     anchors = [f.zeta * (1.0 - _PROBE_EPS) for f in fps if f.role == REPELLING]
-    return Scenario(p, name, h=h, v=v, fixed_points=fps, weights=(c, s, d),
+    return Scenario(p, name, h=ex.parse_expr(h), v=ex.parse_expr(v),
+                    fixed_points=fps, weights=(c, s, d),
                     closed_inverse=inverse, in_omega=inside,
                     petal_anchors=anchors, params=params)
 
@@ -425,9 +428,13 @@ def parse_scenario(config_text: str) -> Scenario:
             raise ConfigError("expression model requires h_expr")
         if not fps:
             raise ConfigError("expression model requires fp lines")
-        h = ex.parse_expr(values["h_expr"])
-        v = ex.parse_expr(values.get("v_expr", "1"))
-        return make_expression(p, h, v, fps, petal_anchors=anchors)
+        exprs = []
+        for key in ("h_expr", "v_expr"):
+            try:
+                exprs.append(ex.parse_expr(values.get(key, "1")))
+            except ExprSyntaxError as e:
+                raise ExprSyntaxError(f"{key}: {e}") from e
+        return make_expression(p, *exprs, fps, petal_anchors=anchors)
     return make_builtin(model, p, a=num("a", 1.0), c=num("c"), s=num("s"), d=num("d"))
 
 

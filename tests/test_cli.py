@@ -676,6 +676,9 @@ _EXP_LOG = {
                    "1+z"),
     "trident": ("0.5*log(1+z^2) - log(1+z)",
                 "log(1-z) - log(1+z^2) - log(1+z)", "z - i"),
+    "half_strip": ("log((1-z)/(1+z) + sqrt(1 + ((1-z)/(1+z))^2))"
+                   " - log(1 + sqrt(2))",
+                   "log(2) - log((1+z)^2 * sqrt(1 + ((1-z)/(1+z))^2))", "1-z"),
 }
 
 
@@ -721,6 +724,9 @@ def test_the_strip_and_its_twin_skip_a_tiny_orbit_tolerance_alike(tmp_path,
 # the parity table: each built-in against its exp-log twin, at lambda 0.3
 # and 0.02 below and above every finite gamma of the built-in
 PARITY_TWINS = [("strip_flow", 0.4, 0.7, 0.15), ("trident", 0.0, 0.1, 0.5)]
+# the half_strip, which has no repelling point, at lambda 0.3 either side of
+# its gamma_0 = 0.7 only
+HALF_STRIP_TWIN = ("half_strip", 0.3, 0.6, 0.2)
 
 
 def _parity_rows():
@@ -733,6 +739,8 @@ def _parity_rows():
             for dx in (-0.3, -0.02, 0.02, 0.3):
                 lam = round(gamma + dx, 6)
                 yield pytest.param(model, c, s, d, lam, id=f"{model}-{lam:g}")
+    for lam in (0.4, 1.0):
+        yield pytest.param(*HALF_STRIP_TWIN, lam, id=f"half_strip-{lam:g}")
 
 
 def _verify_json(tmp_path, cfg_text, lam):
@@ -767,15 +775,18 @@ def test_a_builtin_and_its_exp_log_twin_verify_alike(tmp_path, model, c, s, d,
                        - complex(y["K"]["re"], y["K"]["im"])) <= 1e-8
 
 
-@pytest.mark.parametrize("model, c, s, d", PARITY_TWINS,
-                         ids=[twin[0] for twin in PARITY_TWINS])
+@pytest.mark.parametrize("model, c, s, d, N",
+                         [(*twin, 60) for twin in PARITY_TWINS]
+                         + [(*HALF_STRIP_TWIN, 24)],
+                         ids=[twin[0] for twin in PARITY_TWINS]
+                         + [HALF_STRIP_TWIN[0]])
 def test_a_builtin_and_its_exp_log_twin_truncate_alike(tmp_path, monkeypatch,
-                                                      model, c, s, d):
-    # item 26's truncate row: the same exit code and section dtype, the
-    # Gelfand radius and the largest eigenvalue modulus within 1e-10 and
-    # every sequence entry within 1e-9, relative.  A row that comes to
-    # disagree is marked with the roadmap item that owns the defect, never
-    # dropped
+                                                      model, c, s, d, N):
+    # item 26's truncate rows, at N = 60 and the half_strip's at N = 24: the
+    # same exit code and section dtype, the Gelfand radius and the largest
+    # eigenvalue modulus within 1e-10 and every sequence entry within 1e-9,
+    # relative.  A row that comes to disagree is marked with the roadmap
+    # item that owns the defect, never dropped
     dtypes = []
     exact = truncation.build_matrix
 
@@ -790,7 +801,7 @@ def test_a_builtin_and_its_exp_log_twin_truncate_alike(tmp_path, monkeypatch,
                      f"d = {d!r}\n", _exp_log_twin(model, c, s, d)):
         cfg, out = tmp_path / "s.cfg", tmp_path / "t.json"
         cfg.write_text(cfg_text)
-        code = main(["truncate", "-c", str(cfg), "--t", "1", "--N", "60",
+        code = main(["truncate", "-c", str(cfg), "--t", "1", "--N", str(N),
                      "--json", str(out)])
         runs.append((code, json.loads(out.read_text())))
     (code, ref), (twin_code, twin) = runs
@@ -944,3 +955,23 @@ def test_calls_in_one_process_share_no_options(tmp_path, strip_cfg):
     assert [c["check"] for c in second["results"][0]["checks"]
             if c["check"].startswith("eigen_identity")] == [
         "eigen_identity_t_1"]
+
+
+@pytest.mark.parametrize("key, body", [
+    ("h_expr", "h_expr = " + "(" * 2000 + "z" + ")" * 2000),
+    ("h_expr", "h_expr = " + "+".join(["z"] * 2000)),
+    ("v_expr", "h_expr = log((1+z)/(1-z))\nv_expr = "
+     + "*".join(["(1+z)"] * 2000)),
+], ids=["parentheses", "sum", "product"])
+def test_an_expression_nested_too_deep_is_a_config_error(tmp_path, capsys,
+                                                         key, body):
+    # each overflowed a recursion, the parser's, a tape's compile and
+    # log_of's, and ended in a traceback with exit 1
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(f"p = 2\nmodel = expression\n{body}\n"
+                   "fp = (1, 2, 0, dw)\nfp = (-1, -2, 0, rep)\n")
+    assert main(["classify", "-c", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("wall time: ")
+    assert lines[0].startswith(f"config error: {key}: expression nested "
+                               "deeper than 100 levels")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bergspec.errors import EvaluationError, ExprSyntaxError
-from bergspec.expr import parse_expr
+from bergspec.expr import Tape, log_of, parse_expr
 
 
 def _fd_deriv(f, z, h=1e-5):
@@ -129,3 +129,29 @@ def test_negative_and_zero_integer_powers(order):
     assert np.all(j.f == 1)
     if order:
         assert np.all(j.d1 == 0)
+
+
+# 100 levels each: parentheses, calls, signs, and a sum and a product, whose
+# trees nest a level per operator, over the depth of their operands
+AT_THE_LIMIT = ["(" * 100 + "z" + ")" * 100, "sqrt(" * 100 + "z" + ")" * 100,
+                "-" * 100 + "z", "+".join(["z"] * 101),
+                "*".join(["(1+z)"] * 100)]
+
+
+@pytest.mark.parametrize("text", AT_THE_LIMIT,
+                         ids=["parentheses", "calls", "signs", "sum", "product"])
+def test_nesting_at_the_limit_parses_and_evaluates(text):
+    e = parse_expr(text)
+    l = log_of(e)
+    z = np.array([0.1 + 0.2j, -0.3j])
+    hj, lj = Tape((e, l), 1)(z)
+    assert np.all(np.isfinite(hj.f)) and np.all(np.isfinite(lj.d1))
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 101 + "z" + ")" * 101, "sqrt(" * 101 + "z" + ")" * 101,
+    "-" * 101 + "z", "+".join(["z"] * 102), "*".join(["(1+z)"] * 101)],
+    ids=["parentheses", "calls", "signs", "sum", "product"])
+def test_nesting_past_the_limit_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels"):
+        parse_expr(text)

@@ -161,7 +161,7 @@ def test_formula_text_parses_or_is_a_config_error(work, text):
                    "fp = (1, 1, 0, dw)\n", encoding="utf-8")
     code, lines = _run(["classify", "-c", str(cfg)])
     assert code == 2
-    assert lines[:-1] == [f"config error: {err}"]
+    assert lines[:-1] == [f"config error: h_expr: {err}"]
 
 
 # values each option rejects: negative, non-finite or malformed

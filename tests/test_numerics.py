@@ -1,11 +1,14 @@
 """Taylor-block membership, orbit-integral resolvents, growth exponents."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,6 +565,21 @@ def test_witness_degenerate_for_constant_data(trident_unweighted):
 
 
 # -- adaptive quadrature ----------------------------------------------------
+
+def test_the_gauss_legendre_table_is_numpys_rule():
+    # six nodes and weights mirrored stand for leggauss(12), so importing
+    # bergspec loads no numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(12)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(numerics._GL_X - x)) <= 2 * eps
+    assert np.max(np.abs(numerics._GL_W - w)) <= 2 * eps
+    src = str(Path(numerics.__file__).parents[1])
+    probe = ("import sys, bergspec; "
+             "sys.exit('numpy.polynomial' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+
 
 def _depth_first_gl(func, a, b, tol, order=12, max_depth=48):
     """Scalar reference: the depth-first recursion, one interval at a time."""

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bergspec import scenario
+from bergspec import numerics, scenario
 from bergspec.errors import (ConfigError, EvaluationError, InversionError,
                              ModelInconsistencyError, OutsideOmegaError,
                              PetalExitError)
@@ -206,6 +206,54 @@ def test_expression_twin_matches_builtin(name, w, h_text, v_text, N):
     if N is not None:
         diff = build_matrix(twin, 1.0, N).entries - build_matrix(ref, 1.0, N).entries
         assert np.max(np.abs(diff)) < 1e-10
+
+
+# -- a built-in and an expression model that holds its text ----------------
+
+OWN_TEXT = [("strip_flow", dict(c=0.38, s=0.69)),
+            ("strip_flow", dict(c=0.4, s=0.7, d=0.15)),
+            ("half_strip", dict(c=0.3, s=0.6)),
+            ("half_strip", dict(c=-0.2, s=0.4, d=0.5)),
+            ("trident", dict(c=-0.014, s=0.119, d=0.486)),
+            ("trident", dict(c=0.2, s=-0.3))]
+
+
+def _own_text_config(s):
+    """A model = expression config of a built-in: its h and v text, fixed
+    points and petal anchors."""
+    roles = {"denjoy_wolff": "dw", "repelling": "rep"}
+    lines = ["p = 2", "model = expression", f"h_expr = {s._h._text}",
+             f"v_expr = {s._v._text}"]
+    lines += [f"fp = ({f.zeta.real!r}{f.zeta.imag:+}i, {f.alpha!r}, "
+              f"{f.beta_re!r}, {roles[f.role]})" for f in s.fixed_points]
+    lines += [f"petal_anchor = {a.real!r}{a.imag:+}i"
+              for a in map(s.petal_anchor, s.repelling_points())]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, w", OWN_TEXT,
+                         ids=[f"{n}-{'-'.join(map(str, w.values()))}"
+                              for n, w in OWN_TEXT])
+def test_a_builtin_and_its_own_text_agree_bitwise(name, w):
+    # every built-in's h and v are parsed formula text, so an expression
+    # model of that text runs the same tape: the same (h, l) jets bit for
+    # bit on a ring sub-circle, and the same ring verdicts, since the ring
+    # reads only the tape and never inverts
+    ref = make_builtin(name, 2.0, **w)
+    twin = parse_scenario(_own_text_config(ref))
+    assert (twin._h._text, twin._v._text) == (ref._h._text, ref._v._text)
+    n, S = numerics._SAMPLES, numerics._SUBCIRCLES
+    z = np.exp(-1.0 / numerics._TAYLOR_J) * np.exp(
+        2j * np.pi * (1 + S * np.arange(n // S)) / n)
+    for k in (0, 1):
+        for a, b in zip(scenario.eval_hl_jets(ref, z, k),
+                        scenario.eval_hl_jets(twin, z, k)):
+            assert a.f.tobytes() == b.f.tobytes()
+            assert (a.d1 is None and b.d1 is None) or (
+                a.d1.tobytes() == b.d1.tobytes())
+    lams = [-1.0, 0.2, 0.9 + 0.5j, 2.0]
+    assert (numerics.ap_norm_rings(twin, numerics.eigenfunction(twin, lams))
+            == numerics.ap_norm_rings(ref, numerics.eigenfunction(ref, lams)))
 
 
 # flowing two points of this circle by t = 1 passes the trident's slit tip
@@ -573,6 +621,22 @@ def test_make_builtin_rejects_a_the_model_ignores(name):
         make_builtin(name, 2.0, a=3.0)
     assert make_builtin(name, 2.0, a=1.0).kind == name
     assert make_builtin("strip_flow", 2.0, a=3.0).params == {"a": 3.0}
+
+
+@pytest.mark.parametrize("x", [0.4, -0.7, 0.0, 5e-324, -1e300, 2.0 / 3.0])
+def test_a_builtin_number_parses_to_its_float_bit_for_bit(x):
+    # a negative number is written (0-|x|): a unary minus would also make
+    # the zero imaginary part -0.0, and the built-in weights change bits
+    got = complex(parse_expr(scenario._lit(x))(0.0))
+    assert got.real.hex() == x.hex()
+    assert got.imag == 0.0 and not np.signbit(got.imag)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, 1e-310, float("nan")])
+def test_strip_flow_rejects_an_a_whose_inverse_is_not_finite(a):
+    # h is written with the number 1/a, and inf is no formula text
+    with pytest.raises(ConfigError, match="must be positive, with 1/a finite"):
+        make_builtin("strip_flow", 2.0, a=a)
 
 
 def test_parse_scenario_parametric_and_expression():
