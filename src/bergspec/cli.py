@@ -4,12 +4,13 @@ Subcommands: classify | verify | truncate | plot | report.  JSON output uses
 12-significant-digit floats with a "-inf" sentinel and fixed key order, so
 identical inputs produce byte-identical files; wall time goes to stderr only.
 Exit codes: 0 ok, 1 verification failure, 2 config error or bad argument,
-3 theorem-coverage error, 4 numerical failure (Newton inversion or orbit
-integral failed, LinAlgError, a flow rounded onto the unit circle, float
-overflow or division by zero, or a winding eigenfunction); codes 2 to 4
-come with a one-line message on stderr, never a traceback.  `report` ranks
-its entries' codes 0 < 3 < 1 < 4 and keeps the worst; a truncate that
-fails numerically writes its error to the entry's JSON, and the next runs.
+3 theorem-coverage error or a truncate time its section cannot resolve,
+4 numerical failure (Newton inversion or orbit integral failed,
+LinAlgError, a flow rounded onto the unit circle, float overflow or
+division by zero, or a winding eigenfunction); codes 2 to 4 come with a
+one-line message on stderr, never a traceback.  `report` ranks its
+entries' codes 0 < 3 < 1 < 4 and keeps the worst; a truncate that exits 3
+or 4 writes its error to the entry's JSON, and the next runs.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import numbers
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-import numpy as np
-
 from . import numerics, regions, truncation
+from ._lazy import np
 from .errors import (BergspecError, ConfigError, CoverageError,
                      EvaluationError, OrbitIntegralError)
 from .regions import fixed_point_gamma, gammas_from
@@ -39,11 +40,15 @@ EXIT_NUMERICAL = 4
 # `report` keeps the most severe code of its entries, in this order: a failed
 # check or a numerical failure outranks a coverage exit
 _SEVERITY = (EXIT_OK, EXIT_COVERAGE, EXIT_VERIFY, EXIT_NUMERICAL, EXIT_CONFIG)
-# exit 4 in main, once config and coverage errors are handled
-_NUMERICAL_ERRORS = (BergspecError, np.linalg.LinAlgError, ArithmeticError)
 
 
 # -- deterministic JSON -----------------------------------------------------
+
+# numpy's scalars other than float64 and complex128, which are float and
+# complex, through the numbers ABCs that numpy registers them with
+_NUMBERS = ((numbers.Integral, int), (numbers.Real, float),
+            (numbers.Complex, complex))
+
 
 def _jnum(x):
     x = float(x)
@@ -56,19 +61,21 @@ def _json(obj, pad="\n"):
     """JSON text of obj in one pass, as json.dumps(obj, indent=2) writes it,
     floats through _jnum, complex numbers as {"re", "im"}, keys strings only;
     pad is the newline and indent of obj's line.  (Python's C encoder cannot
-    indent, and its pure-Python one costs more than this.)"""
-    if isinstance(obj, (float, np.floating)):
+    indent, and its pure-Python one costs more than this.)  Concrete types
+    are matched first, since an ABC check costs more; np.bool_ and arrays
+    raise TypeError."""
+    if isinstance(obj, float):
         x = _jnum(obj)
         return _quote(x) if isinstance(x, str) else repr(x)
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return repr(int(obj))
     if obj is None:
         return "null"
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, complex):
         obj = {"re": obj.real, "im": obj.imag}
     inner, ends = pad + "  ", "{}" if isinstance(obj, dict) else "[]"
     if isinstance(obj, dict):
@@ -76,6 +83,9 @@ def _json(obj, pad="\n"):
     elif isinstance(obj, (list, tuple)):
         items = [_json(v, inner) for v in obj]
     else:
+        for abc, cast in _NUMBERS:
+            if isinstance(obj, abc):
+                return _json(cast(obj), pad)
         raise TypeError(f"cannot serialize {type(obj)!r}")
     return (ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
             if items else ends)
@@ -349,14 +359,20 @@ def cmd_report(args):
                                    out / f"{stem}.svg", None),
                    key=_SEVERITY.index)
         tjson = out / f"{stem}.truncate.json"
-        # a numerical failure ends this entry only
+        # a coverage or numerical failure ends this entry only
         try:
             code = max(code, _truncate(s, args.t[0], args.N, args.nmax, tjson),
                        key=_SEVERITY.index)
             continue
         except EvaluationError as e:
             error = e
-        except _NUMERICAL_ERRORS as e:
+        except ConfigError:     # a built-in's round trip, checked on first use
+            raise
+        except CoverageError as e:
+            error = e
+            sys.stderr.write(f"coverage error in {stem}: {e}\n")
+            code = max(code, EXIT_COVERAGE, key=_SEVERITY.index)
+        except (BergspecError, np.linalg.LinAlgError, ArithmeticError) as e:
             error = e
             sys.stderr.write(f"numerical failure in {stem}: "
                              f"{type(e).__name__}: {e}\n")
@@ -480,7 +496,8 @@ def main(argv=None):
     except CoverageError as e:
         sys.stderr.write(f"coverage error: {e}\n")
         code = EXIT_COVERAGE
-    except _NUMERICAL_ERRORS as e:
+    # exit 4: an except clause reads np only when an exception reaches it
+    except (BergspecError, np.linalg.LinAlgError, ArithmeticError) as e:
         sys.stderr.write(f"numerical failure: {type(e).__name__}: {e}\n")
         code = EXIT_NUMERICAL
     finally:

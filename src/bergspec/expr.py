@@ -38,8 +38,7 @@ from __future__ import annotations
 import cmath
 import operator
 
-import numpy as np
-
+from ._lazy import np
 from .errors import EvaluationError, ExprSyntaxError
 
 __all__ = ["Jet", "Tape", "AnalyticExpr", "parse_expr", "log_of"]
@@ -433,7 +432,7 @@ class _Parser:
         if name == "i":
             return _Const(1j)
         if name == "pi":
-            return _Const(np.pi)
+            return _Const(cmath.pi)
         if name in _FUNCS:
             self.expect("(")
             args = [self.expr()]

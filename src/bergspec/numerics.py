@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import EvaluationError, OrbitIntegralError, WindingError
 from .regions import fixed_point_gamma
 # eval_v and _continuation_invert have no caller here, but
@@ -299,12 +298,13 @@ _GL_BUDGET = 2 ** 18     # panel estimates per call: bounds its time and memory
 _GL_CHUNK = 128          # panels per integrand call: bounds the batch's memory
 # the 12-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(12) bit for
 # bit, from its positive nodes and their weights: the nodes are odd, the
-# weights even
-_GL_X = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
-                  0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
-_GL_W = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
-                  0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
-_GL_X, _GL_W = np.r_[-_GL_X[::-1], _GL_X], np.r_[_GL_W[::-1], _GL_W]
+# weights even.  Lists, so that importing this module loads no numpy; an
+# array times a list broadcasts to the same values
+_GL_X = [0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+         0.7699026741943047, 0.9041172563704748, 0.9815606342467192]
+_GL_W = [0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+         0.16007832854334642, 0.10693932599531907, 0.04717533638651141]
+_GL_X, _GL_W = [-x for x in _GL_X[::-1]] + _GL_X, _GL_W[::-1] + _GL_W
 
 
 def _adaptive_gl(func, a, b, tol):

@@ -13,21 +13,25 @@ is the flat line Im u = 0; every point converges, and retries a failing leg
 in quarters, on its own.  An inverse, a flow h^-1(h(z) + t) among them,
 starts next to its orbit's limit point zeta (the Denjoy-Wolff point, or a
 repelling point for a backward orbit), corrects that start in log(zeta - z)
-and walks out along the orbit, away from zeta, in legs of 2.  Everything is
-immutable after construction and safe to evaluate concurrently; the only
-state filled in later is the cache of compiled evaluation tapes, where a
-race merely compiles a tape twice.
+and walks out along the orbit, away from zeta, in legs of 2.  Every model's
+round trip h^-1(h(z)) = z is checked on a 200-point grid: an expression
+model's when it is built, so that `classify` refuses bad branch cuts too,
+and a built-in's on its first numerical use, so that a built-in config
+parses without numpy.  Everything else is immutable after construction and
+safe to evaluate concurrently; the only state filled in later is that
+check's outcome and the cache of compiled evaluation tapes, where a race
+merely runs the check or compiles a tape twice.
 """
 
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import expr as ex
+from ._lazy import np
 from .errors import (
     ConfigError,
     EvaluationError,
@@ -122,7 +126,8 @@ class Scenario:
         self._in_omega = in_omega
         self.params = dict(params or {})
         self._petal_anchors = _key_anchors(self.fixed_points, petal_anchors)
-        if h is not None:
+        self._round_trip_ok = h is None
+        if closed_inverse is None and h is not None:
             self._smoke_test()
 
     # -- plumbing ----------------------------------------------------------
@@ -134,16 +139,22 @@ class Scenario:
     def _require_evaluable(self):
         if not self.evaluable:
             raise EvaluationError("parametric scenarios support only classification")
+        if not self._round_trip_ok:
+            self._smoke_test()
 
     def _smoke_test(self):
         pts = quasi_random_grid(200, 0.9)
         hint = "check branch cuts of the supplied expressions"
+        # invert on a copy marked checked, which does not come back here
+        probe = copy.copy(self)
+        probe._round_trip_ok = True
         try:
-            err = np.max(np.abs(eval_h_inverse(self, self._h(pts)) - pts))
+            err = np.max(np.abs(eval_h_inverse(probe, self._h(pts)) - pts))
         except InversionError as e:
             raise ConfigError(f"round-trip smoke test failed ({e}); {hint}") from e
         if err > 1e-9:
             raise ConfigError(f"round-trip smoke test failed (max error {err:.2e}); {hint}")
+        self._round_trip_ok = True
 
     def in_omega(self, w):
         """Membership in the image domain, where known."""

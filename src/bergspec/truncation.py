@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import EvaluationError
+from ._lazy import np
+from .errors import CoverageError, EvaluationError
 from .scenario import Scenario, _weight_ratio, cocycle, flow
 
 __all__ = [
@@ -99,16 +98,29 @@ def build_matrix(s: Scenario, t, N) -> TruncationMatrix:
     return TruncationMatrix(N, M, t)
 
 
+def _horizon(N, t):
+    return round(math.log(N + 1.0) / max(abs(t), 1e-9)) - 1
+
+
 def resolution_horizon(M: TruncationMatrix):
     """Largest power of the time-t section that still resolves the operator.
 
     The semigroup concentrates mass at boundary scale e^{-nt}, which a degree-N
     polynomial basis resolves only while e^{nt} stays below N; beyond that
     horizon ||M^n||^{1/n} decays toward the section's own spectral radius,
-    a truncation artifact rather than an operator quantity.
+    a truncation artifact rather than an operator quantity.  A horizon below
+    1, where e^{1.5t} > N + 1, resolves no power at all, and an estimate
+    from it says nothing: that is a CoverageError naming the smallest N
+    that resolves t.
     """
-    t = max(abs(M.t), 1e-9)
-    return max(1, int(round(math.log(M.N + 1.0) / t)) - 1)
+    n = _horizon(M.N, M.t)
+    if n < 1:
+        fit = next((f"N >= {k}" for k in range(M.N, N_MAX + 1)
+                    if _horizon(k, M.t) >= 1),
+                   f"N + 1 >= e^{1.5 * M.t:g}, above the largest N, {N_MAX}")
+        raise CoverageError(f"at t = {M.t:g} a section of N = {M.N} resolves no "
+                            f"power of T_t (resolution horizon {n}): that needs {fit}")
+    return n
 
 
 def gelfand_radius(M: TruncationMatrix, n_max):
@@ -124,6 +136,7 @@ def gelfand_radius(M: TruncationMatrix, n_max):
     """
     if n_max < 8:
         raise ValueError("n_max >= 8 required")
+    n_eff = min(n_max, resolution_horizon(M))
     A = P = M.entries
     stack = np.empty((_CHUNK,) + A.shape, A.dtype)
     stack[0] = A                           # power 1; the loops make the rest
@@ -134,7 +147,6 @@ def gelfand_radius(M: TruncationMatrix, n_max):
             P = np.matmul(P, A, out=stack[i])
         top = np.linalg.svd(stack[:m], compute_uv=False).max(axis=-1)
         seq += [top[i] ** (1.0 / (n0 + i + 1)) for i in range(m)]
-    n_eff = min(n_max, resolution_horizon(M))
     return min(seq[:n_eff]), seq
 
 

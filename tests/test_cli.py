@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -975,3 +979,154 @@ def test_an_expression_nested_too_deep_is_a_config_error(tmp_path, capsys,
     assert len(lines) == 2 and lines[1].startswith("wall time: ")
     assert lines[0].startswith(f"config error: {key}: expression nested "
                                "deeper than 100 levels")
+
+
+# -- numpy on first numerical use ---------------------------------------------
+
+BUILTIN_CFGS = {"strip": STRIP_WEIGHTED_CFG,
+                "half_strip": "p = 2\nmodel = half_strip\nc = 0.3\ns = 0.3\n",
+                "trident": "p = 2\nmodel = trident\nc = 0\ns = 0.1\nd = 0.5\n"}
+
+
+def test_classify_and_plot_of_a_builtin_never_run_numpy(tmp_path):
+    # a built-in config parses with no numpy, and classify and plot read only
+    # its boundary data; one fresh process runs both on each built-in
+    argvs = []
+    for name, text in BUILTIN_CFGS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        argvs += [["classify", "-c", str(cfg), "--json", str(tmp_path / "c.json"),
+                   "--svg", str(tmp_path / "c.svg")],
+                  ["plot", "-c", str(cfg), "--what", "operator", "--t", "0.5",
+                   "--svg", str(tmp_path / "p.svg")]]
+    probe = ("import json, sys\nfrom bergspec.cli import main\n"
+             f"codes = [main(a) for a in json.loads({json.dumps(argvs)!r})]\n"
+             "print(json.dumps([codes, 'numpy._core' in sys.modules]))\n")
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0, 0, 3, 0, 0, 0]    # half_strip c = 0.3 exits 3
+    assert not loaded
+
+
+def test_the_first_numerical_use_from_many_threads_gets_numpy():
+    # four threads, more than the cores, with a short switch interval: each
+    # one's first read of np may import numpy and rebind it, and each runs a
+    # built-in's round-trip check; every thread must get the same inverse
+    probe = """
+import sys, threading
+from bergspec import cli, expr, numerics, scenario, truncation
+sys.setswitchinterval(1e-6)
+s = scenario.parse_scenario(sys.argv[1])
+z = [0.1, 0.2j, -0.3]
+out, go = [], threading.Barrier(4, timeout=30)
+def run():
+    go.wait()
+    out.append(scenario.eval_h_inverse(s, scenario.eval_h(s, z)).tolist())
+threads = [threading.Thread(target=run) for _ in range(4)]
+for th in threads: th.start()
+for th in threads: th.join(timeout=60)
+assert not any(th.is_alive() for th in threads) and len(out) == 4
+import numpy
+assert all(m.np is numpy for m in (cli, expr, numerics, scenario, truncation))
+assert s._round_trip_ok and all(o == out[0] for o in out)
+assert max(abs(a - b) for a, b in zip(out[0], z)) < 1e-12
+"""
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe, BUILTIN_CFGS["trident"]],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+
+
+STRIP_A_1E308 = "p = 2\nmodel = strip_flow\na = 1e308\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--lambda", "2"],
+                                  ["truncate", "--N", "24"]],
+                         ids=["verify", "truncate"])
+def test_a_builtin_round_trip_is_checked_on_first_numerical_use(
+        tmp_path, capsys, argv):
+    # at a = 1e308 pi/(2a) overflows to 0 and every image reads outside the
+    # strip, so the built-in's round trip fails when a numerical command
+    # first evaluates it: a config error, as it was at parse
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(STRIP_A_1E308)
+    assert main([argv[0], "-c", str(cfg), *argv[1:],
+                 "--json", str(tmp_path / "o.json")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("config error: round-trip smoke test failed "
+                               "(target point outside the image domain)")
+    assert len(lines) == 2 and not (tmp_path / "o.json").exists()
+
+
+def test_classify_and_report_of_a_builtin_that_fails_its_round_trip(
+        tmp_path, capsys):
+    # classify reads no map: alpha = 1e308 overflows gamma0 to inf, where the
+    # essential spectrum is outside coverage (exit 3); report classifies the
+    # entry, then its truncate meets the failed round trip, a config error
+    # that ends the report (exit 2)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(STRIP_A_1E308)
+    assert main(["classify", "-c", str(cfg), "--json", str(tmp_path / "c.json")]) == 3
+    suite = tmp_path / "suite.txt"
+    suite.write_text("big.cfg\n")
+    out = tmp_path / "rpt"
+    capsys.readouterr()
+    assert main(["report", "--suite", str(suite), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: round-trip smoke test failed")
+    assert (out / "big.classify.json").exists()
+    assert not (out / "big.truncate.json").exists()
+
+
+# -- truncate at a time its section cannot resolve ----------------------------
+
+@pytest.mark.parametrize("name", BUILTIN_CFGS)
+@pytest.mark.parametrize("t, N", [(1, 24), (2, 24), (1, 60), (2, 60)])
+def test_truncate_resolves_times_1_and_2(tmp_path, name, t, N):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BUILTIN_CFGS[name])
+    out = tmp_path / "t.json"
+    assert main(["truncate", "-c", str(cfg), "--t", str(t), "--N", str(N),
+                 "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["resolution_horizon"] >= 1
+
+
+def test_truncate_refuses_a_time_its_section_cannot_resolve(tmp_path, capsys):
+    # round(log(25)/3) - 1 = 0; N = 90 is the smallest with e^4.5 <= N + 1
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(STRIP_WEIGHTED_CFG)
+    out = tmp_path / "t.json"
+    assert main(["truncate", "-c", str(cfg), "--t", "3", "--N", "24",
+                 "--json", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == ("coverage error: at t = 3 a section of N = 24 resolves "
+                        "no power of T_t (resolution horizon 0): that needs "
+                        "N >= 90")
+    assert len(lines) == 2 and not out.exists()
+    assert main(["truncate", "-c", str(cfg), "--t", "3", "--N", "90",
+                 "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["resolution_horizon"] == 1
+
+
+def test_report_inherits_the_refusal_of_a_time_no_section_resolves(
+        tmp_path, capsys):
+    # the entry is classified, its truncate writes the refusal, and the
+    # report exits 3, not 4
+    (tmp_path / "strip.cfg").write_text(STRIP_WEIGHTED_CFG)
+    suite = tmp_path / "suite.txt"
+    suite.write_text("strip.cfg\n")
+    out = tmp_path / "rpt"
+    assert main(["report", "--suite", str(suite), "--out", str(out),
+                 "--t", "10"]) == 3
+    err = [ln for ln in capsys.readouterr().err.splitlines()
+           if not ln.startswith("wall time")]
+    reason = ("at t = 10 a section of N = 24 resolves no power of T_t "
+              "(resolution horizon -1): that needs N + 1 >= e^15, above the "
+              "largest N, 256")
+    assert err == [f"coverage error in strip: {reason}"]
+    assert json.loads((out / "strip.truncate.json").read_text()) == {
+        "command": "truncate", "error": reason}
+    assert json.loads((out / "strip.classify.json").read_text())["command"] == "classify"

@@ -51,3 +51,19 @@ def test_the_table_has_one_line_per_metric_reported_on_both_sides():
     assert out[1].startswith("wall_s") and "10/10" in out[1]
     assert "holds" in out[1] and "-35.5%" in out[1]
     assert out[2].startswith("pass_ratio") and "not met" in out[2]
+
+
+def test_a_checkout_holding_bytecode_is_refused(tmp_path, capsys):
+    # refused before any run: bytecode left by an earlier run makes that
+    # side's setup_s faster
+    for side in ("a", "b"):
+        for sub in ("src/bergspec", "perfbench"):
+            (tmp_path / side / sub).mkdir(parents=True)
+    cache = tmp_path / "b" / "perfbench" / "__pycache__"
+    cache.mkdir()
+    argv = ["--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+            "--workload", "newton", "--seed", "1", "--pairs", "10"]
+    assert pairs.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pairs: {cache} holds compiled bytecode; remove it so that both "
+        "sides compile alike\n")

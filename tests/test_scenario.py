@@ -639,6 +639,18 @@ def test_strip_flow_rejects_an_a_whose_inverse_is_not_finite(a):
         make_builtin("strip_flow", 2.0, a=a)
 
 
+def test_a_builtin_round_trip_that_fails_refuses_every_numerical_use():
+    # at a = 1e308 pi/(2a) overflows to 0, so every image reads outside the
+    # strip; the model is built, and each first use, not only the first,
+    # raises the round trip's ConfigError
+    s = make_builtin("strip_flow", 2.0, a=1e308)
+    for use in (lambda: eval_h(s, 0.1), lambda: cocycle(s, 1.0, 0.1),
+                lambda: eval_h(s, 0.1)):
+        with pytest.raises(ConfigError, match="round-trip smoke test failed"):
+            use()
+    assert not s._round_trip_ok
+
+
 def test_parse_scenario_parametric_and_expression():
     s = parse_scenario(
         "p = 2\nmodel = parametric\n"

@@ -221,3 +221,17 @@ def test_a_large_eigenfunction_passes_the_eigen_identity(tmp_path, capsys):
                            "verify", "--lambda", "8")
     assert code == 0
     assert _checks(report)["eigen_identity_t_1"]["status"] == "pass"
+
+
+def test_a_time_no_power_of_the_section_resolves_is_refused(tmp_path, capsys):
+    # item 36: at t = 10 the horizon round(log(25)/10) - 1 is -1, so the
+    # estimate, 0.0084 of the bound, came from a section that resolves no
+    # power of T_t; a section resolves t once N + 1 >= e^(1.5 t)
+    code, report, err = _run(tmp_path, capsys,
+                             "p = 2\nmodel = strip_flow\nc = 0.4\ns = 0.7\n",
+                             "truncate", "--t", "10", "--N", "24")
+    assert code == 3 and report is None
+    assert err.splitlines()[0] == (
+        "coverage error: at t = 10 a section of N = 24 resolves no power of "
+        "T_t (resolution horizon -1): that needs N + 1 >= e^15, above the "
+        "largest N, 256")

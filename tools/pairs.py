@@ -7,7 +7,9 @@ Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds 15
 own src/bergspec with its own perfbench (the two perfbench trees should be
 byte-identical; a note goes to stderr when they are not).  The side that
 runs first alternates from pair to pair, so drift of the machine falls on
-both sides alike.
+both sides alike.  Both sides run with PYTHONDONTWRITEBYTECODE=1, and a
+checkout whose src/ or perfbench/ holds a __pycache__ is refused (exit 2):
+compiled bytecode made setup_s read 15-29% faster than in a fresh checkout.
 
 For every end-to-end metric that BENCHMARK.json (read from --a) names, the
 summary gives each side's median and quartiles over the pairs, the change
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +38,8 @@ def run_once(root, workload, seed):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                         check=True)
+                         check=True,
+                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     last = json.loads(out.stdout.strip().splitlines()[-1])
     return {k: m["value"] for k, m in last["metrics"].items()}
 
@@ -69,6 +73,12 @@ def table(runs_a, runs_b, directions):
     return "\n".join(lines)
 
 
+def _bytecode(root):
+    """The first __pycache__ under root's src/ or perfbench/, or None."""
+    return next((d for sub in ("src", "perfbench")
+                 for d in sorted((root / sub).rglob("__pycache__"))), None)
+
+
 def _harness(root):
     return {p.relative_to(root): p.read_bytes()
             for p in (root / "perfbench").rglob("*.py")}
@@ -83,6 +93,11 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, required=True)
     args = ap.parse_args(argv)
     a, b = args.a.resolve(), args.b.resolve()
+    for root in (a, b):
+        if (cache := _bytecode(root)) is not None:
+            sys.stderr.write(f"pairs: {cache} holds compiled bytecode; "
+                             "remove it so that both sides compile alike\n")
+            return 2
     if _harness(a) != _harness(b):
         sys.stderr.write("pairs: the two perfbench trees differ\n")
     spec = json.loads((a / "BENCHMARK.json").read_text())
