@@ -121,6 +121,7 @@ class Jet:
 # down to a leaf.
 
 class _Node:
+    name = None
     children = ()
     depth = 0
 
@@ -132,37 +133,21 @@ class _Const(_Node):
 
 _Z = _Node()    # the variable z: one node, shared by every tree
 
-_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-            "/": operator.truediv}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv, "neg": operator.neg}
 
 
-class _Bin(_Node):
-    def __init__(self, op, left, right):
-        self.op = op
-        self.children = (left, right)
-        self.depth = 1 + max(left.depth, right.depth)
+class _Op(_Node):
+    """An operation named by its arithmetic symbol, "neg" or its function."""
 
-    def step(self):
-        return _BIN_OPS[self.op]
-
-
-class _Neg(_Node):
-    def __init__(self, child):
-        self.children = (child,)
-        self.depth = 1 + child.depth
-
-    def step(self):
-        return operator.neg
-
-
-class _Fn(_Node):
-    def __init__(self, name, args):
+    def __init__(self, name, *children):
         self.name = name
-        self.children = tuple(args)
-        self.depth = 1 + max(c.depth for c in self.children)
+        self.children = children
+        self.depth = 1 + max(c.depth for c in children)
 
     def step(self):
-        return getattr(Jet, self.name)
+        # a function's Jet method is looked up as a tape compiles
+        return _ARITH.get(self.name) or getattr(Jet, self.name)
 
 
 def _structure(node, children):
@@ -172,8 +157,7 @@ def _structure(node, children):
     0.0."""
     if isinstance(node, _Const):
         return _Const, repr(node.value)
-    return (type(node), getattr(node, "op", None), getattr(node, "name", None),
-            children)
+    return node.name, children
 
 
 def _shaped(x, shape):
@@ -187,7 +171,7 @@ class Tape:
     """Flat post-order schedule of the expression DAG under some roots.
 
     Every node appears once, and so do nodes that compute the same thing
-    (same class, op or name, equal constants and merged children).  Each is
+    (same name, equal constants and merged children).  Each is
     computed at the tape's one order, 0 or 1; a slot's value does not
     depend on that order, so a caller that reads a root only to a lower
     order reads the bits of that lower order's tape.  The variable and the
@@ -287,17 +271,17 @@ def log_of(e: AnalyticExpr) -> AnalyticExpr:
 
 
 def _log_node(node):
-    if isinstance(node, _Fn) and node.name == "exp":
+    if node.name == "exp":
         return node.children[0]
-    if isinstance(node, _Fn) and node.name == "pow":
+    if node.name == "pow":
         base, w = node.children
-        return _Bin("*", _Fn("log", [base]), w)
-    if isinstance(node, _Bin) and node.op in "*/":
+        return _Op("*", _Op("log", base), w)
+    if node.name in ("*", "/"):
         a, b = (_log_node(c) for c in node.children)
-        return _Bin("+" if node.op == "*" else "-", a, b)
+        return _Op("+" if node.name == "*" else "-", a, b)
     if isinstance(node, _Const) and node.value:
         return _Const(cmath.log(node.value))
-    return _Fn("log", [node])
+    return _Op("log", node)
 
 
 # --- parser -----------------------------------------------------------------
@@ -339,14 +323,14 @@ class _Parser:
         node = self.term()
         while (op := self.peek()) in ("+", "-"):
             self.pos += 1
-            node = _Bin(op, node, self.term())
+            node = _Op(op, node, self.term())
         return node
 
     def term(self) -> _Node:
         node = self.unary()
         while (op := self.peek()) in ("*", "/"):
             self.pos += 1
-            node = _Bin(op, node, self.unary())
+            node = _Op(op, node, self.unary())
         return node
 
     def unary(self) -> _Node:
@@ -357,7 +341,7 @@ class _Parser:
         if ch in ("-", "+"):
             self.pos += 1
             node = self.unary()
-            node = _Neg(node) if ch == "-" else node
+            node = _Op("neg", node) if ch == "-" else node
         else:
             node = self.power()
         self.depth -= 1
@@ -378,11 +362,11 @@ class _Parser:
         node = None
         while n:
             if n & 1:
-                node = base if node is None else _Bin("*", node, base)
+                node = base if node is None else _Op("*", node, base)
             n >>= 1
-            base = _Bin("*", base, base)
+            base = _Op("*", base, base)
         node = _Const(1.0) if node is None else node
-        return _Bin("/", _Const(1.0), node) if neg else node
+        return _Op("/", _Const(1.0), node) if neg else node
 
     def integer(self) -> int:
         start = self.pos
@@ -440,7 +424,7 @@ class _Parser:
                 self.expect(",")
                 args.append(self.expr())
             self.expect(")")
-            return _Fn(name, args)
+            return _Op(name, *args)
         self.pos = start
         self.error(f"unknown identifier '{name}'")
 

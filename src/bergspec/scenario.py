@@ -47,7 +47,6 @@ __all__ = [
     "Scenario",
     "parse_scenario",
     "make_builtin",
-    "make_parametric",
     "eval_h",
     "eval_h_jet",
     "eval_hl_jets",
@@ -308,15 +307,6 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
                     petal_anchors=anchors, params=params)
 
 
-def make_parametric(p, fixed_points):
-    return Scenario(p, "parametric", fixed_points=tuple(fixed_points))
-
-
-def make_expression(p, h_expr, v_expr, fixed_points, petal_anchors=()):
-    return Scenario(p, "expression", h=h_expr, v=v_expr,
-                    fixed_points=tuple(fixed_points), petal_anchors=petal_anchors)
-
-
 # -- config parsing ---------------------------------------------------------
 
 def parse_complex(text: str) -> complex:
@@ -433,19 +423,20 @@ def parse_scenario(config_text: str) -> Scenario:
     if model == "parametric":
         if not fps:
             raise ConfigError("parametric model requires at least one fp line")
-        return make_parametric(p, fps)
+        return Scenario(p, "parametric", fixed_points=fps)
     if model == "expression":
         if "h_expr" not in values:
             raise ConfigError("expression model requires h_expr")
         if not fps:
             raise ConfigError("expression model requires fp lines")
-        exprs = []
+        exprs = {}
         for key in ("h_expr", "v_expr"):
             try:
-                exprs.append(ex.parse_expr(values.get(key, "1")))
+                exprs[key] = ex.parse_expr(values.get(key, "1"))
             except ExprSyntaxError as e:
                 raise ExprSyntaxError(f"{key}: {e}") from e
-        return make_expression(p, *exprs, fps, petal_anchors=anchors)
+        return Scenario(p, "expression", h=exprs["h_expr"], v=exprs["v_expr"],
+                        fixed_points=fps, petal_anchors=anchors)
     return make_builtin(model, p, a=num("a", 1.0), c=num("c"), s=num("s"), d=num("d"))
 
 

@@ -11,11 +11,11 @@ from bergspec.errors import (ConfigError, EvaluationError, InversionError,
                              ModelInconsistencyError, OutsideOmegaError,
                              PetalExitError)
 from bergspec.expr import parse_expr
-from bergspec.scenario import (FixedPointDatum, alpha_at, beta_at, cocycle,
-                               eval_h, eval_h_inverse, eval_h_prime, eval_v,
-                               flow, generator_G, generator_g, make_builtin,
-                               make_expression, make_parametric, parse_complex,
-                               parse_scenario, quasi_random_grid)
+from bergspec.scenario import (FixedPointDatum, Scenario, alpha_at, beta_at,
+                               cocycle, eval_h, eval_h_inverse, eval_h_prime,
+                               eval_v, flow, generator_G, generator_g,
+                               make_builtin, parse_complex, parse_scenario,
+                               quasi_random_grid)
 from bergspec.truncation import build_matrix
 
 GRID = quasi_random_grid(100, 0.9)
@@ -192,8 +192,8 @@ TWINS = [
 
 def _twin(name, w, h_text, v_text):
     ref = make_builtin(name, 2.0, **w)
-    return ref, make_expression(2.0, parse_expr(h_text), parse_expr(v_text),
-                                ref.fixed_points)
+    return ref, Scenario(2.0, "expression", h=parse_expr(h_text),
+                         v=parse_expr(v_text), fixed_points=ref.fixed_points)
 
 
 @pytest.mark.parametrize("name,w,h_text,v_text,N", TWINS)
@@ -440,10 +440,10 @@ def test_walks_next_to_the_trident_critical_value(monkeypatch, case, r):
     # slit line, in closed form and compare in w through the twin's h:
     # z - 1 ~ sqrt(w - w_c) moves z by up to 5e-7 between the two
     ref = make_builtin("trident", 2.0, s=0.1, d=0.5)
-    twin = make_expression(
-        2.0, parse_expr("0.5*log(1+z^2) - log(1+z)"),
-        parse_expr("exp(-0.1*(log(1-z) - log(1+z^2) - log(1+z)))"
-                   " * pow(z - i, 0.5)"), ref.fixed_points)
+    twin = Scenario(
+        2.0, "expression", h=parse_expr("0.5*log(1+z^2) - log(1+z)"),
+        v=parse_expr("exp(-0.1*(log(1-z) - log(1+z^2) - log(1+z)))"
+                     " * pow(z - i, 0.5)"), fixed_points=ref.fixed_points)
     corrector = scenario._newton_step_batch
     calls = []
 
@@ -553,17 +553,17 @@ def test_exactly_one_attracting_point_required():
     rep = FixedPointDatum(1.0, -1.0, 0.0, role="repelling")
     for fps in ([rep], []):
         with pytest.raises(ConfigError, match="exactly one Denjoy-Wolff point"):
-            make_parametric(2.0, fps)
+            Scenario(2.0, "parametric", fixed_points=fps)
     with pytest.raises(ConfigError, match="exactly one Denjoy-Wolff point"):
-        make_expression(2.0, parse_expr("log(1+z) - log(1-z)"), parse_expr("1"),
-                        [rep])
+        Scenario(2.0, "expression", h=parse_expr("log(1+z) - log(1-z)"),
+                 v=parse_expr("1"), fixed_points=[rep])
 
 
 def test_petal_anchors_need_a_repelling_point():
     dw = FixedPointDatum(1.0, 1.0, 0.0, role="denjoy_wolff")
     with pytest.raises(ConfigError, match="repelling"):
-        make_expression(2.0, parse_expr("log(1+z) - log(1-z)"), parse_expr("1"),
-                        [dw], petal_anchors=[-0.5])
+        Scenario(2.0, "expression", h=parse_expr("log(1+z) - log(1-z)"),
+                 v=parse_expr("1"), fixed_points=[dw], petal_anchors=[-0.5])
 
 
 def test_p_validation():
