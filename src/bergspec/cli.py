@@ -4,13 +4,14 @@ Subcommands: classify | verify | truncate | plot | report.  JSON output uses
 12-significant-digit floats with a "-inf" sentinel and fixed key order, so
 identical inputs produce byte-identical files; wall time goes to stderr only.
 Exit codes: 0 ok, 1 verification failure, 2 config error or bad argument,
-3 theorem-coverage error or a truncate time its section cannot resolve,
-4 numerical failure (Newton inversion or orbit integral failed,
-LinAlgError, a flow rounded onto the unit circle, float overflow or
-division by zero, or a winding eigenfunction); codes 2 to 4 come with a
-one-line message on stderr, never a traceback.  `report` ranks its
-entries' codes 0 < 3 < 1 < 4 and keeps the worst; a truncate that exits 3
-or 4 writes its error to the entry's JSON, and the next runs.
+3 theorem-coverage error, an exact e^{gamma t} past the float range or a
+truncate time its section cannot resolve, 4 numerical failure (Newton
+inversion or orbit integral failed, LinAlgError, a flow rounded onto the
+unit circle, float overflow or division by zero, or a winding
+eigenfunction); codes 2 to 4 come with a one-line message on stderr,
+never a traceback.  `report` ranks its entries' codes 0 < 3 < 1 < 4 and
+keeps the worst; a truncate that exits 3 or 4 writes its error to the
+entry's JSON, and the next runs.
 """
 
 from __future__ import annotations
@@ -157,15 +158,18 @@ def _classify(s, ts, json_path, svg, viewport):
 
     ops = []
     for t in ts:
-        entry = {"t": t, "radius": regions.operator_radius(g, t)}
-        try:
-            entry["spectrum"] = regions.operator_spectrum(g, t).to_json()
-        except (CoverageError, ValueError) as e:
-            entry["spectrum"] = {"error": str(e)}
-            if isinstance(e, CoverageError):
-                coverage.append("operator_spectrum")
-        entry["point_spectrum"] = \
-            regions.operator_point_spectrum(g, t).to_json()
+        # a refused radius or region is recorded in the entry, as in reg
+        entry = {"t": t}
+        for key, name in (("radius", "operator_radius"),
+                          ("spectrum", "operator_spectrum"),
+                          ("point_spectrum", "operator_point_spectrum")):
+            try:
+                out = getattr(regions, name)(g, t)
+                entry[key] = out if key == "radius" else out.to_json()
+            except (CoverageError, ValueError) as e:
+                entry[key] = {"error": str(e)}
+                if isinstance(e, CoverageError):
+                    coverage.append(name)
         ops.append(entry)
     report["operator"] = ops
     if coverage:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import CoverageError
@@ -256,14 +257,27 @@ def generator_point_spectrum(g: GammaProfile) -> SpectralRegion:
     return SpectralRegion.of(Component("vline", (g0,), BOUNDARY_UNRESOLVED))
 
 
+_LOG_MAX = math.log(sys.float_info.max)     # 709.78...
+
+
+def _exp_t(x, t):
+    """e^{x t}: 1 at t = 0, where T_0 = I, else a finite float, or past
+    the float range (x = +inf too) a CoverageError, not an "inf": no check
+    against an infinite bound can fail, and no SVG can draw it."""
+    if not t:
+        return 1.0
+    if not x * t <= _LOG_MAX:
+        raise CoverageError(f"gamma t = {x * t:.6g} exceeds {_LOG_MAX:.6g}, "
+                            "the log of the largest float: e^(gamma t) "
+                            "overflows")
+    return math.exp(x * t)
+
+
 def operator_radius(g: GammaProfile, t):
     """Spectral radius of the time-t operator; exact by the radius theorem."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    gmax = max(g.all_gammas())
-    if gmax == NEG_INF:
-        return 0.0
-    return math.exp(gmax * t)
+    return _exp_t(max(g.all_gammas()), t)
 
 
 def _exp_image(region: SpectralRegion, t):
@@ -275,10 +289,8 @@ def _exp_image(region: SpectralRegion, t):
     out = []
     for c in region.components:
         _, closed, lo, hi = c.interval()
-        lo = ((NEG_INF if closed else 0.0) if lo == NEG_INF
-              else math.exp(lo * t)) if t else 1.0
-        out.append(_from_interval("r", closed, lo, math.exp(hi * t),
-                                  c.certainty))
+        lo = NEG_INF if closed and lo == NEG_INF and t else _exp_t(lo, t)
+        out.append(_from_interval("r", closed, lo, _exp_t(hi, t), c.certainty))
     return out
 
 

@@ -244,7 +244,7 @@ def make_builtin(name, p, a=1.0, c=0.0, s=0.0, d=0.0):
             e = np.exp(_clamp_re(a * np.asarray(w, dtype=complex)))
             return (e - 1) / (e + 1)
 
-        half_height = math.pi / (2 * a)
+        half_height = math.pi / 2 / a
 
         def inside(w):
             return np.abs(np.imag(w)) < half_height
@@ -721,17 +721,23 @@ def alpha_at(s: Scenario, fp: FixedPointDatum) -> float:
 
 def beta_at(s: Scenario, fp: FixedPointDatum) -> complex:
     """Cocycle exponent at a fixed point by radial extrapolation of the
-    weight generator; returns complex(-inf, 0) for the degenerate case."""
+    weight generator; returns complex(-inf, 0) for the degenerate case.
+    Samples or a Richardson limit that are not finite have no limit."""
     s._require_evaluable()
     zeta = complex(fp.zeta)
     samples = generator_g(s, (1.0 - 2.0 ** -np.array(_RADII_K)) * zeta)
+    no_limit = f"no boundary limit for the weight generator at {zeta}"
+    if not np.all(np.isfinite(samples)):
+        raise EvaluationError(f"{no_limit} (samples not finite)")
     if samples[-1].real < -1e3 and np.all(np.diff(samples[-4:].real) < 0):
         return complex(float("-inf"), 0.0)
-    est_full = richardson(samples[-4:])
-    est_prev = richardson(samples[-5:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        est_full = richardson(samples[-4:])
+        est_prev = richardson(samples[-5:-1])
+    if not (cmath.isfinite(est_full) and cmath.isfinite(est_prev)):
+        raise EvaluationError(f"{no_limit} (its Richardson limit overflows)")
     if abs(est_full - est_prev) > 1e-3 * (1.0 + abs(est_full)):
-        raise EvaluationError("no boundary limit for the weight generator "
-                              f"at {zeta} (oscillatory samples)")
+        raise EvaluationError(f"{no_limit} (oscillatory samples)")
     return est_full
 
 

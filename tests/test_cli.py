@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergspec import cli, errors, numerics, regions, truncation
+from bergspec import cli, errors, numerics, regions, scenario, truncation
 from bergspec.cli import main
 from bergspec.regions import gammas_from
 from bergspec.scenario import make_builtin, parse_scenario
@@ -277,14 +277,113 @@ def test_exit_code_numerical_failure(tmp_path, strip_cfg, capsys,
     assert len(lines) == 2 and lines[1].startswith("wall time")
 
 
-def test_float_overflow_exits_numerical_failure(tmp_path, capsys):
-    # exp(801) in the operator radius overflows a float
+def test_an_operator_radius_past_the_float_range_is_a_coverage_error(
+        tmp_path, capsys):
+    # e^801 overflows a float: classify refuses the radius in its time
+    # entry, as it refuses the operator spectrum, and still writes its JSON
     cfg = tmp_path / "big.cfg"
     cfg.write_text("p = 2\nmodel = strip_flow\nc = 800\n")
-    assert main(["classify", "-c", str(cfg), "--json", str(tmp_path / "o.json")]) == 4
+    out = tmp_path / "o.json"
+    assert main(["classify", "-c", str(cfg), "--json", str(out)]) == 3
     lines = capsys.readouterr().err.splitlines()
-    assert lines[0] == "numerical failure: OverflowError: math range error"
-    assert len(lines) == 2 and lines[1].startswith("wall time")
+    assert len(lines) == 1 and lines[0].startswith("wall time")
+    report = json.loads(out.read_text())
+    error = ("gamma t = 801 exceeds 709.783, the log of the largest float: "
+             "e^(gamma t) overflows")
+    assert report["operator"][0]["radius"] == {"error": error}
+    assert report["coverage_errors"] == [
+        "operator_radius", "operator_spectrum", "operator_point_spectrum"]
+
+
+PARAM_BIG_BETA_CFG = "p = 2\nmodel = parametric\nfp = (1, 1, 1e308, dw)\n"
+PARAM_INF_GAMMA_CFG = "p = 2\nmodel = parametric\nfp = (1, 1e308, 1e308, dw)\n"
+STRIP_A_8E307_CFG = "p = 2\nmodel = strip_flow\na = 8e307\n"
+# e^{gamma t} past the largest float, one row per place it was met: exit 3
+# from each command, a classify radius refused in its time entry
+EXP_OVERFLOW_ROWS = [
+    (STRIP_WEIGHTED_CFG, ["classify", "--t", "1100"]),
+    (STRIP_WEIGHTED_CFG, ["plot", "--what", "operator", "--t", "2000"]),
+    (STRIP_A_8E307_CFG, ["classify"]),
+    (PARAM_BIG_BETA_CFG, ["classify", "--t", "1"]),
+    (PARAM_BIG_BETA_CFG, ["classify", "--t", "1000"]),
+    (PARAM_INF_GAMMA_CFG, ["classify", "--t", "0"]),
+    (PARAM_INF_GAMMA_CFG, ["classify", "--t", "1"]),
+]
+
+
+@pytest.mark.parametrize("cfg_text,argv", EXP_OVERFLOW_ROWS, ids=[
+    "strip-classify-1100", "strip-plot-2000", "strip-a8e307-classify",
+    "beta1e308-classify-1", "beta1e308-classify-1000",
+    "gamma-inf-classify-0", "gamma-inf-classify-1"])
+def test_an_exponential_past_the_float_range_exits_3(tmp_path, capsys,
+                                                     cfg_text, argv):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "o.json"
+    dest = ["--svg", str(tmp_path / "p.svg")] if argv[0] == "plot" \
+        else ["--json", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([argv[0], "-c", str(cfg), *argv[1:], *dest]) == 3
+    *messages, wall = capsys.readouterr().err.splitlines()
+    assert wall.startswith("wall time")
+    if argv[0] == "plot":
+        assert len(messages) == 1 and " exceeds 709.783" in messages[0]
+        assert messages[0].startswith("coverage error: gamma t = ")
+        return
+    assert not messages
+    for entry in json.loads(out.read_text())["operator"]:
+        # T_0 = I; at t > 0 a radius is a finite float or refused
+        radius = entry["radius"]
+        if entry["t"] == 0:
+            assert radius == 1.0
+        elif not isinstance(radius, float):
+            assert radius["error"].startswith("gamma t = ")
+            assert " exceeds 709.783" in radius["error"]
+
+
+def test_truncate_and_report_refuse_a_theory_radius_past_the_float_range(
+        tmp_path, capsys):
+    # the declared beta makes gamma0 = 801, while v = 1 keeps the section
+    # finite: truncate exits 3 at its operator_radius_theory, and report
+    # writes that refusal to the entry's truncate JSON
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("p = 2\nmodel = expression\nh_expr = log(1+z) - log(1-z)\n"
+                   "fp = (1, 1, 800, dw)\nfp = (-1, -1, 0, rep)\n")
+    error = ("gamma t = 801 exceeds 709.783, the log of the largest float: "
+             "e^(gamma t) overflows")
+    out = tmp_path / "t.json"
+    assert main(["truncate", "-c", str(cfg), "--N", "24",
+                 "--json", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[0] == f"coverage error: {error}"
+    assert not out.exists()
+    suite = tmp_path / "suite.txt"
+    suite.write_text("big.cfg\n")
+    assert main(["report", "--suite", str(suite), "--out",
+                 str(tmp_path / "rpt")]) == 3
+    assert json.loads((tmp_path / "rpt" / "big.truncate.json").read_text()) \
+        == {"command": "truncate", "error": error}
+
+
+@pytest.mark.parametrize("a", ["8e307", "1e308", "1.7e308"])
+@pytest.mark.parametrize("argv,code", [(["classify"], 3),
+                                       (["verify", "--lambda", "2"], 4),
+                                       (["truncate", "--N", "24"], 4)],
+                         ids=["classify", "verify", "truncate"])
+def test_a_strip_at_a_huge_a_exits_with_one_message(tmp_path, capsys, a,
+                                                    argv, code):
+    # the map's round trip holds up to the largest a whose 1/a is finite;
+    # classify refuses e^{gamma t}, and verify and truncate meet a time-1
+    # flow rounded onto the circle, with no numpy warning on the way
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"p = 2\nmodel = strip_flow\na = {a}\nc = 0.4\ns = 0.7\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([argv[0], "-c", str(cfg), *argv[1:],
+                     "--json", str(tmp_path / "o.json")]) == code
+    *messages, wall = capsys.readouterr().err.splitlines()
+    assert wall.startswith("wall time")
+    assert len(messages) == (code == 4)
 
 
 HALF_STRIP_WEIGHTED_CFG = "p = 2\nmodel = half_strip\nc = 0.3\ns = 0.6\n"
@@ -999,6 +1098,13 @@ def test_classify_and_plot_of_a_builtin_never_run_numpy(tmp_path):
                    "--svg", str(tmp_path / "c.svg")],
                   ["plot", "-c", str(cfg), "--what", "operator", "--t", "0.5",
                    "--svg", str(tmp_path / "p.svg")]]
+    # and e^{gamma t} past the float range is refused with no numpy
+    for k, (text, (cmd, *rest)) in enumerate(EXP_OVERFLOW_ROWS):
+        cfg = tmp_path / f"big{k}.cfg"
+        cfg.write_text(text)
+        json_out = ["--json", str(tmp_path / "b.json")] if cmd == "classify" else []
+        argvs.append([cmd, "-c", str(cfg), *rest, *json_out,
+                      "--svg", str(tmp_path / "b.svg")])
     probe = ("import json, sys\nfrom bergspec.cli import main\n"
              f"codes = [main(a) for a in json.loads({json.dumps(argvs)!r})]\n"
              "print(json.dumps([codes, 'numpy._core' in sys.modules]))\n")
@@ -1006,7 +1112,8 @@ def test_classify_and_plot_of_a_builtin_never_run_numpy(tmp_path):
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     codes, loaded = json.loads(done.stdout)
-    assert codes == [0, 0, 3, 0, 0, 0]    # half_strip c = 0.3 exits 3
+    # half_strip c = 0.3 exits 3
+    assert codes == [0, 0, 3, 0, 0, 0] + [3] * len(EXP_OVERFLOW_ROWS)
     assert not loaded
 
 
@@ -1040,45 +1147,56 @@ assert max(abs(a - b) for a, b in zip(out[0], z)) < 1e-12
     assert done.returncode == 0, done.stderr
 
 
-STRIP_A_1E308 = "p = 2\nmodel = strip_flow\na = 1e308\n"
+def _missing_inverse(monkeypatch):
+    """Built-ins whose closed-form inverse misses by about 1e-6, so each
+    fails its round trip on first numerical use."""
+    build = scenario.make_builtin
+
+    def built(*args, **kwargs):
+        s = build(*args, **kwargs)
+        inverse = s._closed_inverse
+        s._closed_inverse = lambda w: inverse(w) * (1 - 1e-6)
+        return s
+
+    monkeypatch.setattr(scenario, "make_builtin", built)
 
 
 @pytest.mark.parametrize("argv", [["verify", "--lambda", "2"],
                                   ["truncate", "--N", "24"]],
                          ids=["verify", "truncate"])
 def test_a_builtin_round_trip_is_checked_on_first_numerical_use(
-        tmp_path, capsys, argv):
-    # at a = 1e308 pi/(2a) overflows to 0 and every image reads outside the
-    # strip, so the built-in's round trip fails when a numerical command
-    # first evaluates it: a config error, as it was at parse
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text(STRIP_A_1E308)
+        tmp_path, capsys, monkeypatch, argv):
+    # the built-in's round trip fails when a numerical command first
+    # evaluates it: a config error, as it was at parse
+    _missing_inverse(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(STRIP_CFG)
     assert main([argv[0], "-c", str(cfg), *argv[1:],
                  "--json", str(tmp_path / "o.json")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("config error: round-trip smoke test failed "
-                               "(target point outside the image domain)")
+                               "(max error ")
     assert len(lines) == 2 and not (tmp_path / "o.json").exists()
 
 
 def test_classify_and_report_of_a_builtin_that_fails_its_round_trip(
-        tmp_path, capsys):
-    # classify reads no map: alpha = 1e308 overflows gamma0 to inf, where the
-    # essential spectrum is outside coverage (exit 3); report classifies the
-    # entry, then its truncate meets the failed round trip, a config error
-    # that ends the report (exit 2)
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text(STRIP_A_1E308)
-    assert main(["classify", "-c", str(cfg), "--json", str(tmp_path / "c.json")]) == 3
+        tmp_path, capsys, monkeypatch):
+    # classify reads no map, so it never meets the failed round trip;
+    # report classifies the entry, then its truncate meets it, a config
+    # error that ends the report (exit 2)
+    _missing_inverse(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(STRIP_CFG)
+    assert main(["classify", "-c", str(cfg), "--json", str(tmp_path / "c.json")]) == 0
     suite = tmp_path / "suite.txt"
-    suite.write_text("big.cfg\n")
+    suite.write_text("s.cfg\n")
     out = tmp_path / "rpt"
     capsys.readouterr()
     assert main(["report", "--suite", str(suite), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
-        "config error: round-trip smoke test failed")
-    assert (out / "big.classify.json").exists()
-    assert not (out / "big.truncate.json").exists()
+        "config error: round-trip smoke test failed (max error ")
+    assert (out / "s.classify.json").exists()
+    assert not (out / "s.truncate.json").exists()
 
 
 # -- truncate at a time its section cannot resolve ----------------------------

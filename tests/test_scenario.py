@@ -640,15 +640,31 @@ def test_strip_flow_rejects_an_a_whose_inverse_is_not_finite(a):
 
 
 def test_a_builtin_round_trip_that_fails_refuses_every_numerical_use():
-    # at a = 1e308 pi/(2a) overflows to 0, so every image reads outside the
-    # strip; the model is built, and each first use, not only the first,
-    # raises the round trip's ConfigError
-    s = make_builtin("strip_flow", 2.0, a=1e308)
+    # a closed-form inverse that misses by about 1e-6: the model is built,
+    # and each first use, not only the first, raises the round trip's
+    # ConfigError
+    s = make_builtin("strip_flow", 2.0)
+    inverse = s._closed_inverse
+    s._closed_inverse = lambda w: inverse(w) * (1 - 1e-6)
     for use in (lambda: eval_h(s, 0.1), lambda: cocycle(s, 1.0, 0.1),
                 lambda: eval_h(s, 0.1)):
-        with pytest.raises(ConfigError, match="round-trip smoke test failed"):
+        with pytest.raises(ConfigError, match=r"smoke test failed \(max error"):
             use()
     assert not s._round_trip_ok
+
+
+@pytest.mark.parametrize("a", [8e307, 9e307, 1e308, 1.7e308])
+def test_a_strip_at_a_huge_a_passes_its_round_trip(a):
+    # pi/2/a is a subnormal, not 0, so the images read inside the strip;
+    # the repelling point's generator samples near 5.6e307 have no finite
+    # Richardson limit, an EvaluationError with no numpy warning
+    s = make_builtin("strip_flow", 2.0, a=a, c=0.4, s=0.7)
+    assert eval_h(s, 0.1) == pytest.approx(0.2006707 / a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EvaluationError, match="no boundary limit .* "
+                                                  "Richardson limit overflows"):
+            beta_at(s, s.repelling_points()[0])
 
 
 def test_parse_scenario_parametric_and_expression():

@@ -174,7 +174,8 @@ def test_a_flow_rounded_onto_the_circle_fails_the_twin_truncate(
     "round 215 (strip) and 162 (trident) of the 1,024 Cauchy-circle images "
     "onto the circle and exit 4; the twins' Newton flow halves no step "
     "there, yet its images all end inside, the nearest 1.1e-16 from the "
-    "circle, off the orbit, and truncate --t 34 exits 0"))
+    "circle, off the orbit, and truncate --t 34 exits 3: a section of "
+    "N = 24 resolves no power of T_34"))
 @TWIN_TRUNCATES
 def test_a_time_34_flow_rounded_onto_the_circle_fails_the_twin_truncate(
         tmp_path, capsys, model, c, s, d):
