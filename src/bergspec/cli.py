@@ -160,16 +160,16 @@ def _classify(s, ts, json_path, svg, viewport):
     for t in ts:
         # a refused radius or region is recorded in the entry, as in reg
         entry = {"t": t}
-        for key, name in (("radius", "operator_radius"),
-                          ("spectrum", "operator_spectrum"),
-                          ("point_spectrum", "operator_point_spectrum")):
+        for key, exact in (("radius", regions.operator_radius),
+                           ("spectrum", regions.operator_spectrum),
+                           ("point_spectrum", regions.operator_point_spectrum)):
             try:
-                out = getattr(regions, name)(g, t)
+                out = exact(g, t)
                 entry[key] = out if key == "radius" else out.to_json()
             except (CoverageError, ValueError) as e:
                 entry[key] = {"error": str(e)}
                 if isinstance(e, CoverageError):
-                    coverage.append(name)
+                    coverage.append(exact.__name__)
         ops.append(entry)
     report["operator"] = ops
     if coverage:

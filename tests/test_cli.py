@@ -277,30 +277,13 @@ def test_exit_code_numerical_failure(tmp_path, strip_cfg, capsys,
     assert len(lines) == 2 and lines[1].startswith("wall time")
 
 
-def test_an_operator_radius_past_the_float_range_is_a_coverage_error(
-        tmp_path, capsys):
-    # e^801 overflows a float: classify refuses the radius in its time
-    # entry, as it refuses the operator spectrum, and still writes its JSON
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text("p = 2\nmodel = strip_flow\nc = 800\n")
-    out = tmp_path / "o.json"
-    assert main(["classify", "-c", str(cfg), "--json", str(out)]) == 3
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("wall time")
-    report = json.loads(out.read_text())
-    error = ("gamma t = 801 exceeds 709.783, the log of the largest float: "
-             "e^(gamma t) overflows")
-    assert report["operator"][0]["radius"] == {"error": error}
-    assert report["coverage_errors"] == [
-        "operator_radius", "operator_spectrum", "operator_point_spectrum"]
-
-
 PARAM_BIG_BETA_CFG = "p = 2\nmodel = parametric\nfp = (1, 1, 1e308, dw)\n"
 PARAM_INF_GAMMA_CFG = "p = 2\nmodel = parametric\nfp = (1, 1e308, 1e308, dw)\n"
 STRIP_A_8E307_CFG = "p = 2\nmodel = strip_flow\na = 8e307\n"
-# e^{gamma t} past the largest float, one row per place it was met: exit 3
-# from each command, a classify radius refused in its time entry
+# e^{gamma t} past the largest float: exit 3 from each command, a classify
+# radius refused in its time entry
 EXP_OVERFLOW_ROWS = [
+    ("p = 2\nmodel = strip_flow\nc = 800\n", ["classify"]),
     (STRIP_WEIGHTED_CFG, ["classify", "--t", "1100"]),
     (STRIP_WEIGHTED_CFG, ["plot", "--what", "operator", "--t", "2000"]),
     (STRIP_A_8E307_CFG, ["classify"]),
@@ -312,8 +295,8 @@ EXP_OVERFLOW_ROWS = [
 
 
 @pytest.mark.parametrize("cfg_text,argv", EXP_OVERFLOW_ROWS, ids=[
-    "strip-classify-1100", "strip-plot-2000", "strip-a8e307-classify",
-    "beta1e308-classify-1", "beta1e308-classify-1000",
+    "strip-c800-classify", "strip-classify-1100", "strip-plot-2000",
+    "strip-a8e307-classify", "beta1e308-classify-1", "beta1e308-classify-1000",
     "gamma-inf-classify-0", "gamma-inf-classify-1"])
 def test_an_exponential_past_the_float_range_exits_3(tmp_path, capsys,
                                                      cfg_text, argv):
@@ -332,14 +315,17 @@ def test_an_exponential_past_the_float_range_exits_3(tmp_path, capsys,
         assert messages[0].startswith("coverage error: gamma t = ")
         return
     assert not messages
-    for entry in json.loads(out.read_text())["operator"]:
-        # T_0 = I; at t > 0 a radius is a finite float or refused
+    report = json.loads(out.read_text())
+    for entry in report["operator"]:
+        # T_0 = I; at t > 0 a radius is a finite float or refused, as a
+        # region is, in its entry and in the coverage errors
         radius = entry["radius"]
         if entry["t"] == 0:
             assert radius == 1.0
         elif not isinstance(radius, float):
             assert radius["error"].startswith("gamma t = ")
             assert " exceeds 709.783" in radius["error"]
+            assert "operator_radius" in report["coverage_errors"]
 
 
 def test_truncate_and_report_refuse_a_theory_radius_past_the_float_range(
