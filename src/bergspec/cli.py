@@ -239,7 +239,7 @@ def cmd_verify(args):
         entry["checks"].append({
             "check": "eigenfunction_membership", "verdict": verdict.status,
             "expected": expect if expect else "near_threshold",
-            "fitted_exponent": verdict.fitted_exponent,
+            "fitted_exponent": verdict.fitted_exponent, "J": verdict.J,
             "status": "pass" if ok else "fail"})
 
         for t, residuals in zip(args.t, identity):
@@ -376,7 +376,7 @@ def cmd_report(args):
             error = e
             sys.stderr.write(f"coverage error in {stem}: {e}\n")
             code = max(code, EXIT_COVERAGE, key=_SEVERITY.index)
-        except (BergspecError, np.linalg.LinAlgError, ArithmeticError) as e:
+        except (BergspecError, ArithmeticError, *_linalg_error()) as e:
             error = e
             sys.stderr.write(f"numerical failure in {stem}: "
                              f"{type(e).__name__}: {e}\n")
@@ -486,6 +486,14 @@ def _build_parser():
     return ap
 
 
+
+def _linalg_error():
+    """numpy's LinAlgError for an exit-4 clause, read only once numpy is
+    loaded, so an error that reaches the clause first imports nothing."""
+    loaded = sys.modules.get("numpy")
+    return () if loaded is None else (loaded.linalg.LinAlgError,)
+
+
 def main(argv=None):
     started = time.perf_counter()
     ap = _build_parser()
@@ -500,8 +508,7 @@ def main(argv=None):
     except CoverageError as e:
         sys.stderr.write(f"coverage error: {e}\n")
         code = EXIT_COVERAGE
-    # exit 4: an except clause reads np only when an exception reaches it
-    except (BergspecError, np.linalg.LinAlgError, ArithmeticError) as e:
+    except (BergspecError, ArithmeticError, *_linalg_error()) as e:
         sys.stderr.write(f"numerical failure: {type(e).__name__}: {e}\n")
         code = EXIT_NUMERICAL
     finally:

@@ -64,17 +64,24 @@ _STEP = 0.5              # orbit-integral panel width in t
 
 # Taylor blocks for `ap_norm_rings`: f on |z| = e^{-1/J} at n = 16J points
 # gives a_j for j < 2J (the alias a_{j+n} is damped by e^{-16}), read in
-# _SUBCIRCLES interleaved parts of n / _SUBCIRCLES = 4,096 points, one f call
-# and one FFT each, each freed before the next f call, so no array of length
-# n is made.  The layout is fixed, not set by the number of rows, so a
-# stacked row is bitwise a single call.
-_TAYLOR_J = 2 ** 12
-_SAMPLES = 16 * _TAYLOR_J
+# _SUBCIRCLES interleaved parts of J points, one f call and one FFT each,
+# each freed before the next f call, so no array of length n is made.  Each
+# row is read at _TAYLOR_J, and read again at _REREAD_J, which then gives its
+# verdict, when its first fit is unsure.  The layout is fixed, not set by the
+# number of rows, and a row's unsureness is its own, so a stacked row is
+# bitwise a single call.
+_TAYLOR_J = 2 ** 10
+_REREAD_J = 2 ** 12
 _SUBCIRCLES = 16
 _ROUNDOFF = 1e-13        # a block below (this * max|f^{p/2}|)^2 is round-off
 # |f(conj z) - conj f(z)| / |f(z)| that still reads as real, far below the
 # e^{-16} alias of every coefficient: conj z_k is z_{n-k} to about 1e-16 rho
 _REAL_TOL = 1e-8
+# a first read is unsure when |tau| is below _SURE_TAU (within 0.05 of the
+# band) or its fit's rms residual in log2 B_k is above _SURE_RESIDUAL: rows
+# whose first residual was at most 0.03 moved tau by at most 0.034 at 2^12
+_SURE_TAU = 0.15
+_SURE_RESIDUAL = 0.03
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,7 @@ class MembershipVerdict:
     fitted_exponent: float
     ring_integrals: tuple    # block sums, which stand for the ring increments
     total: float
+    J: int                   # the circle |z| = e^{-1/J} it was read on
 
 
 @dataclass(frozen=True)
@@ -101,26 +109,25 @@ def _eval_f(f, z):
     return out
 
 
-def _powered(f, p):
-    """(r, f^{p/2} on the sub-circle z_{r + S l}) for r = 0..S-1, where the
-    S interleaved sub-circles make up the n-point circle |z| = e^{-1/J}:
-    rows by points for a stacked f, else one row.  For p != 2 the phase of
-    f is unwrapped at full resolution, point to next point: down each
-    column z_{S l + r}, r < S, and from each column's end to the next
-    column's start, whose phases a first pass over f finds.  Phase that
-    does not close means f winds."""
-    n, S = _SAMPLES, _SUBCIRCLES
-    base = math.exp(-1.0 / _TAYLOR_J) * np.exp(2j * np.pi * np.arange(n // S)
-                                               / (n // S))
+def _powered(f, p, J):
+    """(winding, parts): parts yields (r, f^{p/2} on the sub-circle
+    z_{r + S l}) for r = 0..S-1, where the S interleaved sub-circles make up
+    the n-point circle |z| = e^{-1/J}: rows by points for a stacked f, else
+    one row.  For p != 2 the phase of f is unwrapped at full resolution,
+    point to next point: down each column z_{S l + r}, r < S, and from each
+    column's end to the next column's start, whose phases a first pass over
+    f finds.  winding counts each row's turns of a phase that does not
+    close; it is 0 at p = 2."""
+    S = _SUBCIRCLES
+    n = S * J
+    base = math.exp(-1.0 / J) * np.exp(2j * np.pi * np.arange(J) / J)
 
     def sample(r):
         vals = np.asarray(f(base * np.exp(2j * np.pi * r / n)), dtype=complex)
         return vals if vals.ndim == 2 else np.broadcast_to(vals, base.shape)
 
     if p == 2.0:
-        for r in range(S):
-            yield r, sample(r)
-        return
+        return 0.0, ((r, sample(r)) for r in range(S))
     prev = sample(0)
     first = last = np.angle(prev)
     for r in range(1, S):
@@ -128,14 +135,14 @@ def _powered(f, p):
         last, prev = last + np.angle(vals / prev), vals
     turns = np.rint((last - np.roll(first, -1, axis=-1)) / (2.0 * np.pi))
     winding = np.nan_to_num(turns.sum(axis=-1))     # an overflowed row is nan
-    if np.any(winding):
-        raise WindingError(
-            f"f winds {np.max(np.abs(winding)):.0f} times around 0 on "
-            f"|z| = e^(-1/{_TAYLOR_J}), so it has a zero inside the circle "
-            f"and |f|^p = |f^(p/2)|^2 does not hold")
     phase = first + 2.0 * np.pi * (np.cumsum(turns, axis=-1) - turns)
-    del first, last, turns, prev, vals   # only phase goes on to the 2nd pass
-    for r in range(S):
+    # only phase goes on to the 2nd pass
+    return winding, _unwrapped(sample, phase, p)
+
+
+def _unwrapped(sample, phase, p):
+    """_powered's second pass, which carries the phase point to point."""
+    for r in range(_SUBCIRCLES):
         vals = sample(r)
         if r:
             ratio = vals / prev
@@ -164,8 +171,26 @@ def ap_norm_rings(s: Scenario, f):
     from `eigenfunction(s, lams)`), is treated row by row from one
     evaluation per point and gets a list of verdicts.  A row that overflows
     is divergent; one whose last block is round-off (a polynomial, say) is
-    convergent with tau = inf.  For p != 2 a zero of f inside the circle
-    raises WindingError.
+    convergent with tau = inf.
+
+    Every row is read at J = _TAYLOR_J.  A row whose fit is unsure there
+    (`_block_verdict`), or whose phase winds at p != 2, is read again at
+    J = _REREAD_J, all such rows from one f call per sub-circle, and takes
+    its verdict from that read, where a zero of f inside the circle raises
+    WindingError."""
+    verdicts, unsure = _read(s, f, _TAYLOR_J)
+    redo = np.flatnonzero(unsure)
+    if redo.size:
+        again, _ = _read(s, (lambda z: f(z)[redo]) if np.ndim(unsure) else f,
+                         _REREAD_J)
+        for i, v in zip(redo, again):
+            verdicts[i] = v
+    return verdicts if np.ndim(unsure) else verdicts[0]
+
+
+def _read(s: Scenario, f, J):
+    """(verdicts, unsure) of f's rows from the circle |z| = e^{-1/J}, unsure
+    shaped as one row's or the stack's leading axis.
 
     At p = 2 a row is real when f(conj z) = conj f(z), the Schwarz
     reflection, holds to _REAL_TOL on sub-circle 0, whose points pair off as
@@ -175,28 +200,34 @@ def ap_norm_rings(s: Scenario, f):
     row's c_j = Re(T_0 + T_{S/2} + 2 sum_{0<r<S/2} T_r), and f is called on
     sub-circles 0..S/2 only when every row is real.  At p != 2 every row
     reads all 16, as the phase is unwrapped in order."""
-    n, S, two_j = _SAMPLES, _SUBCIRCLES, 2 * _TAYLOR_J
-    m, top = n // S, 0.0
-    phase_u = -128j * np.pi * np.arange(m // 64)   # twiddle phases, below
+    S, two_j = _SUBCIRCLES, 2 * J
+    n, top = S * J, 0.0
+    phase_u = -128j * np.pi * np.arange(J // 64)   # twiddle phases, below
     phase_v = -2j * np.pi * np.arange(64)
     with np.errstate(all="ignore"):
-        for r, g in _powered(f, s.p):
+        winding, parts = _powered(f, s.p, J)
+        if J == _REREAD_J and np.any(winding):
+            raise WindingError(
+                f"f winds {np.max(np.abs(winding)):.0f} times around 0 on "
+                f"|z| = e^(-1/{J}), so it has a zero inside the circle "
+                f"and |f|^p = |f^(p/2)|^2 does not hold")
+        for r, g in parts:
             top = np.maximum(top, np.max(np.abs(g), axis=-1))
             if not r:
-                # z_{S (m - l)} = conj z_{S l}; one row at a time, as the
+                # z_{S (J - l)} = conj z_{S l}; one row at a time, as the
                 # whole stack's temporaries would outgrow the call's memory
                 real = np.array([s.p == 2.0 and np.all(
-                    np.abs(row[-np.arange(m)].conj() - row)
-                    <= _REAL_TOL * np.abs(row)) for row in g.reshape(-1, m)])
-                acc = np.zeros((np.size(top), two_j // m, m), dtype=complex)
-            # c_{q m + l} += w_S^{-q r} w_n^{-l r} X_r[l], X_r the FFT of g;
+                    np.abs(row[-np.arange(J)].conj() - row)
+                    <= _REAL_TOL * np.abs(row)) for row in g.reshape(-1, J)])
+                acc = np.zeros((np.size(top), two_j // J, J), dtype=complex)
+            # c_{q J + l} += w_S^{-q r} w_n^{-l r} X_r[l], X_r the FFT of g;
             # g and x are freed before the next f call (r comes from
-            # _powered, since the tuple that enumerate reuses would keep g
+            # parts, since the tuple that enumerate reuses would keep g
             # alive); g may be f's own array, so the FFT does not write to it
-            x = np.fft.fft(g, axis=-1).reshape(-1, m)
+            x = np.fft.fft(g, axis=-1).reshape(-1, J)
             del g
-            # w_n^{-l r} for l = 64 u + v as w_n^{-64 u r} w_n^{-v r}: m / 64
-            # + 64 exps instead of m, within 1e-15 of the direct ones
+            # w_n^{-l r} for l = 64 u + v as w_n^{-64 u r} w_n^{-v r}: J / 64
+            # + 64 exps instead of J, within 1e-15 of the direct ones
             x *= np.multiply.outer(np.exp(phase_u * r / n),
                                    np.exp(phase_v * r / n)).ravel()
             if r % (S // 2) and real.any():
@@ -205,54 +236,64 @@ def ap_norm_rings(s: Scenario, f):
                 np.multiply(x, 2.0 if r < S // 2 else 0.0, out=x,
                             where=real[:, None])
             w = np.exp(-2j * np.pi * r / S)
-            for q in range(two_j // m):
+            for q in range(two_j // J):
                 if q:
                     x *= w
                 acc[:, q] += x
             del x
             if r == S // 2 and real.all():
-                break            # before _powered calls f on sub-circle r + 1
+                break            # before parts calls f on sub-circle r + 1
         a = acc.reshape(-1, two_j)
         a.imag[real] = 0.0
-        a *= np.exp(np.arange(two_j) / _TAYLOR_J) / n     # a_j = c_j rho^-j
-        verdicts = [_block_verdict(row, big)
-                    for row, big in zip(a, np.atleast_1d(top))]
-    return verdicts if np.ndim(top) else verdicts[0]
+        a *= np.exp(np.arange(two_j) / J) / n     # a_j = c_j rho^-j
+        rows = [_block_verdict(row, big, J)
+                for row, big in zip(a, np.atleast_1d(top))]
+    unsure = np.reshape([u for _, u in rows], np.shape(top)) | (winding != 0)
+    return [v for v, _ in rows], unsure
 
 
-def _block_verdict(a, big):
-    """Verdict from the Taylor coefficients a of f^{p/2}, whose largest
-    sample big sets the round-off level."""
-    edges = [0] + [2 ** k for k in range(_TAYLOR_J.bit_length() + 1)]
+def _block_verdict(a, big, J):
+    """(verdict, unsure) from the Taylor coefficients a of f^{p/2} read at
+    J, whose largest sample big sets the round-off level.  A fitted tau is
+    unsure when it is nan, below _SURE_TAU in size, or its fit's rms
+    residual is above _SURE_RESIDUAL; tau = +-inf is sure."""
+    edges = [0] + [2 ** k for k in range(J.bit_length() + 1)]
     terms = np.abs(a) ** 2 / np.arange(1, a.size + 1)
     blocks = [float(math.pi * np.sum(terms[lo:hi]))
               for lo, hi in zip(edges[:-1], edges[1:])]
     total = float(np.cumsum(blocks)[-1])
     if not math.isfinite(total):
-        return MembershipVerdict(DIVERGENT, float("-inf"), (), float("inf"))
+        return MembershipVerdict(DIVERGENT, float("-inf"), (), float("inf"),
+                                 J), False
     floor = math.pi * (_ROUNDOFF * big) ** 2
     if blocks[-1] <= floor:
-        return MembershipVerdict(CONVERGENT, float("inf"), tuple(blocks), total)
-    tau = _fit_tau(blocks, floor)
+        return MembershipVerdict(CONVERGENT, float("inf"), tuple(blocks),
+                                 total, J), False
+    tau, residual = _fit_tau(blocks, floor)
     if tau > _TAU_BAND:
         status = CONVERGENT
     elif tau < -_TAU_BAND:
         status = DIVERGENT
     else:
         status = INCONCLUSIVE       # a nan tau, too
-    return MembershipVerdict(status, tau, tuple(blocks), total)
+    unsure = not (abs(tau) >= _SURE_TAU and residual <= _SURE_RESIDUAL)
+    return MembershipVerdict(status, tau, tuple(blocks), total, J), unsure
 
 
 def _fit_tau(blocks, floor):
-    """Least-squares exponent in B_k ~ C 2^{-k tau} over those of the last
-    _FIT_RINGS blocks that lie above the round-off floor; nan when fewer than
-    three do (a lacunary f has round-off blocks between its terms)."""
+    """(tau, rms residual) of the least-squares fit of log2 B_k ~ c - k tau
+    over those of the last _FIT_RINGS blocks that lie above the round-off
+    floor; nans when fewer than three do (a lacunary f has round-off blocks
+    between its terms)."""
     k = np.arange(len(blocks) - _FIT_RINGS, len(blocks))
     tail = np.asarray(blocks, dtype=float)[k]
     above = tail > floor
     if np.count_nonzero(above) < 3:
-        return float("nan")
-    return float(-np.polyfit(k[above], np.log2(tail[above]), 1)[0])
+        return float("nan"), float("nan")
+    k, y = k[above], np.log2(tail[above])
+    line = np.polyfit(k, y, 1)
+    return (float(-line[0]),
+            float(np.sqrt(np.mean((y - np.polyval(line, k)) ** 2))))
 
 
 # -- eigenfunctions ---------------------------------------------------------

@@ -672,11 +672,13 @@ def _weight_ratio(s, t, z, zt):
     """v(zt) / v(z) = exp(l(zt) - l(z)) for zt = flow(s, t, z).  A point
     that the flow rounded onto the unit circle has lost its image, and v may
     have a branch point or a pole there, so that is a numerical failure, not
-    a config error."""
+    a config error.  A ratio past the float range is inf, with no warning;
+    the caller decides what that means."""
     if np.any(np.abs(zt) >= 1.0):
         raise FloatingPointError(
             f"the time-{t:g} flow rounded a point onto the unit circle")
-    return np.exp(s._l(zt) - s._l(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(s._l(zt) - s._l(z))
 
 
 def cocycle(s: Scenario, t, z):
@@ -721,24 +723,27 @@ def alpha_at(s: Scenario, fp: FixedPointDatum) -> float:
 
 def beta_at(s: Scenario, fp: FixedPointDatum) -> complex:
     """Cocycle exponent at a fixed point by radial extrapolation of the
-    weight generator; returns complex(-inf, 0) for the degenerate case.
-    Samples or a Richardson limit that are not finite have no limit."""
+    weight generator: its Richardson limit when that converges, else
+    complex(-inf, 0) when the samples keep falling below -1e3, the
+    degenerate case.  Samples or a Richardson limit that are not finite
+    have no limit."""
     s._require_evaluable()
     zeta = complex(fp.zeta)
     samples = generator_g(s, (1.0 - 2.0 ** -np.array(_RADII_K)) * zeta)
     no_limit = f"no boundary limit for the weight generator at {zeta}"
     if not np.all(np.isfinite(samples)):
         raise EvaluationError(f"{no_limit} (samples not finite)")
-    if samples[-1].real < -1e3 and np.all(np.diff(samples[-4:].real) < 0):
-        return complex(float("-inf"), 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         est_full = richardson(samples[-4:])
         est_prev = richardson(samples[-5:-1])
-    if not (cmath.isfinite(est_full) and cmath.isfinite(est_prev)):
+    finite = cmath.isfinite(est_full) and cmath.isfinite(est_prev)
+    if finite and abs(est_full - est_prev) <= 1e-3 * (1.0 + abs(est_full)):
+        return est_full
+    if samples[-1].real < -1e3 and np.all(np.diff(samples[-4:].real) < 0):
+        return complex(float("-inf"), 0.0)
+    if not finite:
         raise EvaluationError(f"{no_limit} (its Richardson limit overflows)")
-    if abs(est_full - est_prev) > 1e-3 * (1.0 + abs(est_full)):
-        raise EvaluationError(f"{no_limit} (oscillatory samples)")
-    return est_full
+    raise EvaluationError(f"{no_limit} (oscillatory samples)")
 
 
 # -- helpers ----------------------------------------------------------------

@@ -83,8 +83,12 @@ def build_matrix(s: Scenario, t, N) -> TruncationMatrix:
     z = rho * np.exp(2j * math.pi * np.arange(n) / n)
     zt = flow(s, t, z)
     j = np.arange(N)
-    u, phi = (np.fft.fft(np.stack([_weight_ratio(s, t, z, zt), zt]))[:, :N]
-              / (n * rho ** j))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, phi = (np.fft.fft(np.stack([_weight_ratio(s, t, z, zt), zt]))[:, :N]
+                  / (n * rho ** j))
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(phi))):
+        raise FloatingPointError(f"the Taylor coefficients of u_t or phi_t "
+                                 f"at t = {t:g} are not finite")
     if all(np.max(np.abs(c.imag)) <= _REAL_TOL * np.max(np.abs(c))
            for c in (u, phi)):
         u, phi = u.real, phi.real
@@ -143,8 +147,13 @@ def gelfand_radius(M: TruncationMatrix, n_max):
     seq = []
     for n0 in range(0, n_max, _CHUNK):     # powers n0 + 1 ... n0 + m
         m = min(_CHUNK, n_max - n0)
-        for i in range(n0 == 0, m):
-            P = np.matmul(P, A, out=stack[i])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n0 == 0, m):
+                P = np.matmul(P, A, out=stack[i])
+        finite = np.isfinite(stack[:m]).all(axis=(1, 2))
+        if not finite.all():
+            raise FloatingPointError(f"power {n0 + 1 + np.argmin(finite)} of "
+                                     "the section is not finite")
         top = np.linalg.svd(stack[:m], compute_uv=False).max(axis=-1)
         seq += [top[i] ** (1.0 / (n0 + i + 1)) for i in range(m)]
     return min(seq[:n_eff]), seq

@@ -649,7 +649,7 @@ def test_verify_constant_eigenfunction_writes_inf(tmp_path, strip_cfg):
                  "--json", str(out)]) == 0
     (check,) = _membership(out)
     assert check["verdict"] == "convergent"
-    assert check["fitted_exponent"] == "inf"
+    assert check["fitted_exponent"] == "inf" and check["J"] == 1024
 
 
 @pytest.mark.parametrize("cfg_text, lam", [
@@ -666,6 +666,8 @@ def test_verify_sees_divergence_at_non_fixed_contact_points(tmp_path, cfg_text,
                  "--json", str(out)]) == 1
     (check,) = _membership(out)
     assert check["verdict"] == "divergent" and check["status"] == "fail"
+    # half_strip's corner row is unsure at J = 2^10 and read again
+    assert check["J"] == (4096 if "half_strip" in cfg_text else 1024)
 
 
 def _orbit_checks(tmp_path, cfg_text, *argv):
@@ -1091,15 +1093,25 @@ def test_classify_and_plot_of_a_builtin_never_run_numpy(tmp_path):
         json_out = ["--json", str(tmp_path / "b.json")] if cmd == "classify" else []
         argvs.append([cmd, "-c", str(cfg), *rest, *json_out,
                       "--svg", str(tmp_path / "b.svg")])
-    probe = ("import json, sys\nfrom bergspec.cli import main\n"
-             f"codes = [main(a) for a in json.loads({json.dumps(argvs)!r})]\n"
+    # and an ArithmeticError that reaches the exit-4 clause, from an
+    # operator radius made to overflow, exits 4 with no numpy either
+    argvs.append(argvs[0])
+    probe = ("import json, sys\nfrom bergspec import regions\n"
+             "from bergspec.cli import main\n"
+             f"argvs = json.loads({json.dumps(argvs)!r})\n"
+             "codes = [main(a) for a in argvs[:-1]]\n"
+             "def overflow(*args):\n"
+             "    raise OverflowError('injected')\n"
+             "regions.operator_radius = overflow\n"
+             "codes.append(main(argvs[-1]))\n"
              "print(json.dumps([codes, 'numpy._core' in sys.modules]))\n")
     src = str(Path(cli.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     codes, loaded = json.loads(done.stdout)
     # half_strip c = 0.3 exits 3
-    assert codes == [0, 0, 3, 0, 0, 0] + [3] * len(EXP_OVERFLOW_ROWS)
+    assert codes == [0, 0, 3, 0, 0, 0] + [3] * len(EXP_OVERFLOW_ROWS) + [4]
+    assert "numerical failure: OverflowError: injected" in done.stderr
     assert not loaded
 
 

@@ -58,9 +58,9 @@ def _rel(a, b):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_eigenfunction_rows_on_a_ring_subcircle_match_the_weight_form(name):
     s = SCENARIOS[name]
-    m = numerics._SAMPLES // numerics._SUBCIRCLES
-    z = (np.exp(-1.0 / numerics._TAYLOR_J + 2j * np.pi * np.arange(m) / m)
-         * np.exp(2j * np.pi * 5 / numerics._SAMPLES))
+    m = numerics._TAYLOR_J
+    z = (np.exp(-1.0 / m + 2j * np.pi * np.arange(m) / m)
+         * np.exp(2j * np.pi * 5 / (numerics._SUBCIRCLES * m)))
     rows = numerics.eigenfunction(s, LAMS)(z)
     assert rows.shape == (len(LAMS), m)
     for lam, row in zip(LAMS, rows):

@@ -68,35 +68,40 @@ def test_stacked_rows_match_single_lambda_calls(model, request):
         single = [ap_norm_rings(s, eigenfunction(s, lam)) for lam in lams]
     assert stacked == single
     assert stacked[1] == MembershipVerdict("divergent", float("-inf"), (),
-                                           float("inf"))
-    assert [len(v.ring_integrals) for v in stacked[::2]] == [14, 14]
+                                           float("inf"), 1024)
+    assert [len(v.ring_integrals) for v in stacked[::2]] == [12, 12]
 
 
-@pytest.mark.parametrize("make, lams, calls", [
-    pytest.param(lambda: make_builtin("strip_flow", 2.0), None, 9, id="2.0-9"),
-    pytest.param(lambda: make_builtin("strip_flow", 3.0), None, 32,
+@pytest.mark.parametrize("make, lams, calls, reread", [
+    pytest.param(lambda: make_builtin("strip_flow", 2.0), None, 9, 0,
+                 id="2.0-9"),
+    pytest.param(lambda: make_builtin("strip_flow", 3.0), None, 32, 0,
                  id="3.0-32"),
     pytest.param(lambda: make_builtin("strip_flow", 2.0, c=0.4, s=0.7),
-                 [0.5, 2.0, -1.5], 9, id="real-eigenfunction-9"),
+                 [0.5, 2.0, -1.5], 9, 0, id="real-eigenfunction-9"),
     pytest.param(lambda: make_builtin("strip_flow", 2.0, c=0.4, s=0.7),
-                 [0.5, 2.0 + 0.5j, -1.5], 16, id="one-complex-row-16"),
+                 [0.5, 2.0 + 0.5j, -1.5], 16, 0, id="one-complex-row-16"),
     pytest.param(lambda: make_builtin("strip_flow", 2.0, c=0.4, s=0.7),
-                 [0.5, 2.0 + 1e-3j, -1.5], 16, id="nearly-real-row-16"),
+                 [0.5, 2.0 + 1e-3j, -1.5], 16, 0, id="nearly-real-row-16"),
     pytest.param(lambda: make_builtin("trident", 2.0, d=0.5), [0.5, -1.5], 16,
-                 id="trident-z-minus-i-16"),
+                 0, id="trident-z-minus-i-16"),
     pytest.param(lambda: _twin("strip_flow", 0.4, 0.7, 0.0, " * exp(i*pi)"),
-                 [0.5, 2.0, -1.5], 9, id="complex-constant-real-row-9"),
+                 [0.5, 2.0, -1.5], 9, 0, id="complex-constant-real-row-9"),
     pytest.param(lambda: _principal_pow_half_strip(), [-1.5, 0.5, 2.0], 16,
-                 id="principal-pow-16"),
+                 16, id="principal-pow-16"),
     pytest.param(lambda: make_builtin("strip_flow", 3.0, c=0.4, s=0.7),
-                 [0.5, 2.0, -1.5], 32, id="real-eigenfunction-p3-32")])
-def test_the_circle_is_read_in_sixteen_parts(monkeypatch, make, lams, calls):
+                 [0.5, 2.0, -1.5], 32, 32, id="real-eigenfunction-p3-32")])
+def test_the_circle_is_read_in_sixteen_parts(monkeypatch, make, lams, calls,
+                                              reread):
     # one f call per sub-circle, two passes when the phase is unwrapped.  At
     # p = 2 an f whose every row reflects on sub-circle 0 has real Taylor
     # coefficients and reads sub-circles 0..8 only, whatever its constants
     # (exp(i*pi) is one); a complex lam, even 2 + 1e-3i, the trident's z - i
     # factor, a principal pow whose cut lies on the real axis, or p != 2
-    # reads all 16
+    # reads all 16.  Each f is read at J = 2^10 on 1,024-point sub-circles;
+    # `reread` more calls of 4,096 points read its unsure rows at J = 2^12:
+    # the principal pow's (its jump on the axis bends their fits) and
+    # p = 3's steep rows at 2.0 and -1.5
     s = make()
     if lams is None:
         sizes = []
@@ -107,7 +112,7 @@ def test_the_circle_is_read_in_sixteen_parts(monkeypatch, make, lams, calls):
     else:
         f, sizes = eigenfunction(s, lams), _hl_jet_sizes(monkeypatch)
     ap_norm_rings(s, f)
-    assert sizes == [4096] * calls
+    assert sizes == [1024] * calls + [4096] * reread
 
 
 def _hl_jet_sizes(monkeypatch):
@@ -118,11 +123,11 @@ def _hl_jet_sizes(monkeypatch):
     return sizes
 
 
-def _one_fft_blocks(f, p):
-    # blocks from one FFT over all n samples of f^{p/2}, the principal power
-    # (f must lie off the negative axis when p != 2), with their round-off
-    # floors
-    n, J = numerics._SAMPLES, numerics._TAYLOR_J
+def _one_fft_blocks(f, p, J=numerics._TAYLOR_J):
+    # blocks from one FFT over all n = 16J samples of f^{p/2}, the principal
+    # power (f must lie off the negative axis when p != 2), with their
+    # round-off floors
+    n = numerics._SUBCIRCLES * J
     z = math.exp(-1.0 / J) * np.exp(2j * np.pi * np.arange(n) / n)
     g = np.atleast_2d(f(z))
     if p != 2.0:
@@ -155,6 +160,7 @@ def test_blocks_match_one_fft_over_the_whole_circle(strip_weighted, p, lams):
     ref, floor = _one_fft_blocks(f, p)
     assert len(got) == len(ref)
     for v, r, fl in zip(got, ref, floor):
+        assert v.J == numerics._TAYLOR_J
         b = np.array(v.ring_integrals)
         assert np.all(np.abs(b - r) <= 1e-12 * r + 1e-2 * np.sqrt(r * fl))
 
@@ -180,7 +186,8 @@ def test_a_real_row_reflects_exactly(name):
     # what lets ap_norm_rings read such a row from half the circle
     s = REAL_TAPES[name]()
     F = eigenfunction(s, REAL_LAMS)
-    n, S = numerics._SAMPLES, numerics._SUBCIRCLES
+    S = numerics._SUBCIRCLES
+    n = S * numerics._TAYLOR_J
     sub = math.exp(-1.0 / numerics._TAYLOR_J) * np.exp(
         2j * np.pi * (S * np.arange(n // S) + 3) / n)
     z = np.concatenate([quasi_random_grid(20000, 0.999), sub])
@@ -203,18 +210,22 @@ def _full_read(monkeypatch, s, f):
 @pytest.mark.parametrize("name", sorted(REAL_TAPES))
 def test_a_real_row_read_from_half_the_circle_matches_the_full_read(
         monkeypatch, name):
-    # equal statuses, and blocks within the tolerance of
+    # equal statuses and J, and blocks within the tolerance of
     # test_blocks_match_one_fft_over_the_whole_circle, against a read of
-    # all 16 sub-circles
+    # all 16 sub-circles.  The trident's row at -1.5 (tau -0.001) is unsure
+    # at J = 2^10 and is read again at 2^12, in both reads
     s = REAL_TAPES[name]()
     F = eigenfunction(s, REAL_LAMS)
     sizes = _hl_jet_sizes(monkeypatch)
     half = ap_norm_rings(s, F)
     full = _full_read(monkeypatch, s, F)
-    assert sizes == [4096] * (9 + 16)
-    _, floor = _one_fft_blocks(F, 2.0)
-    for h, f, fl in zip(half, full, floor):
-        assert h.status == f.status
+    again = name == "trident"
+    assert sizes == ([1024] * 9 + [4096] * 9 * again
+                     + [1024] * 16 + [4096] * 16 * again)
+    floors = {J: _one_fft_blocks(F, 2.0, J)[1] for J in (1024, 4096)}
+    for i, (h, f) in enumerate(zip(half, full)):
+        assert h.status == f.status and h.J == f.J
+        fl = floors[h.J][i]
         b, r = np.array(h.ring_integrals), np.array(f.ring_integrals)
         assert b.shape == r.shape
         assert np.all(np.abs(b - r) <= 1e-12 * r + 1e-2 * np.sqrt(r * fl))
@@ -236,20 +247,23 @@ def test_a_row_that_is_not_real_on_the_real_axis_reads_the_whole_circle(
     # the principal pow's jump makes F not real at z = +-rho, though every
     # constant is real.  Half the circle would miss that jump (tau -0.539
     # against -0.552 at lam = 2), so the row reads all 16 sub-circles and
-    # its verdict is bitwise that of the full read
+    # its verdict is bitwise that of the full read.  Every row is unsure at
+    # J = 2^10, so all 16 are read again at 2^12
     s = _principal_pow_half_strip()
     F = eigenfunction(s, REAL_LAMS)
     full = _full_read(monkeypatch, s, F)
     sizes = _hl_jet_sizes(monkeypatch)
     assert ap_norm_rings(s, F) == full
-    assert sizes == [4096] * 16
+    assert sizes == [1024] * 16 + [4096] * 16
 
 
 def test_a_three_row_call_stays_within_its_memory(strip_weighted):
-    # measured 0.92 MB with numpy 2.4.6: the 2J coefficients of each row
-    # (0.39 MB) and one 4,096-point f call; the bound is that plus 20%.
-    # Keeping the tape's dead slots read 1.38 MB, an F that is not computed
-    # in place 1.18 MB, and 8 sub-circles of 8,192 points 1.45 MB
+    # measured 0.32 MB with numpy 2.4.6, every row sure at J = 2^10.  The
+    # bound is a J = 2^12 read of all three rows, 0.92 MB (the 2J
+    # coefficients of each row, 0.39 MB, and one 4,096-point f call), plus
+    # 20%; there keeping the tape's dead slots read 1.38 MB, an F that is
+    # not computed in place 1.18 MB, and 8 sub-circles of 8,192 points
+    # 1.45 MB
     F = eigenfunction(strip_weighted, [0.5, 2.0, -1.5])
     ap_norm_rings(strip_weighted, F)      # compiles the tape
     tracemalloc.start()
@@ -262,10 +276,12 @@ def test_a_three_row_call_stays_within_its_memory(strip_weighted):
 
 
 def test_a_three_row_call_at_p3_stays_within_its_memory():
-    # measured 1.16 MB with numpy 2.4.6: the p = 2 call's 0.86 MB plus the
-    # unwrapped phase and the raw sub-circle that the next phase step reads.
-    # Keeping the first pass's phases and building f^{p/2} through
-    # temporaries read 1.68 MB
+    # measured 0.93 MB with numpy 2.4.6: the rows at 2.0 and -1.5 are read
+    # again at J = 2^12.  The bound is a J = 2^12 read of all three rows,
+    # 1.16 MB (the p = 2 call's 0.86 MB plus the unwrapped phase and the
+    # raw sub-circle that the next phase step reads), plus 8%; there keeping
+    # the first pass's phases and building f^{p/2} through temporaries read
+    # 1.68 MB
     s = make_builtin("strip_flow", 3.0, c=0.4, s=0.7)
     F = eigenfunction(s, [0.5, 2.0, -1.5])
     ap_norm_rings(s, F)                   # compiles the tape
@@ -278,14 +294,14 @@ def test_a_three_row_call_at_p3_stays_within_its_memory():
     assert peak <= 1.25e6
 
 
-def _exact_blocks(b):
-    # blocks of pi sum |a_j|^2 / (j + 1) for (1 - z)^{-b}, whose Taylor
-    # coefficients are Gamma(j + b) / (Gamma(b) j!)
-    two_j = 2 * numerics._TAYLOR_J
+def _exact_blocks(b, J):
+    # blocks of pi sum |a_j|^2 / (j + 1), j < 2J, for (1 - z)^{-b}, whose
+    # Taylor coefficients are Gamma(j + b) / (Gamma(b) j!)
+    two_j = 2 * J
     log_a = [math.lgamma(j + b) - math.lgamma(b) - math.lgamma(j + 1)
              for j in range(two_j)]
     w = np.exp(2 * np.array(log_a)) / np.arange(1, two_j + 1)
-    edges = [0] + [2 ** k for k in range(numerics._TAYLOR_J.bit_length() + 1)]
+    edges = [0] + [2 ** k for k in range(J.bit_length() + 1)]
     return [math.pi * np.sum(w[lo:hi]) for lo, hi in zip(edges, edges[1:])]
 
 
@@ -296,7 +312,7 @@ def test_tau_of_power_singularity_matches_exact_coefficients(p, a):
     # fit on the exact blocks has the same finite-k offset as ours
     s = make_builtin("strip_flow", p)
     v = ap_norm_rings(s, lambda z: (1 - z) ** -a)
-    exact = numerics._fit_tau(_exact_blocks(p * a / 2), 0.0)
+    exact = numerics._fit_tau(_exact_blocks(p * a / 2, v.J), 0.0)[0]
     assert abs(v.fitted_exponent - exact) < 1e-3
     assert abs(exact - (2 - p * a)) < 0.01
     assert v.status == ("convergent" if 2 - p * a > 0 else "divergent")
@@ -326,10 +342,12 @@ def test_round_off_blocks_do_not_steer_the_fit(p):
 
 def test_fewer_than_three_blocks_above_round_off_is_inconclusive(
         strip_unweighted):
-    # 1 + z^5000: of the last six blocks only the last is above round-off,
-    # too few to fit an exponent
-    v = ap_norm_rings(strip_unweighted, lambda z: 1 + z ** 5000)
+    # 1 + z^1500 + z^5000: of the last six blocks only the last is above
+    # round-off at J = 2^10, so the row is read again at 2^12, where two
+    # are: too few to fit an exponent either time
+    v = ap_norm_rings(strip_unweighted, lambda z: 1 + z ** 1500 + z ** 5000)
     assert v.status == "inconclusive" and math.isnan(v.fitted_exponent)
+    assert v.J == 4096
 
 
 @pytest.mark.parametrize("c, d", [(5.0, 1), (4.0, 400)])
@@ -341,7 +359,7 @@ def test_phase_is_unwrapped_past_pi(c, d):
     v = ap_norm_rings(s, lambda z: np.exp(c * z ** d))
     exact = math.pi * math.fsum(
         math.exp(2 * (k * math.log(1.5 * c) - math.lgamma(k + 1))) / (d * k + 1)
-        for k in range(2 * numerics._TAYLOR_J // d + 1))
+        for k in range(2 * v.J // d + 1))
     assert v.total == pytest.approx(exact, rel=1e-12)
 
 
@@ -367,11 +385,75 @@ def test_constant_eigenfunction_has_round_off_blocks(strip_unweighted):
 def test_non_fixed_contact_point_divergence_is_seen(model, weights, lam,
                                                     local):
     # F diverges at a boundary point that is not a fixed point (trident's
-    # slit tip z = 1, half_strip's corners +-i); the blocks see it
+    # slit tip z = 1, half_strip's corners +-i); the blocks see it.
+    # half_strip's row fits with residual 0.062 at J = 2^10, where it reads
+    # tau -0.649, so it is read again at 2^12, where it reads -0.575
     s = make_builtin(model, 2.0, **weights)
     v = ap_norm_rings(s, eigenfunction(s, lam))
     assert v.status == "divergent"
     assert abs(v.fitted_exponent - local) < 0.1
+    assert v.J == (4096 if model == "half_strip" else 1024)
+
+
+
+# -- the two reads: J = 2^10 for every row, 2^12 for an unsure one -----------
+
+def test_a_stack_of_sure_and_unsure_rows_matches_single_lambda_calls():
+    # unsure rows: -3 and -1 by their fit residuals (0.087, 0.050), 1.0 by
+    # its tau (-0.003) near the band; each is read again on its own terms
+    s = make_builtin("half_strip", 2.0, c=0.3, s=0.3)
+    lams = [-3.0, 0.5, -1.0, 2.0 + 0.5j, 1.0]
+    stacked = ap_norm_rings(s, eigenfunction(s, lams))
+    single = [ap_norm_rings(s, eigenfunction(s, lam)) for lam in lams]
+    assert stacked == single
+    assert [v.J for v in stacked] == [4096, 1024, 4096, 1024, 4096]
+
+
+def test_the_p3_caveat_rows_keep_their_exponents():
+    # the README's aliasing caveat quotes these two J = 2^12 exponents; both
+    # rows fit unsurely at 2^10 and are read again
+    s = make_builtin("strip_flow", 3.0, c=0.4, s=0.7)
+    got = ap_norm_rings(s, eigenfunction(s, [-1.5, 2.0]))
+    assert [v.J for v in got] == [4096, 4096]
+    assert [v.fitted_exponent for v in got] == pytest.approx(
+        [-5.268, -4.831], abs=1e-3)
+
+
+# the verdict of each row read at J = 2^12 alone, as every row was read
+# before the two reads: status and tau
+_STRIP = ("strip_flow", {"c": 0.4, "s": 0.7})
+_TRIDENT = ("trident", {"c": 0.0, "s": 0.1, "d": 0.5})
+_HALF = ("half_strip", {"c": 0.3, "s": 0.3})
+FULL_READ_ROWS = [
+    (_STRIP, -1.5, "divergent", -3.1992),
+    (_STRIP, -0.5, "divergent", -1.2004),
+    (_STRIP, 0.5, "convergent", 0.4117),
+    (_STRIP, 0.65, "inconclusive", 0.0995),
+    (_STRIP, 0.75, "divergent", -0.1007),
+    (_STRIP, 2.0, "divergent", -2.5999),
+    (_STRIP, 2.0 + 0.5j, "divergent", -2.6001),
+    (_TRIDENT, -3.0, "divergent", -2.2001),
+    (_TRIDENT, -1.5, "divergent", -0.7004),
+    (_TRIDENT, 0.5, "convergent", 0.8052),
+    (_TRIDENT, 2.0, "divergent", -2.2011),
+    (_HALF, -3.0, "convergent", 1.8699),
+    (_HALF, -1.5, "convergent", 1.8001),
+    (_HALF, -1.0, "convergent", 1.7703),
+    (_HALF, 0.5, "convergent", 1.0003),
+    (_HALF, 2.0, "divergent", -2.0012),
+    (("trident", {"c": 0.0, "s": -1.2}), 2.0 + 1j, "divergent", -0.3942),
+    (("half_strip", {"c": 0.0, "s": 2.5}), -3.0, "divergent", -0.5751),
+]
+
+
+@pytest.mark.parametrize("model, lam, status, tau", FULL_READ_ROWS,
+                         ids=[f"{m[0]}-s{m[1]['s']}-{lam}"
+                              for m, lam, *_ in FULL_READ_ROWS])
+def test_the_two_reads_keep_each_full_read_verdict(model, lam, status, tau):
+    s = make_builtin(model[0], 2.0, **model[1])
+    v = ap_norm_rings(s, eigenfunction(s, lam))
+    assert v.status == status
+    assert abs(v.fitted_exponent - tau) < 0.05
 
 
 # -- eigenfunctions ---------------------------------------------------------

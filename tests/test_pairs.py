@@ -67,3 +67,17 @@ def test_a_checkout_holding_bytecode_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"pairs: {cache} holds compiled bytecode; remove it so that both "
         "sides compile alike\n")
+
+
+def test_the_count_table_marks_each_count_that_differs():
+    a = {"calls.expr": 104, "points.expr": 21410, "calls.numerics.ring": 6,
+         "failures.regions": 2}
+    b = {"calls.expr": 104, "points.expr": 20000, "calls.numerics.ring": 6}
+    out = pairs.count_table(a, b).splitlines()
+    assert out[0].split() == ["count", "a", "b"]
+    rows = {line.split()[0]: line.split()[1:] for line in out[1:]}
+    assert rows == {"calls.expr": ["104", "104"],
+                    "calls.numerics.ring": ["6", "6"],
+                    "failures.regions": ["2", "-", "differs"],
+                    "points.expr": ["21410", "20000", "differs"]}
+    assert [line.split()[0] for line in out[1:]] == sorted(rows)

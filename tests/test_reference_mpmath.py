@@ -133,8 +133,9 @@ def test_taylor_block_matches_mpmath(strip, monkeypatch):
     # damped by e^{-16} (here |a_j| also falls with j)
     got = numerics.ap_norm_rings(strip, F).ring_integrals[4]
     assert abs(got - ref) <= 2 * math.exp(-16) * ref
-    # on 32J points the alias, e^{-32}, is below round-off
-    monkeypatch.setattr(numerics, "_SAMPLES", 32 * numerics._TAYLOR_J)
+    # on 32J points, in 32 sub-circles, the alias, e^{-32}, is below
+    # round-off
+    monkeypatch.setattr(numerics, "_SUBCIRCLES", 32)
     got = numerics.ap_norm_rings(strip, F).ring_integrals[4]
     assert abs(got - ref) <= 1e-12 * ref
 

@@ -242,7 +242,8 @@ def test_a_builtin_and_its_own_text_agree_bitwise(name, w):
     ref = make_builtin(name, 2.0, **w)
     twin = parse_scenario(_own_text_config(ref))
     assert (twin._h._text, twin._v._text) == (ref._h._text, ref._v._text)
-    n, S = numerics._SAMPLES, numerics._SUBCIRCLES
+    S = numerics._SUBCIRCLES
+    n = S * numerics._TAYLOR_J
     z = np.exp(-1.0 / numerics._TAYLOR_J) * np.exp(
         2j * np.pi * (1 + S * np.arange(n // S)) / n)
     for k in (0, 1):
@@ -529,6 +530,17 @@ def test_beta_oracle_reads_minus_infinity_where_g_falls_without_bound():
     # g = l'/h' = -(1+z)/(1-z)^2 for v = exp(-1/(1-z)^2)
     s = parse_scenario(STRIP_EXPR_CFG + "v_expr = exp(-1/(1-z)^2)\n")
     assert beta_at(s, s.dw_point()) == complex(float("-inf"), 0.0)
+
+
+@pytest.mark.parametrize("s_", [500.0, 1500.0])
+def test_beta_oracle_reads_a_finite_limit_far_below_minus_1e3(s_):
+    # the strip's s weight: g falls toward its limit -s along the radius to
+    # z = 1 (-1498.5 at r = 0.999 when s = 1500), so at s = 1500 the last
+    # samples lie below -1e3 and keep falling, yet their limit converges
+    s = make_builtin("strip_flow", 2.0, c=0.0, s=s_)
+    fp = s.dw_point()
+    assert fp.beta_re == -s_
+    assert beta_at(s, fp).real == pytest.approx(-s_, rel=1e-9)
 
 
 def test_beta_oracle_rejects_samples_that_oscillate():

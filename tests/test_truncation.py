@@ -1,6 +1,7 @@
 """Galerkin truncation oracle: matrix entries, norms, radius estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,3 +306,24 @@ def test_gelfand_sequence_is_bitwise_the_per_power_norms(name, dtype, N, t,
     ref = _per_power_sequence(M.entries, n_max)
     assert np.array(seq).tobytes() == np.array(ref).tobytes()
     assert r == min(ref[:min(n_max, resolution_horizon(M))])
+
+
+@pytest.mark.parametrize("c, message", [
+    (800.0, "FloatingPointError: the Taylor coefficients of u_t or phi_t at "
+            "t = 1 are not finite"),
+    (700.0, "FloatingPointError: power 2 of the section is not finite")])
+def test_a_weight_past_the_float_range_is_one_numerical_failure(
+        tmp_path, capsys, c, message):
+    # v = e^{c h}: at c = 800 u_1 = e^{c (h(phi_1) - h)} = e^800 overflows,
+    # at c = 700 u_1 is finite and the section's square overflows.  Each is
+    # one exit-4 line, not numpy's RuntimeWarnings (or, under -W error, a
+    # traceback) and then an SVD that does not converge
+    from bergspec.cli import main
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"p = 2\nmodel = strip_flow\nc = {c}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["truncate", "-c", str(cfg), "--N", "24"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"numerical failure: {message}"
+    assert [line for line in err if not line.startswith("wall time")] == err[:1]

@@ -16,6 +16,12 @@ summary gives each side's median and quartiles over the pairs, the change
 of b's median from a's, how many pairs b won (a tie is no win), and whether
 the rule for a speed claim holds: b wins at least nine tenths of the pairs,
 and b's median beats a's by more than a's interquartile range.
+
+After the timed pairs each side runs once more with --trace 1, and every
+count that the traced run writes to .perfbench/<tag>.json (calls, points
+and failures per layer) is printed for both sides, a count that differs
+marked.  Counts do not vary from run to run, so a marked one is work that
+the change added or removed.
 """
 
 from __future__ import annotations
@@ -33,15 +39,41 @@ SECONDS = 15
 WIN_SHARE = 0.9
 
 
-def run_once(root, workload, seed):
-    """The metrics of one benchmark run in checkout `root`: {name: value}."""
+def _run(root, workload, seed, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace",
+           str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                          check=True,
                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    last = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_once(root, workload, seed):
+    """The metrics of one benchmark run in checkout `root`: {name: value}."""
+    last = _run(root, workload, seed, 0)
     return {k: m["value"] for k, m in last["metrics"].items()}
+
+
+def traced_counts(root, workload, seed):
+    """The counts of one traced run in checkout `root`, named by kind and
+    layer: {"calls.expr": 104, "points.expr": 21410, ...}."""
+    _run(root, workload, seed, 1)
+    tag = f"{workload}-seed{seed}-trace1"
+    detail = json.loads((root / ".perfbench" / f"{tag}.json").read_text())
+    return {f"{kind}.{layer}": n for kind, per in detail["counts"].items()
+            for layer, n in per.items()}
+
+
+def count_table(a, b):
+    """One line per count that either side reports, a's and b's side by
+    side ("-" where a side has none); a count that differs is marked."""
+    lines = [f"{'count':<34} {'a':>10} {'b':>10}"]
+    for name in sorted(a.keys() | b.keys()):
+        x, y = a.get(name, "-"), b.get(name, "-")
+        lines.append(f"{name:<34} {x:>10} {y:>10}"
+                     + ("  differs" if x != y else ""))
+    return "\n".join(lines)
 
 
 def summarize(a, b, better):
@@ -111,6 +143,9 @@ def main(argv=None):
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs "
           f"(a = {a}, b = {b})")
     print(table(*runs, directions))
+    print("\ncounts of one traced run per side")
+    print(count_table(*(traced_counts(r, args.workload, args.seed)
+                        for r in roots)))
     return 0
 
 
